@@ -55,7 +55,7 @@ def _read_matrix(path: str) -> SuperMatrix:
                 data = json.load(handle)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer past the digit limit
         raise FormatError(f"{path} is not valid JSON: {exc}")
     return SuperMatrix.from_json(data)
 

@@ -1,10 +1,28 @@
 """Exact linear algebra over Q for spaces and algebras of tensor operators.
 
-Operators are flattened row-major into vectors of length D^2 and kept in a
-reduced row-echelon row space, so membership, dimension, and subspace
-equality are all exact.  Algebra closure multiplies the current basis by the
-original generators until the row space stops growing; centralizers come
-from the exact kernel of the stacked commutator system.
+An operator on a word space of side D is flattened row-major into a sparse
+vector ``{i * D + j: entry}`` of width D^2 that holds only its nonzero
+entries.  Entries are ints or Fractions, never floats.
+
+``RowSpace`` keeps a subspace in reduced row-echelon form, one sparse row per
+pivot: the row's lowest nonzero column, where the row holds 1 and every other
+row holds 0.  Reducing a vector subtracts only the rows whose pivots are
+nonzero in it; since the rows are fully reduced, one pass leaves it reduced.
+The reduced row-echelon form of a subspace is unique, so dimension,
+membership and equality are exact, and two spaces are equal exactly when
+their rows are.
+
+``algebra_generated`` multiplies the current independent set by the
+generators, as sparse products, until the row space stops growing.
+``centralizer`` writes one equation
+[g, X]_ij = sum_k g_ik X_kj - X_ik g_kj per entry from g's nonzero entries
+alone, and reads the kernel off the reduced system.
+
+``double_centralizer_report`` decides cent(tau) = alg(theta) and
+cent(theta) = alg(tau) without comparing the spaces.  Once every tau
+generator commutes with every theta generator, alg(theta) lies in cent(tau)
+and alg(tau) in cent(theta); equal dimensions then make both inclusions
+equalities.
 """
 
 from __future__ import annotations
@@ -18,6 +36,9 @@ from .tensor import TensorOperator, transposition_operator, derivation_operator
 
 DEFAULT_CAP = 64
 
+# A sparse vector: {column: nonzero int or Fraction}.
+Vector = dict
+
 
 def check_cap(m: int, n: int, r: int, cap: int | None) -> int:
     side = (m + n) ** r
@@ -29,86 +50,195 @@ def check_cap(m: int, n: int, r: int, cap: int | None) -> int:
     return side
 
 
-def flatten(op: TensorOperator) -> list[Fraction]:
+def _exact(e):
+    """e as an int when it is integral, else as a Fraction."""
+    if type(e) is int:
+        return e
+    e = Fraction(e)
+    return e.numerator if e.denominator == 1 else e
+
+
+def _sparse(vec, width: int) -> Vector:
+    """The nonzero entries of a dense sequence or of a {column: value} map."""
+    if isinstance(vec, dict):
+        if any(not 0 <= c < width for c in vec):
+            raise DimensionError("vector column out of range")
+        items = vec.items()
+    else:
+        if len(vec) != width:
+            raise DimensionError("vector width mismatch")
+        items = enumerate(vec)
+    return {c: _exact(e) for c, e in items if e}
+
+
+def _dense(vec: Vector, width: int) -> list[Fraction]:
+    return [Fraction(vec.get(c, 0)) for c in range(width)]
+
+
+def _subtract(target: Vector, c, row: Vector) -> None:
+    """target -= c * row in place, dropping the entries that cancel."""
+    for col, e in row.items():
+        x = target.get(col, 0) - c * e
+        if x:
+            target[col] = x
+        else:
+            del target[col]
+
+
+def flatten(op: TensorOperator) -> Vector:
+    """The nonzero entries of op, row-major: entry (i, j) at i * side + j."""
     if op.grassmann_n is not None:
         raise DimensionError("row spaces hold rational operators only")
-    return [e for row in op.matrix for e in row]
+    side = op.side
+    return {
+        i * side + j: _exact(e)
+        for i, row in enumerate(op.matrix)
+        for j, e in enumerate(row)
+        if e
+    }
 
 
-def unflatten(dim: SuperDim, r: int, vec) -> TensorOperator:
+def unflatten(dim: SuperDim, r: int, vec: Vector) -> TensorOperator:
     side = dim.size ** r
-    rows = [vec[i * side : (i + 1) * side] for i in range(side)]
+    rows = [[0] * side for _ in range(side)]
+    for idx, e in vec.items():
+        i, j = divmod(idx, side)
+        rows[i][j] = e
     return TensorOperator(dim, r, rows)
 
 
+def _lines(vec: Vector, side: int) -> tuple[list[Vector], list[Vector]]:
+    """The flattened operator's rows and columns: rows[i] = {j: a_ij} and
+    cols[j] = {i: a_ij}."""
+    rows: list[Vector] = [{} for _ in range(side)]
+    cols: list[Vector] = [{} for _ in range(side)]
+    for idx, e in vec.items():
+        i, j = divmod(idx, side)
+        rows[i][j] = e
+        cols[j][i] = e
+    return rows, cols
+
+
+def _product(a: Vector, b_rows: list[Vector], side: int) -> Vector:
+    """The flattened product a @ b, with b given by its rows."""
+    out_rows: dict[int, Vector] = {}
+    for idx, x in a.items():
+        i, k = divmod(idx, side)
+        _subtract(out_rows.setdefault(i, {}), -x, b_rows[k])
+    return {i * side + j: e for i, row in out_rows.items() for j, e in row.items()}
+
+
+def _commute(a: Vector, b: Vector, side: int) -> bool:
+    return _product(a, _lines(b, side)[0], side) == _product(b, _lines(a, side)[0], side)
+
+
 class RowSpace:
-    """A subspace of Q^width kept in reduced row-echelon form."""
+    """A subspace of Q^width kept in reduced row-echelon form.
+
+    Vectors are given dense, as a sequence of length ``width``, or sparse,
+    as a ``{column: value}`` map.
+    """
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
+        self._rows: dict[int, Vector] = {}
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
-    def _reduce(self, vec) -> list[Fraction]:
-        v = [Fraction(e) for e in vec]
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self._rows)
+
+    @property
+    def rows(self) -> list[list[Fraction]]:
+        """The reduced rows, dense, in pivot order."""
+        return [_dense(self._rows[p], self.width) for p in self.pivots]
+
+    def _reduce(self, v: Vector) -> Vector:
+        """Subtract from v, in place, the rows whose pivots are nonzero in it.
+
+        Row p is zero at every other pivot, so subtracting it leaves v's
+        other pivot entries alone and one pass suffices.
+        """
+        rows = self._rows
+        for p in [c for c in v if c in rows]:
+            _subtract(v, v[p], rows[p])
         return v
 
     def contains(self, vec) -> bool:
-        return not any(self._reduce(vec))
+        return not self._reduce(_sparse(vec, self.width))
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True when the space grew."""
-        if len(vec) != self.width:
-            raise DimensionError("vector width mismatch")
-        v = self._reduce(vec)
-        pivot = next((i for i, e in enumerate(v) if e), None)
-        if pivot is None:
+        v = self._reduce(_sparse(vec, self.width))
+        if not v:
             return False
-        inv = 1 / v[pivot]
-        v = [e * inv for e in v]
-        # keep earlier rows reduced against the new pivot
-        for k, row in enumerate(self.rows):
-            c = row[pivot]
-            if c:
-                self.rows[k] = [a - c * b for a, b in zip(row, v)]
-        at = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, pivot)
+        pivot = min(v)
+        lead = v[pivot]
+        if lead == -1:
+            v = {c: -e for c, e in v.items()}
+        elif lead != 1:
+            inv = 1 / Fraction(lead)
+            v = {c: e * inv for c, e in v.items()}
+        # keep the other rows reduced against the new pivot
+        for row in [row for row in self._rows.values() if pivot in row]:
+            _subtract(row, row[pivot], v)
+        self._rows[pivot] = v
         return True
 
     def equals(self, other: "RowSpace") -> bool:
-        if self.width != other.width or self.dim != other.dim:
-            return False
-        return all(other.contains(row) for row in self.rows)
+        return self.width == other.width and self._rows == other._rows
+
+    def kernel(self) -> list[Vector]:
+        """A basis of the vectors orthogonal to every row: one per free
+        column f, holding 1 at f and -row[f] at each row's pivot."""
+        entries: dict[int, list[tuple[int, object]]] = {}
+        for p, row in self._rows.items():
+            for c, e in row.items():
+                if c != p:
+                    entries.setdefault(c, []).append((p, e))
+        basis = []
+        for f in range(self.width):
+            if f not in self._rows:
+                vec = {f: 1}
+                for p, e in entries.get(f, ()):
+                    vec[p] = -e
+                basis.append(vec)
+        return basis
 
 
 class OperatorSpace:
-    """A rational span of tensor operators with exact membership tests."""
+    """A rational span of tensor operators with exact membership tests.
+
+    ``vectors`` holds the flattened operators that grew the span, in order;
+    ``operators`` builds them as dense operators when read.
+    """
 
     def __init__(self, dim: SuperDim, r: int):
         self.dim = dim
         self.r = r
         side = dim.size ** r
         self.space = RowSpace(side * side)
-        self.operators: list[TensorOperator] = []
+        self.vectors: list[Vector] = []
 
     @property
     def dimension(self) -> int:
         return self.space.dim
 
+    @property
+    def operators(self) -> list[TensorOperator]:
+        return [unflatten(self.dim, self.r, v) for v in self.vectors]
+
     def add(self, op: TensorOperator) -> bool:
         if op.dim != self.dim or op.r != self.r:
             raise DimensionError("operator lives on a different space")
-        if self.space.add(flatten(op)):
-            self.operators.append(op)
+        return self.add_vector(flatten(op))
+
+    def add_vector(self, vec: Vector) -> bool:
+        if self.space.add(vec):
+            self.vectors.append(vec)
             return True
         return False
 
@@ -137,35 +267,28 @@ def algebra_generated(dim: SuperDim, r: int, generators) -> OperatorSpace:
     generators only: every product word grows one letter at a time on the
     right, so this reaches the full algebra.
     """
+    side = dim.size ** r
     gens = list(generators)
     result = span(dim, r, [TensorOperator.identity(dim, r)] + gens)
-    frontier = list(result.operators)
+    gen_rows = [_lines(flatten(g), side)[0] for g in gens]
+    frontier = list(result.vectors)
     while frontier:
         fresh = []
         for left in frontier:
-            for g in gens:
-                candidate = left * g
-                if result.add(candidate):
+            for rows in gen_rows:
+                candidate = _product(left, rows, side)
+                if result.add_vector(candidate):
                     fresh.append(candidate)
         frontier = fresh
     return result
 
 
-def kernel_basis(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
+def kernel_basis(rows, width: int) -> list[list[Fraction]]:
     """Exact kernel of the linear system given by ``rows`` (over Q)."""
     space = RowSpace(width)
     for row in rows:
         space.add(row)
-    pivot_set = set(space.pivots)
-    free_cols = [c for c in range(width) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        vec = [Fraction(0)] * width
-        vec[f] = Fraction(1)
-        for row, p in zip(space.rows, space.pivots):
-            vec[p] = -row[f]
-        basis.append(vec)
-    return basis
+    return [_dense(vec, width) for vec in space.kernel()]
 
 
 def centralizer(dim: SuperDim, r: int, generators) -> OperatorSpace:
@@ -176,23 +299,19 @@ def centralizer(dim: SuperDim, r: int, generators) -> OperatorSpace:
     generators.
     """
     side = dim.size ** r
-    gens = [g for g in generators]
-    rows: list[list[Fraction]] = []
-    for g in gens:
-        s = g.matrix
+    system = RowSpace(side * side)
+    for g in generators:
+        g_rows, g_cols = _lines(flatten(g), side)
         for i in range(side):
             for j in range(side):
-                row = [Fraction(0)] * (side * side)
-                for k in range(side):
-                    if s[i][k]:
-                        row[k * side + j] += s[i][k]
-                    if s[k][j]:
-                        row[i * side + k] -= s[k][j]
-                if any(row):
-                    rows.append(row)
+                # sum_k g_ik X_kj - X_ik g_kj, unknown X_kl at k * side + l
+                equation = {k * side + j: e for k, e in g_rows[i].items()}
+                _subtract(equation, 1, {i * side + k: e for k, e in g_cols[j].items()})
+                if equation:
+                    system.add(equation)
     out = OperatorSpace(dim, r)
-    for vec in kernel_basis(rows, side * side):
-        out.add(unflatten(dim, r, vec))
+    for vec in system.kernel():
+        out.add_vector(vec)
     return out
 
 
@@ -223,13 +342,21 @@ def double_centralizer_report(m: int, n: int, r: int, cap: int | None = None) ->
     der_algebra = algebra_generated(dim, r, der_gens)
     cent_perm = centralizer(dim, r, perm_gens)
     cent_der = centralizer(dim, r, der_gens)
-    double_ok = cent_perm.equals(der_algebra) and cent_der.equals(perm_algebra)
+    # commuting generators give alg(theta) <= cent(tau) and alg(tau) <= cent(theta)
+    side = dim.size ** r
+    taus = [flatten(g) for g in perm_gens]
+    thetas = [flatten(g) for g in der_gens]
+    commute = all(_commute(t, th, side) for t in taus for th in thetas)
+    double_ok = (
+        commute
+        and cent_perm.dimension == der_algebra.dimension
+        and cent_der.dimension == perm_algebra.dimension
+    )
 
     table = dimension_table(m, n, r)
     sum_syt_sq = sum(row["syt"] ** 2 for row in table if row["admissible"])
     sum_ssyt_sq = sum(row["ssyt"] ** 2 for row in table)
     mult_sum = sum(row["syt"] * row["ssyt"] for row in table)
-    side = dim.size ** r
     dims_ok = perm_algebra.dimension == sum_syt_sq and der_algebra.dimension == sum_ssyt_sq
 
     return {

@@ -297,7 +297,7 @@ class GrassmannElement:
         if not isinstance(data, dict) or "n" not in data or "terms" not in data:
             raise FormatError("Grassmann element must be {'n': ..., 'terms': [...]}")
         n = data["n"]
-        if not isinstance(n, int) or n < 0:
+        if not is_json_int(n) or n < 0:
             raise FormatError("'n' must be a nonnegative integer")
         terms: dict[int, Fraction] = {}
         if not isinstance(data["terms"], list):
@@ -311,7 +311,7 @@ class GrassmannElement:
             mask = 0
             prev = 0
             for i in gens:
-                if not isinstance(i, int) or not 1 <= i <= n:
+                if not is_json_int(i) or not 1 <= i <= n:
                     raise FormatError(f"generator index {i} not in 1..{n}")
                 if i <= prev:
                     raise FormatError(
@@ -319,14 +319,31 @@ class GrassmannElement:
                     )
                 mask |= 1 << (i - 1)
                 prev = i
-            try:
-                coeff = Fraction(term["coeff"])
-            except (ValueError, ZeroDivisionError, TypeError) as exc:
-                raise FormatError(f"bad rational coefficient {term['coeff']!r}") from exc
+            coeff = rational_from_json(term["coeff"], "coefficient")
             if mask in terms:
                 raise FormatError("duplicate monomial in terms")
             terms[mask] = coeff
         return cls(n, terms)
+
+
+def is_json_int(value) -> bool:
+    """A JSON integer.  The exact type test refuses bools, which Python
+    counts as ints."""
+    return type(value) is int
+
+
+def rational_from_json(value, what: str) -> Fraction:
+    """A wire rational: an integer or a "p/q" string.
+
+    Floats, Infinity and NaN among them, are refused: a JSON float is a
+    binary approximation, not the rational the sender meant.
+    """
+    if type(value) not in (int, str):
+        raise FormatError(f"{what} {value!r} must be an integer or a 'p/q' string")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"bad rational {what} {value!r}") from exc
 
 
 def as_element(value, num_generators: int) -> GrassmannElement:

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, FormatError, NotInvertible, ParityError
-from .grassmann import GrassmannElement, as_element
+from .grassmann import (
+    GrassmannElement,
+    as_element,
+    is_json_int,
+    rational_from_json,
+)
 
 
 @dataclass(frozen=True)
@@ -262,7 +267,7 @@ class SuperMatrix:
             if key not in data:
                 raise FormatError(f"supermatrix is missing {key!r}")
         m, n = data["m"], data["n"]
-        if not (isinstance(m, int) and isinstance(n, int)):
+        if not (is_json_int(m) and is_json_int(n)):
             raise FormatError("'m' and 'n' must be integers")
         try:
             dim = SuperDim(m, n)
@@ -278,19 +283,11 @@ class SuperMatrix:
         ):
             raise FormatError(f"'entries' must be a {size}x{size} array")
         if ring == "Q":
-            rows = []
-            for row in entries:
-                parsed = []
-                for e in row:
-                    try:
-                        parsed.append(Fraction(e))
-                    except (ValueError, ZeroDivisionError, TypeError) as exc:
-                        raise FormatError(f"bad rational entry {e!r}") from exc
-                rows.append(parsed)
+            rows = [[rational_from_json(e, "entry") for e in row] for row in entries]
             return cls(dim, rows)
         if ring == "grassmann":
             gn = data.get("grassmann_n")
-            if not isinstance(gn, int) or gn < 0:
+            if not is_json_int(gn) or gn < 0:
                 raise FormatError("'grassmann_n' must be a nonnegative integer")
             rows = []
             for row in entries:
@@ -304,10 +301,9 @@ class SuperMatrix:
                             )
                         parsed.append(elem)
                     else:
-                        try:
-                            parsed.append(GrassmannElement.scalar(gn, Fraction(e)))
-                        except (ValueError, ZeroDivisionError, TypeError) as exc:
-                            raise FormatError(f"bad entry {e!r}") from exc
+                        parsed.append(
+                            GrassmannElement.scalar(gn, rational_from_json(e, "entry"))
+                        )
                 rows.append(parsed)
             return cls(dim, rows, gn)
         raise FormatError("'ring' must be 'Q' or 'grassmann'")

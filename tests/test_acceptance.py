@@ -91,6 +91,8 @@ def test_criterion_3_double_centralizer():
         (2, 1, 2): (2, 41),
         (2, 0, 2): (2, 10),
         (2, 0, 3): (5, 20),
+        (2, 1, 3): (6, 129),
+        (2, 2, 3): (6, 688),
     }
     for (m, n, r), (dim_tau, dim_theta) in expected.items():
         report = double_centralizer_report(m, n, r)
@@ -112,7 +114,7 @@ def test_criterion_3_double_centralizer():
     thetas = [derivation_operator(x, 2) for _, _, x in elementary_pairs(dim)]
     assert centralizer(dim, 2, taus).equals(algebra_generated(dim, 2, thetas))
     assert centralizer(dim, 2, thetas).equals(algebra_generated(dim, 2, taus))
-    budget.done("criterion 3: mutual centralizers with matching dims, five configs")
+    budget.done("criterion 3: mutual centralizers with matching dims, seven configs")
 
 
 def test_criterion_4_derivation_homomorphism_and_sign_arbiter():

@@ -160,6 +160,47 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     assert code == 2 and "missing" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"m": 1, "n": 0, "ring": "Q", "entries": [[Infinity]]}',
+        '{"m": 1, "n": 0, "ring": "Q", "entries": [[NaN]]}',
+        '{"m": 1, "n": 0, "ring": "Q", "entries": [[0.1]]}',
+        '{"m": 1, "n": 0, "ring": "Q", "entries": [[1e400]]}',
+        '{"m": true, "n": 0, "ring": "Q", "entries": [[1]]}',
+        '{"m": 1, "n": 0, "ring": "Q", "entries": [[true]]}',
+        '{"m": 1, "n": 0, "ring": "grassmann", "grassmann_n": true, "entries": [[1]]}',
+        '{"m": 1, "n": 0, "ring": "grassmann", "grassmann_n": 1, "entries": [[0.5]]}',
+        '{"m": 1, "n": 0, "ring": "grassmann", "grassmann_n": 1, "entries":'
+        ' [[{"n": 1, "terms": [{"gens": [true], "coeff": "1"}]}]]}',
+        '{"m": 1, "n": 0, "ring": "grassmann", "grassmann_n": 1, "entries":'
+        ' [[{"n": true, "terms": []}]]}',
+        '{"m": 1, "n": 0, "ring": "grassmann", "grassmann_n": 1, "entries":'
+        ' [[{"n": 1, "terms": [{"gens": [], "coeff": 0.1}]}]]}',
+        '{"m": 1, "n": 0, "ring": "Q", "entries": [[' + "7" * 5000 + "]]}",
+    ],
+)
+def test_wire_refuses_floats_and_bools(tmp_path, capsys, text):
+    path = tmp_path / "point.json"
+    path.write_text(text)
+    code, out, err = run_cli(["berezinian", str(path)], capsys)
+    assert code == 2 and out == "" and err.startswith("superschur: ")
+
+
+def test_wire_takes_integers_and_fraction_strings(tmp_path, capsys):
+    path = tmp_path / "point.json"
+    path.write_text(
+        '{"m": 1, "n": 1, "ring": "grassmann", "grassmann_n": 1, "entries":'
+        ' [["3/2", {"n": 1, "terms": [{"gens": [1], "coeff": 2}]}], [0, 1]]}'
+    )
+    code, out, _ = run_cli(["berezinian", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["berezinian"] == {
+        "n": 1,
+        "terms": [{"coeff": "3/2", "gens": []}],
+    }
+
+
 def test_cap_exit_three(capsys):
     code, _, err = run_cli(["verify", "schurweyl", "-m", "2", "-n", "2", "-r", "4"], capsys)
     assert code == 3 and "cap" in err

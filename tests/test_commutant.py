@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superschur import (
     CapExceeded,
@@ -21,7 +23,13 @@ from superschur import (
     span,
     transposition_operator,
 )
-from superschur.commutant import flatten, kernel_basis, unflatten
+from superschur.commutant import (
+    derivation_generators,
+    flatten,
+    kernel_basis,
+    symmetric_group_generators,
+    unflatten,
+)
 
 D11 = SuperDim(1, 1)
 
@@ -155,3 +163,145 @@ def test_operator_space_rejects_wrong_degree():
     space = OperatorSpace(D11, 2)
     with pytest.raises(DimensionError):
         space.add(TensorOperator.identity(D11, 1))
+
+
+# --- dense reference ----------------------------------------------------------
+# Full-width Fraction rows and the side^2-wide commutator system: the
+# straightforward algorithm the sparse one must agree with, row for row.
+
+
+class DenseRowSpace:
+    def __init__(self, width):
+        self.width = width
+        self.rows = []
+        self.pivots = []
+
+    def reduce(self, vec):
+        v = [Fraction(e) for e in vec]
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c:
+                v = [a - c * b if b else a for a, b in zip(v, row)]
+        return v
+
+    def add(self, vec):
+        v = self.reduce(vec)
+        pivot = next((i for i, e in enumerate(v) if e), None)
+        if pivot is None:
+            return False
+        inv = 1 / v[pivot]
+        v = [e * inv for e in v]
+        for k, row in enumerate(self.rows):
+            c = row[pivot]
+            if c:
+                self.rows[k] = [a - c * b if b else a for a, b in zip(row, v)]
+        at = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
+        self.rows.insert(at, v)
+        self.pivots.insert(at, pivot)
+        return True
+
+    def kernel(self):
+        basis = []
+        for f in range(self.width):
+            if f in self.pivots:
+                continue
+            vec = [Fraction(0)] * self.width
+            vec[f] = Fraction(1)
+            for row, p in zip(self.rows, self.pivots):
+                vec[p] = -row[f]
+            basis.append(vec)
+        return basis
+
+
+def dense_product(a, b):
+    out = []
+    for a_row in a:
+        acc = [Fraction(0)] * len(b)
+        for x, b_row in zip(a_row, b):
+            if x:
+                acc = [s + x * y if y else s for s, y in zip(acc, b_row)]
+        out.append(acc)
+    return out
+
+
+def dense_algebra(dim, r, gens):
+    space = DenseRowSpace((dim.size ** r) ** 2)
+    mats = [op.matrix for op in gens]
+    frontier = [
+        mat
+        for mat in [TensorOperator.identity(dim, r).matrix] + mats
+        if space.add([e for row in mat for e in row])
+    ]
+    while frontier:
+        fresh = []
+        for left in frontier:
+            for g in mats:
+                candidate = dense_product(left, g)
+                if space.add([e for row in candidate for e in row]):
+                    fresh.append(candidate)
+        frontier = fresh
+    return space
+
+
+def dense_centralizer(dim, r, gens):
+    side = dim.size ** r
+    system = DenseRowSpace(side * side)
+    for g in gens:
+        s = g.matrix
+        for i in range(side):
+            for j in range(side):
+                row = [Fraction(0)] * (side * side)
+                for k in range(side):
+                    if s[i][k]:
+                        row[k * side + j] += s[i][k]
+                    if s[k][j]:
+                        row[i * side + k] -= s[k][j]
+                if any(row):
+                    system.add(row)
+    out = DenseRowSpace(side * side)
+    for vec in system.kernel():
+        out.add(vec)
+    return out
+
+
+def same_rows(space, dense):
+    return space.dim == len(dense.rows) and space.pivots == dense.pivots and space.rows == dense.rows
+
+
+matrices = st.integers(1, 6).flatmap(
+    lambda width: st.tuples(
+        st.just(width),
+        st.lists(st.lists(st.integers(-3, 3), min_size=width, max_size=width), max_size=7),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices)
+def test_row_space_matches_dense_reduction(case):
+    width, rows = case
+    space, dense = RowSpace(width), DenseRowSpace(width)
+    for row in rows:
+        assert space.add(row) == dense.add(row)
+    assert same_rows(space, dense)
+    assert kernel_basis(rows, width) == dense.kernel()
+    for row in rows:
+        assert space.contains([2 * e for e in row])
+
+
+# every (m|n, r) with 2 <= r <= 4 and word space side <= 16
+SMALL_CONFIGS = [
+    (m, size - m, r)
+    for size in range(1, 5)
+    for m in range(size + 1)
+    for r in range(2, 5)
+    if size ** r <= 16
+]
+
+
+@pytest.mark.parametrize("m,n,r", SMALL_CONFIGS)
+def test_commutants_match_dense_oracle(m, n, r):
+    dim = SuperDim(m, n)
+    for gens in (symmetric_group_generators(dim, r), derivation_generators(dim, r)):
+        assert same_rows(algebra_generated(dim, r, gens).space, dense_algebra(dim, r, gens))
+        assert same_rows(centralizer(dim, r, gens).space, dense_centralizer(dim, r, gens))
