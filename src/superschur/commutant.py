@@ -90,33 +90,25 @@ def flatten(op: TensorOperator) -> Vector:
     if op.grassmann_n is not None:
         raise DimensionError("row spaces hold rational operators only")
     side = op.side
-    return {
-        i * side + j: _exact(e)
-        for i, row in enumerate(op.matrix)
-        for j, e in enumerate(row)
-        if e
-    }
+    return {i * side + j: _exact(e) for j, col in enumerate(op.cols) for i, e in col.items()}
 
 
 def unflatten(dim: SuperDim, r: int, vec: Vector) -> TensorOperator:
     side = dim.size ** r
-    rows = [[0] * side for _ in range(side)]
-    for idx, e in vec.items():
-        i, j = divmod(idx, side)
-        rows[i][j] = e
-    return TensorOperator(dim, r, rows)
-
-
-def _lines(vec: Vector, side: int) -> tuple[list[Vector], list[Vector]]:
-    """The flattened operator's rows and columns: rows[i] = {j: a_ij} and
-    cols[j] = {i: a_ij}."""
-    rows: list[Vector] = [{} for _ in range(side)]
     cols: list[Vector] = [{} for _ in range(side)]
     for idx, e in vec.items():
         i, j = divmod(idx, side)
-        rows[i][j] = e
-        cols[j][i] = e
-    return rows, cols
+        cols[j][i] = Fraction(e)
+    return TensorOperator._from_cols(dim, r, cols)
+
+
+def _rows(op: TensorOperator) -> list[Vector]:
+    """op's rows as sparse maps: rows[i] = {j: a_ij}."""
+    rows: list[Vector] = [{} for _ in range(op.side)]
+    for j, col in enumerate(op.cols):
+        for i, e in col.items():
+            rows[i][j] = _exact(e)
+    return rows
 
 
 def _product(a: Vector, b_rows: list[Vector], side: int) -> Vector:
@@ -126,10 +118,6 @@ def _product(a: Vector, b_rows: list[Vector], side: int) -> Vector:
         i, k = divmod(idx, side)
         _subtract(out_rows.setdefault(i, {}), -x, b_rows[k])
     return {i * side + j: e for i, row in out_rows.items() for j, e in row.items()}
-
-
-def _commute(a: Vector, b: Vector, side: int) -> bool:
-    return _product(a, _lines(b, side)[0], side) == _product(b, _lines(a, side)[0], side)
 
 
 class RowSpace:
@@ -270,7 +258,7 @@ def algebra_generated(dim: SuperDim, r: int, generators) -> OperatorSpace:
     side = dim.size ** r
     gens = list(generators)
     result = span(dim, r, [TensorOperator.identity(dim, r)] + gens)
-    gen_rows = [_lines(flatten(g), side)[0] for g in gens]
+    gen_rows = [_rows(g) for g in gens]
     frontier = list(result.vectors)
     while frontier:
         fresh = []
@@ -301,7 +289,8 @@ def centralizer(dim: SuperDim, r: int, generators) -> OperatorSpace:
     side = dim.size ** r
     system = RowSpace(side * side)
     for g in generators:
-        g_rows, g_cols = _lines(flatten(g), side)
+        g_rows = _rows(g)
+        g_cols = [{k: _exact(e) for k, e in col.items()} for col in g.cols]
         for i in range(side):
             for j in range(side):
                 # sum_k g_ik X_kj - X_ik g_kj, unknown X_kl at k * side + l
@@ -344,9 +333,13 @@ def double_centralizer_report(m: int, n: int, r: int, cap: int | None = None) ->
     cent_der = centralizer(dim, r, der_gens)
     # commuting generators give alg(theta) <= cent(tau) and alg(tau) <= cent(theta)
     side = dim.size ** r
-    taus = [flatten(g) for g in perm_gens]
-    thetas = [flatten(g) for g in der_gens]
-    commute = all(_commute(t, th, side) for t in taus for th in thetas)
+    taus = [(flatten(g), _rows(g)) for g in perm_gens]
+    thetas = [(flatten(g), _rows(g)) for g in der_gens]
+    commute = all(
+        _product(t, th_rows, side) == _product(th, t_rows, side)
+        for t, t_rows in taus
+        for th, th_rows in thetas
+    )
     double_ok = (
         commute
         and cent_perm.dimension == der_algebra.dimension

@@ -71,6 +71,16 @@ class SuperMatrix:
         object.__setattr__(self, "grassmann_n", grassmann_n)
         object.__setattr__(self, "entries", rows)
 
+    @classmethod
+    def _from_rows(cls, dim: SuperDim, rows, grassmann_n: int | None = None) -> "SuperMatrix":
+        """Wrap rows whose entries are already Fractions (over Q) or elements
+        of Lambda_N, skipping the coercion of every entry."""
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "dim", dim)
+        object.__setattr__(mat, "grassmann_n", grassmann_n)
+        object.__setattr__(mat, "entries", tuple(tuple(row) for row in rows))
+        return mat
+
     def __setattr__(self, name, value):
         raise AttributeError("SuperMatrix is immutable")
 
@@ -141,45 +151,48 @@ class SuperMatrix:
     # --- arithmetic -----------------------------------------------------
 
     def __mul__(self, other):
+        """Row-by-column product over the nonzero entries of both factors,
+        each term formed left factor first."""
         if not isinstance(other, SuperMatrix):
             return NotImplemented
         self._check_compatible(other)
-        size = self.dim.size
         zero = self.zero_element
-        rows = [
-            [
-                _sum((self.entries[i][k] * other.entries[k][j] for k in range(size)), zero)
-                for j in range(size)
-            ]
-            for i in range(size)
-        ]
-        return SuperMatrix(self.dim, rows, self.grassmann_n)
+        rows = []
+        for a_row in self.entries:
+            out = [zero] * self.dim.size
+            for a, b_row in zip(a_row, other.entries):
+                if a:
+                    for j, b in enumerate(b_row):
+                        if b:
+                            out[j] = out[j] + a * b
+            rows.append(out)
+        return SuperMatrix._from_rows(self.dim, rows, self.grassmann_n)
 
     def __add__(self, other):
         if not isinstance(other, SuperMatrix):
             return NotImplemented
         self._check_compatible(other)
         rows = [
-            [a + b for a, b in zip(r1, r2)]
+            [a + b if b else a for a, b in zip(r1, r2)]
             for r1, r2 in zip(self.entries, other.entries)
         ]
-        return SuperMatrix(self.dim, rows, self.grassmann_n)
+        return SuperMatrix._from_rows(self.dim, rows, self.grassmann_n)
 
     def __sub__(self, other):
         if not isinstance(other, SuperMatrix):
             return NotImplemented
         self._check_compatible(other)
         rows = [
-            [a - b for a, b in zip(r1, r2)]
+            [a - b if b else a for a, b in zip(r1, r2)]
             for r1, r2 in zip(self.entries, other.entries)
         ]
-        return SuperMatrix(self.dim, rows, self.grassmann_n)
+        return SuperMatrix._from_rows(self.dim, rows, self.grassmann_n)
 
     def scale(self, value) -> "SuperMatrix":
         """Multiply every entry by a central scalar (int or Fraction)."""
         factor = Fraction(value)
-        rows = [[e * factor for e in row] for row in self.entries]
-        return SuperMatrix(self.dim, rows, self.grassmann_n)
+        rows = [[e * factor if e else e for e in row] for row in self.entries]
+        return SuperMatrix._from_rows(self.dim, rows, self.grassmann_n)
 
     def __eq__(self, other):
         if not isinstance(other, SuperMatrix):
@@ -611,11 +624,12 @@ def block_parity(mat: SuperMatrix):
     """
     if mat.grassmann_n is not None:
         raise DimensionError("block parity is for rational matrices")
+    m = mat.dim.m
     seen = set()
-    for i in range(1, mat.dim.size + 1):
-        for j in range(1, mat.dim.size + 1):
-            if mat.entries[i - 1][j - 1] != 0:
-                seen.add(mat.entry_block_parity(i, j))
+    for i, row in enumerate(mat.entries):
+        for j, e in enumerate(row):
+            if e:
+                seen.add(int((i < m) != (j < m)))
     if not seen:
         return 0
     if len(seen) == 1:
@@ -653,17 +667,12 @@ def gl_point(coeff: GrassmannElement, mat: SuperMatrix) -> SuperMatrix:
     if nonzero and pm != pc:
         raise ParityError("coefficient parity must match the matrix block parity")
     n = coeff.num_generators
-    size = mat.dim.size
+    zero = GrassmannElement.zero(n)
     rows = []
-    for r in range(1, size + 1):
+    for r, row in enumerate(mat.entries, start=1):
         sign = -1 if (pc and mat.dim.parity(r)) else 1
-        rows.append(
-            [
-                coeff * (sign * mat.entries[r - 1][c - 1])
-                for c in range(1, size + 1)
-            ]
-        )
-    return SuperMatrix(mat.dim, rows, n)
+        rows.append([coeff * (sign * e) if e else zero for e in row])
+    return SuperMatrix._from_rows(mat.dim, rows, n)
 
 
 # --- seeded sampling of GL points ------------------------------------------

@@ -1,8 +1,11 @@
 """Signed actions on r-fold tensor powers of a graded vector space.
 
-Basis words are r-tuples of 1-based letters, listed lexicographically; an
-operator is a dense square matrix whose column k holds the image of the k-th
-basis word, and composition is the ordinary matrix product.
+Basis words are r-tuples of 1-based letters, listed lexicographically.  An
+operator keeps one sparse column per basis word: column k maps the index of
+each word in the image of the k-th basis word to its nonzero coefficient.
+Products, sums and comparisons touch only those nonzeros, so a product costs
+the nonzero pairs A[i, k] B[k, j] that it multiplies, not side^3; the
+builders below write their columns directly.
 
 Three actions live here:
 
@@ -15,6 +18,8 @@ Three actions live here:
   operator.
 * derivations: a homogeneous square matrix x acts in each position, the
   term at position k carrying (-1)^{p(x) * (odd letters strictly before k)}.
+  The per-position signs of the derivation actions all come from
+  ``_position_signs``.
 * the diagonal group action: a GL point g acts in every position at once;
   expanding the product puts each matrix entry past the new letters to its
   right, so the entry chosen at position k carries
@@ -154,26 +159,42 @@ def _check_decomposition(sigma: Perm, pairs) -> None:
 
 # --- operators ---------------------------------------------------------------
 
-
 class TensorOperator:
-    """Dense endomorphism of the r-fold tensor power, over Q or Lambda_N."""
+    """Endomorphism of the r-fold tensor power, over Q or Lambda_N.
 
-    __slots__ = ("dim", "r", "grassmann_n", "matrix")
+    ``cols[j]`` maps each row i to the nonzero entry (i, j): a Fraction over
+    Q, a GrassmannElement over Lambda_N.  Zeros are never stored, so equal
+    operators have equal column maps.
+    """
 
-    def __init__(self, dim: SuperDim, r: int, matrix, grassmann_n: int | None = None):
+    __slots__ = ("dim", "r", "grassmann_n", "cols")
+
+    def __init__(self, dim: SuperDim, r: int, rows, grassmann_n: int | None = None):
+        """The operator with the given dense rows of ints, Fractions or
+        (over Lambda_N) Grassmann elements."""
         side = dim.size ** r
-        if len(matrix) != side or any(len(row) != side for row in matrix):
+        if len(rows) != side or any(len(row) != side for row in rows):
             raise DimensionError(f"operator matrix must be {side}x{side}")
         if grassmann_n is None:
-            rows = tuple(tuple(Fraction(e) for e in row) for row in matrix)
+            exact = Fraction
         else:
-            rows = tuple(
-                tuple(as_element(e, grassmann_n) for e in row) for row in matrix
-            )
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "grassmann_n", grassmann_n)
-        object.__setattr__(self, "matrix", rows)
+            exact = lambda e: as_element(e, grassmann_n)
+        cols = [{} for _ in range(side)]
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                e = exact(e)
+                if e:
+                    cols[j][i] = e
+        _fill(self, dim, r, grassmann_n, cols)
+
+    @classmethod
+    def _from_cols(
+        cls, dim: SuperDim, r: int, cols, grassmann_n: int | None = None
+    ) -> "TensorOperator":
+        """Wrap column maps whose entries are already exact and nonzero."""
+        op = object.__new__(cls)
+        _fill(op, dim, r, grassmann_n, cols)
+        return op
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorOperator is immutable")
@@ -188,37 +209,39 @@ class TensorOperator:
             return Fraction(0)
         return GrassmannElement.zero(self.grassmann_n)
 
+    @property
+    def matrix(self) -> tuple:
+        """A dense read-only view: the rows, zeros filled in."""
+        side = self.side
+        zero = self.zero_element
+        rows = [[zero] * side for _ in range(side)]
+        for j, col in enumerate(self.cols):
+            for i, e in col.items():
+                rows[i][j] = e
+        return tuple(tuple(row) for row in rows)
+
     @classmethod
     def identity(
         cls, dim: SuperDim, r: int, grassmann_n: int | None = None
     ) -> "TensorOperator":
-        side = dim.size ** r
-        return cls(
-            dim,
-            r,
-            [[1 if i == j else 0 for j in range(side)] for i in range(side)],
-            grassmann_n,
-        )
+        one = Fraction(1) if grassmann_n is None else GrassmannElement.scalar(grassmann_n, 1)
+        return cls._from_cols(dim, r, [{j: one} for j in range(dim.size ** r)], grassmann_n)
 
     @classmethod
     def zero(
         cls, dim: SuperDim, r: int, grassmann_n: int | None = None
     ) -> "TensorOperator":
-        side = dim.size ** r
-        return cls(dim, r, [[0] * side for _ in range(side)], grassmann_n)
-
-    @classmethod
-    def from_columns(cls, dim, r, columns, grassmann_n=None) -> "TensorOperator":
-        side = dim.size ** r
-        rows = [[columns[j][i] for j in range(side)] for i in range(side)]
-        return cls(dim, r, rows, grassmann_n)
+        return cls._from_cols(dim, r, [{} for _ in range(dim.size ** r)], grassmann_n)
 
     def lift(self, grassmann_n: int) -> "TensorOperator":
         if self.grassmann_n is not None:
             if self.grassmann_n != grassmann_n:
                 raise DimensionError("operator already lives over a different ring")
             return self
-        return TensorOperator(self.dim, self.r, self.matrix, grassmann_n)
+        cols = [
+            {i: as_element(e, grassmann_n) for i, e in col.items()} for col in self.cols
+        ]
+        return TensorOperator._from_cols(self.dim, self.r, cols, grassmann_n)
 
     def _check_compatible(self, other: "TensorOperator"):
         if (
@@ -229,50 +252,59 @@ class TensorOperator:
             raise DimensionError("operators live on different spaces")
 
     def __mul__(self, other):
+        """(AB)[:, j] = sum_k A[:, k] B[k, j], over the nonzeros of both.
+
+        Each term is formed as a * b, in that order: odd Grassmann entries
+        anticommute.
+        """
         if not isinstance(other, TensorOperator):
             return NotImplemented
         self._check_compatible(other)
-        side = self.side
-        zero = self.zero_element
-        a, b = self.matrix, other.matrix
-        rows = []
-        for i in range(side):
-            arow = a[i]
-            out = []
-            for j in range(side):
-                acc = zero
-                for k in range(side):
-                    e = arow[k]
-                    if e:
-                        acc = acc + e * b[k][j]
-                out.append(acc)
-            rows.append(out)
-        return TensorOperator(self.dim, self.r, rows, self.grassmann_n)
+        a_cols = self.cols
+        cols = []
+        for b_col in other.cols:
+            acc = {}
+            for k, b in b_col.items():
+                for i, a in a_cols[k].items():
+                    term = a * b
+                    acc[i] = acc[i] + term if i in acc else term
+            cols.append({i: e for i, e in acc.items() if e})
+        return TensorOperator._from_cols(self.dim, self.r, cols, self.grassmann_n)
+
+    def _combine(self, other: "TensorOperator", subtract: bool) -> "TensorOperator":
+        self._check_compatible(other)
+        cols = []
+        for a_col, b_col in zip(self.cols, other.cols):
+            out = dict(a_col)
+            for i, b in b_col.items():
+                if i not in out:
+                    out[i] = -b if subtract else b
+                    continue
+                e = out[i] - b if subtract else out[i] + b
+                if e:
+                    out[i] = e
+                else:
+                    del out[i]
+            cols.append(out)
+        return TensorOperator._from_cols(self.dim, self.r, cols, self.grassmann_n)
 
     def __add__(self, other):
         if not isinstance(other, TensorOperator):
             return NotImplemented
-        self._check_compatible(other)
-        rows = [
-            [x + y for x, y in zip(r1, r2)]
-            for r1, r2 in zip(self.matrix, other.matrix)
-        ]
-        return TensorOperator(self.dim, self.r, rows, self.grassmann_n)
+        return self._combine(other, subtract=False)
 
     def __sub__(self, other):
         if not isinstance(other, TensorOperator):
             return NotImplemented
-        self._check_compatible(other)
-        rows = [
-            [x - y for x, y in zip(r1, r2)]
-            for r1, r2 in zip(self.matrix, other.matrix)
-        ]
-        return TensorOperator(self.dim, self.r, rows, self.grassmann_n)
+        return self._combine(other, subtract=True)
 
     def scale(self, value) -> "TensorOperator":
         factor = Fraction(value)
-        rows = [[e * factor for e in row] for row in self.matrix]
-        return TensorOperator(self.dim, self.r, rows, self.grassmann_n)
+        cols = [
+            {i: e * factor for i, e in col.items()} if factor else {}
+            for col in self.cols
+        ]
+        return TensorOperator._from_cols(self.dim, self.r, cols, self.grassmann_n)
 
     def __eq__(self, other):
         if not isinstance(other, TensorOperator):
@@ -281,11 +313,12 @@ class TensorOperator:
             self.dim == other.dim
             and self.r == other.r
             and self.grassmann_n == other.grassmann_n
-            and self.matrix == other.matrix
+            and self.cols == other.cols
         )
 
     def __hash__(self):
-        return hash((self.dim, self.r, self.grassmann_n, self.matrix))
+        cols = tuple(frozenset(col.items()) for col in self.cols)
+        return hash((self.dim, self.r, self.grassmann_n, cols))
 
     def __repr__(self):
         ring = "Q" if self.grassmann_n is None else f"Lambda_{self.grassmann_n}"
@@ -293,7 +326,20 @@ class TensorOperator:
 
     def apply_word(self, word: Word) -> list:
         """The image column of a basis word, as a dense coefficient list."""
-        return [row[word_index(self.dim, word)] for row in self.matrix]
+        col = self.cols[word_index(self.dim, word)]
+        zero = self.zero_element
+        return [col.get(i, zero) for i in range(self.side)]
+
+
+def _fill(op: TensorOperator, dim: SuperDim, r: int, grassmann_n, cols) -> None:
+    setattr_ = object.__setattr__
+    setattr_(op, "dim", dim)
+    setattr_(op, "r", r)
+    setattr_(op, "grassmann_n", grassmann_n)
+    setattr_(op, "cols", tuple(cols))
+
+
+_SIGN = {1: Fraction(1), -1: Fraction(-1)}
 
 
 # --- the symmetric group action ----------------------------------------------
@@ -301,13 +347,11 @@ class TensorOperator:
 
 def transposition_operator(dim: SuperDim, r: int, i: int, j: int) -> TensorOperator:
     """The signed operator swapping tensor positions i < j."""
-    words = basis_words(dim, r)
-    side = len(words)
-    rows = [[Fraction(0)] * side for _ in range(side)]
-    for col, word in enumerate(words):
+    cols = []
+    for word in basis_words(dim, r):
         sign, image = swap_letters(dim, word, i, j)
-        rows[word_index(dim, image)][col] = Fraction(sign)
-    return TensorOperator(dim, r, rows)
+        cols.append({word_index(dim, image): _SIGN[sign]})
+    return TensorOperator._from_cols(dim, r, cols)
 
 
 def operator_from_transpositions(dim: SuperDim, r: int, pairs) -> TensorOperator:
@@ -329,6 +373,51 @@ def permutation_operator(dim: SuperDim, r: int, sigma: Perm) -> TensorOperator:
 # --- the derivation action ----------------------------------------------------
 
 
+def _position_signs(dim: SuperDim, word: Word, parity: int, odd_count: str):
+    """Yield (position, sign) for each 0-based position k of the word.
+
+    The sign is (-1)^{parity * o(k)}, where o(k) counts the odd letters
+    strictly before k ("exclusive"), before and at k ("inclusive"), or
+    strictly after k ("suffix").
+    """
+    odd = [dim.parity(letter) for letter in word]
+    after = sum(odd)
+    before = 0
+    for pos, here in enumerate(odd):
+        after -= here
+        if odd_count == "exclusive":
+            o = before
+        elif odd_count == "inclusive":
+            o = before + here
+        else:
+            o = after
+        yield pos, (-1 if (parity * o) & 1 else 1)
+        before += here
+
+
+def _derivation_columns(x: SuperMatrix, r: int, parity: int, odd_count: str):
+    """The columns of sum_k sign_k * (x acting at position k), over Q, with
+    the signs of ``_position_signs``."""
+    dim = x.dim
+    size = dim.size
+    # the nonzero (target, entry) pairs of each column of x, 0-based
+    x_cols = [
+        [(t, x.entries[t][a]) for t in range(size) if x.entries[t][a]]
+        for a in range(size)
+    ]
+    strides = [size ** (r - 1 - pos) for pos in range(r)]
+    cols = []
+    for col, word in enumerate(basis_words(dim, r)):
+        acc = {}
+        for pos, sign in _position_signs(dim, word, parity, odd_count):
+            letter = word[pos] - 1
+            for target, coeff in x_cols[letter]:
+                idx = col + (target - letter) * strides[pos]
+                acc[idx] = acc.get(idx, 0) + sign * coeff
+        cols.append({i: e for i, e in acc.items() if e})
+    return cols
+
+
 def derivation_operator(
     x: SuperMatrix, r: int, odd_count: str = "exclusive"
 ) -> TensorOperator:
@@ -346,24 +435,7 @@ def derivation_operator(
         raise ParityError("derivation action needs a homogeneous matrix")
     if odd_count not in ("exclusive", "inclusive"):
         raise ValueError("odd_count must be 'exclusive' or 'inclusive'")
-    dim = x.dim
-    words = basis_words(dim, r)
-    side = len(words)
-    rows = [[Fraction(0)] * side for _ in range(side)]
-    for col, word in enumerate(words):
-        before = 0
-        for pos in range(r):
-            letter = word[pos]
-            here = dim.parity(letter)
-            o = before + (here if odd_count == "inclusive" else 0)
-            sign = -1 if (parity * o) & 1 else 1
-            for target in range(1, dim.size + 1):
-                coeff = x.entries[target - 1][letter - 1]
-                if coeff:
-                    image = word[:pos] + (target,) + word[pos + 1 :]
-                    rows[word_index(dim, image)][col] += sign * coeff
-            before += here
-    return TensorOperator(dim, r, rows)
+    return TensorOperator._from_cols(x.dim, r, _derivation_columns(x, r, parity, odd_count))
 
 
 def point_derivation_operator(
@@ -385,24 +457,11 @@ def point_derivation_operator(
     ap = alpha.parity()
     if ap is None or (not alpha.is_zero() and ap != parity):
         raise ParityError("coefficient parity must match the matrix parity")
-    n = alpha.num_generators
-    dim = x.dim
-    words = basis_words(dim, r)
-    side = len(words)
-    zero = GrassmannElement.zero(n)
-    rows = [[zero] * side for _ in range(side)]
-    odd_suffix = lambda word, pos: sum(dim.parity(word[k]) for k in range(pos + 1, r))
-    for col, word in enumerate(words):
-        for pos in range(r):
-            letter = word[pos]
-            sign = -1 if (ap * odd_suffix(word, pos)) & 1 else 1
-            for target in range(1, dim.size + 1):
-                coeff = x.entries[target - 1][letter - 1]
-                if coeff:
-                    image = word[:pos] + (target,) + word[pos + 1 :]
-                    idx = word_index(dim, image)
-                    rows[idx][col] = rows[idx][col] + alpha * (sign * coeff)
-    return TensorOperator(dim, r, rows, n)
+    cols = [
+        {i: point for i, e in col.items() if (point := alpha * e)}
+        for col in _derivation_columns(x, r, ap, "suffix")
+    ]
+    return TensorOperator._from_cols(x.dim, r, cols, alpha.num_generators)
 
 
 # --- the diagonal group action -------------------------------------------------
@@ -416,34 +475,48 @@ def diagonal_operator(g: SuperMatrix, r: int) -> TensorOperator:
     positions k+1..r, picking up (-1)^{p(entry) * sum of their parities}.
     Entry parity is the block parity p(row) + p(col), which is the actual
     parity of every entry of an even point.
+
+    The expansion runs one position at a time over every (word, image)
+    prefix pair, so a product of entries shared by many words is formed once.
     """
     if not g.is_gl_point():
         raise ParityError("diagonal action is defined on GL points")
     dim = g.dim
-    words = basis_words(dim, r)
-    side = len(words)
-    zero = g.zero_element
-    rows = [[zero] * side for _ in range(side)]
-    parities = [dim.parity(a) for a in range(1, dim.size + 1)]
-    for col, word in enumerate(words):
-        for targets in itertools.product(range(1, dim.size + 1), repeat=r):
-            product = None
-            for k in range(r):
-                entry = g.entries[targets[k] - 1][word[k] - 1]
-                if not entry:
-                    product = None
-                    break
-                product = entry if product is None else product * entry
-            if product is None:
-                continue
-            exponent = 0
-            suffix_odd = 0
-            for k in range(r - 1, -1, -1):
-                entry_parity = (parities[targets[k] - 1] + parities[word[k] - 1]) % 2
-                exponent += entry_parity * suffix_odd
-                suffix_odd += parities[targets[k] - 1]
-            if exponent & 1:
-                product = -product
-            idx = word_index(dim, targets)
-            rows[idx][col] = rows[idx][col] + product
-    return TensorOperator(dim, r, rows, g.grassmann_n)
+    size = dim.size
+    if r < 1:
+        raise DimensionError("tensor degree must be at least 1")
+    parities = [dim.parity(a) for a in range(1, size + 1)]
+    # the nonzero (target, entry, entry parity) triples of each column of g
+    g_cols = [
+        [
+            (t, g.entries[t][a], parities[t] ^ parities[a])
+            for t in range(size)
+            if g.entries[t][a]
+        ]
+        for a in range(size)
+    ]
+    # (word prefix, image prefix, product of entries, sign exponent, sum of
+    # entry parities); a new letter t at position k crosses every entry
+    # chosen before it, adding p(t) * (their parity sum) to the exponent
+    states = [(0, 0, None, 0, 0)]
+    for _ in range(r):
+        grown = []
+        for col, row, product, exponent, carried in states:
+            for a in range(size):
+                for t, entry, entry_parity in g_cols[a]:
+                    p = entry if product is None else product * entry
+                    if p:
+                        grown.append(
+                            (
+                                col * size + a,
+                                row * size + t,
+                                p,
+                                exponent + parities[t] * carried,
+                                carried + entry_parity,
+                            )
+                        )
+        states = grown
+    cols = [{} for _ in range(size ** r)]
+    for col, row, product, exponent, _ in states:
+        cols[col][row] = -product if exponent & 1 else product
+    return TensorOperator._from_cols(dim, r, cols, g.grassmann_n)

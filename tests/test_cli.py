@@ -1,11 +1,15 @@
 """Command-line contract: formats, determinism, exit codes."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import superschur
 from superschur import GrassmannElement, SuperDim, SuperMatrix
 from superschur.cli import main
 
@@ -85,6 +89,22 @@ def test_verify_emits_json_lines(capsys):
         {"shape": [2], "syt": 1, "ssyt": 2},
         {"shape": [1, 1], "syt": 1, "ssyt": 2},
     ]
+
+
+# sha256 of stdout, recorded before TensorOperator and SuperMatrix kept
+# their entries sparse: a change of representation must not alter output
+PINNED_STDOUT = {
+    "verify actions -m 2 -n 1 -r 3": "24815fa0b4d368d279655550b6c06b1f4b31a7f277e2b5a7f11c29ee4dd224df",
+    "verify bracket -m 2 -n 1": "c3f15a68cea24624ef32a1a004cc5606a3327e1523d878e0eed6c65ec58f110e",
+    "verify group -m 1 -n 1 -r 2 --grassmann-n 4 --seed 0": "96e80054ef4922790183b7c31e1c8b9b463de1440ed75d65efea5e5d7393d451",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_verify_stdout_is_pinned(command, capsys):
+    code, out, _ = run_cli(command.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
 
 
 def test_verify_bracket_runs_without_r(capsys):
@@ -248,10 +268,16 @@ def test_group_suite_needs_grassmann_generators(capsys):
 
 
 def test_installed_entry_point():
+    # the fresh interpreter imports the same superschur package as this one,
+    # installed or not
+    package_root = str(Path(superschur.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "superschur.cli", "tableaux", "-m", "1", "-n", "1", "-r", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "sum syt*ssyt = 4" in proc.stdout

@@ -299,3 +299,45 @@ def test_even_point_classification():
     assert not bad.is_even_point()
     singular = SuperMatrix(D11, [[x1 * x2, x1], [x2, one]], 2)
     assert singular.is_even_point() and not singular.is_gl_point()
+
+
+def dense_matrix_product(a, b, zero):
+    """Reference row-by-column product, each term left factor first."""
+    size = len(a)
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(size)), zero) for j in range(size)]
+        for i in range(size)
+    ]
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two random square matrices over Q or over Lambda_3, mostly zeros;
+    the Lambda_3 entries include odd elements, whose order matters."""
+    dim = draw(st.sampled_from([D11, D21, SuperDim(1, 2)]))
+    size = dim.size
+    n = draw(st.sampled_from([None, 3]))
+    if n is None:
+        pool = [1, -1, 2, Fraction(3, 4)]
+    else:
+        x1, x2, x3 = (GrassmannElement.generator(3, i) for i in (1, 2, 3))
+        pool = [GrassmannElement.scalar(3, 2), x1, x2, x1 + x3, x2 * x3, x1 * x2 * x3 - 1]
+    entry = st.one_of(st.just(0), st.sampled_from(pool))
+    rows = st.lists(st.lists(entry, min_size=size, max_size=size), min_size=size, max_size=size)
+    return SuperMatrix(dim, draw(rows), n), SuperMatrix(dim, draw(rows), n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_pairs())
+def test_product_matches_dense_reference(pair):
+    a, b = pair
+    want = dense_matrix_product(a.entries, b.entries, a.zero_element)
+    got = a * b
+    assert got == SuperMatrix(a.dim, want, a.grassmann_n)
+    assert all(type(e) is type(a.zero_element) for row in got.entries for e in row)
+    assert a + b == SuperMatrix(
+        a.dim, [[x + y for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)], a.grassmann_n
+    )
+    assert a - b == SuperMatrix(
+        a.dim, [[x - y for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)], a.grassmann_n
+    )

@@ -31,6 +31,7 @@ from superschur import (
     transvection,
     word_index,
 )
+from superschur.grassmann import as_element
 
 D11 = SuperDim(1, 1)
 D21 = SuperDim(2, 1)
@@ -267,4 +268,154 @@ def test_operator_algebra_basics():
     assert lifted.grassmann_n == 2
     assert lifted * lifted.scale(1) == TensorOperator.identity(D11, 2, 2) * (
         lifted * lifted
+    )
+
+
+# --- the sparse column maps against dense references ---------------------------
+
+N3 = 3
+_x = [GrassmannElement.generator(N3, i) for i in (1, 2, 3)]
+LAMBDA3_POOL = [
+    GrassmannElement.zero(N3),
+    GrassmannElement.scalar(N3, 1),
+    GrassmannElement.scalar(N3, Fraction(-3, 2)),
+    _x[0],
+    _x[1],
+    _x[0] - _x[2] * 2,
+    _x[1] * _x[2],
+    GrassmannElement.scalar(N3, 2) + _x[0] * _x[2],
+]
+RATIONAL_POOL = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-5, 3)]
+
+
+def dense_product(a, b, zero):
+    """Reference row-by-column product, each term left factor first."""
+    side = len(a)
+    out = []
+    for i in range(side):
+        row = []
+        for j in range(side):
+            acc = zero
+            for k in range(side):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@st.composite
+def operator_pairs(draw):
+    """Two random operators on one small space, over Q or over Lambda_3."""
+    dim, r = draw(st.sampled_from([(D11, 1), (D21, 1), (D11, 2)]))
+    side = dim.size ** r
+    n = draw(st.sampled_from([None, N3]))
+    pool = RATIONAL_POOL if n is None else LAMBDA3_POOL
+    # mostly zeros, so the column maps stay sparse
+    entry = st.one_of(st.just(0), st.just(0), st.sampled_from(pool))
+    dense = st.lists(st.lists(entry, min_size=side, max_size=side), min_size=side, max_size=side)
+    return dim, r, n, draw(dense), draw(dense)
+
+
+def as_ring(rows, n):
+    if n is None:
+        return [[Fraction(e) for e in row] for row in rows]
+    return [[as_element(e, n) for e in row] for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(operator_pairs(), st.sampled_from([0, 1, -1, 3, Fraction(-2, 7)]))
+def test_sparse_operator_matches_dense_reference(case, factor):
+    dim, r, n, a_rows, b_rows = case
+    a = TensorOperator(dim, r, a_rows, n)
+    b = TensorOperator(dim, r, b_rows, n)
+    da, db = as_ring(a_rows, n), as_ring(b_rows, n)
+    zero = a.zero_element
+    side = len(da)
+    assert a.matrix == tuple(map(tuple, da))
+    assert (a * b).matrix == tuple(map(tuple, dense_product(da, db, zero)))
+    assert (a + b).matrix == tuple(
+        tuple(da[i][j] + db[i][j] for j in range(side)) for i in range(side)
+    )
+    assert (a - b).matrix == tuple(
+        tuple(da[i][j] - db[i][j] for j in range(side)) for i in range(side)
+    )
+    assert a.scale(factor).matrix == tuple(tuple(e * factor for e in row) for row in da)
+    assert (a == b) == (da == db)
+    for op in (a * b, a + b, a - b, a.scale(factor)):
+        assert all(e for col in op.cols for e in col.values())
+
+
+def test_sparse_product_keeps_factor_order():
+    # x1 x2 = -x2 x1: a product formed as b * a would flip every sign here
+    x1, x2 = _x[0], _x[1]
+    zero = GrassmannElement.zero(N3)
+    a = TensorOperator(D11, 1, [[x1, zero], [zero, x2]], N3)
+    b = TensorOperator(D11, 1, [[x2, x1], [zero, x1]], N3)
+    assert (a * b).matrix == ((x1 * x2, zero), (zero, x2 * x1))
+    assert a * b != TensorOperator(D11, 1, [[x2 * x1, zero], [zero, x1 * x2]], N3)
+
+
+def test_dense_rows_with_zeros_equal_sparse_build():
+    dim, r = D21, 2
+    op = transposition_operator(dim, r, 1, 2)
+    rows = [[int(e) for e in row] for row in op.matrix]  # explicit zeros
+    rebuilt = TensorOperator(dim, r, rows)
+    assert rebuilt == op and hash(rebuilt) == hash(op)
+    assert rebuilt.matrix == op.matrix
+    assert all(len(col) == 1 for col in rebuilt.cols)
+    assert TensorOperator._from_cols(dim, r, op.cols) == op
+
+    over = TensorOperator(dim, r, rows, 2)
+    assert over == op.lift(2) and hash(over) == hash(op.lift(2))
+    assert TensorOperator(dim, r, over.matrix, 2) == over
+    zero_rows = [[GrassmannElement.zero(2)] * 9 for _ in range(9)]
+    assert TensorOperator(dim, r, zero_rows, 2) == TensorOperator.zero(dim, r, 2)
+    assert TensorOperator.zero(dim, r, 2).cols == ({},) * 9
+
+
+def test_equal_operators_hash_equal():
+    for sigma in all_perms(3):
+        via_adjacent = operator_from_transpositions(D11, 3, adjacent_decomposition(sigma))
+        via_cycles = operator_from_transpositions(D11, 3, cycle_decomposition(sigma))
+        assert via_adjacent == via_cycles
+        assert hash(via_adjacent) == hash(via_cycles)
+    e12 = SuperMatrix.elementary(D11, 1, 2)
+    theta = derivation_operator(e12, 2)
+    assert hash(theta + theta) == hash(theta.scale(2))
+
+
+def dense_diagonal_operator(g, r):
+    """Reference diagonal action: every (word, image) pair expanded on its own."""
+    dim = g.dim
+    size = dim.size
+    words = basis_words(dim, r)
+    zero = g.zero_element
+    rows = [[zero] * len(words) for _ in words]
+    parity = [dim.parity(a) for a in range(1, size + 1)]
+    for col, word in enumerate(words):
+        for row, image in enumerate(words):
+            product = None
+            exponent = 0
+            for k in range(r):
+                product = g.entries[image[k] - 1][word[k] - 1] if product is None else (
+                    product * g.entries[image[k] - 1][word[k] - 1]
+                )
+                entry_parity = parity[image[k] - 1] ^ parity[word[k] - 1]
+                exponent += entry_parity * sum(parity[t - 1] for t in image[k + 1 :])
+            rows[row][col] = -product if exponent & 1 else product
+    return rows
+
+
+@pytest.mark.parametrize("dim,r", [(D11, 1), (D11, 2), (D11, 3), (D21, 2)])
+def test_diagonal_action_matches_dense_expansion(dim, r):
+    rng = random.Random(11)
+    for _ in range(3):
+        g = random_gl_point(rng, dim, 4)
+        assert diagonal_operator(g, r).matrix == tuple(
+            map(tuple, dense_diagonal_operator(g, r))
+        )
+    body = random_gl_point(rng, dim, 4).body_matrix()
+    rational = SuperMatrix(dim, body)
+    assert diagonal_operator(rational, r).matrix == tuple(
+        map(tuple, dense_diagonal_operator(rational, r))
     )
