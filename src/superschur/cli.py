@@ -22,7 +22,7 @@ from .errors import (
     NotInvertible,
     ParityError,
 )
-from .grassmann import GrassmannElement
+from .grassmann import MAX_GENERATORS, GrassmannElement, check_generators
 from .supermatrix import SuperMatrix, berezinian, ldu_factor, supertrace
 from .suites import SUITE_NAMES, run_suite
 from .tableaux import dimension_table, enumerate_ssyt, symbol_name
@@ -132,6 +132,7 @@ def cmd_tableaux(args) -> int:
 
 def cmd_verify(args) -> int:
     cap = resolve_cap(args.cap)
+    check_generators(args.grassmann_n)
     if args.suite == "group" and args.grassmann_n < 2:
         raise FormatError("the group suite needs --grassmann-n at least 2")
     checks = run_suite(
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="grassmann_n",
         type=_nonnegative,
         default=4,
-        help="number of Grassmann generators for group checks (default 4)",
+        help=f"number of Grassmann generators for group checks (default 4, at most {MAX_GENERATORS})",
     )
     p_ver.add_argument(
         "--seed", type=int, default=0, help="seed for sampled checks (default 0)"

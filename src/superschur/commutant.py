@@ -365,86 +365,3 @@ def double_centralizer_report(m: int, n: int, r: int, cap: int | None = None) ->
             for row in table
         ],
     }
-
-
-def _classical_even_part_ok(m: int, n: int, r: int) -> bool:
-    """The diagonal-block group points and diagonal-block derivations
-    generate the same rational algebra (the classical unsigned statement)."""
-    from .supermatrix import dilation, transvection
-    from .tensor import diagonal_operator
-
-    dim = SuperDim(m, n)
-    group_ops = []
-    blocks = [(1, m), (m + 1, m + n)]
-    for lo, hi in blocks:
-        for i in range(lo, hi + 1):
-            group_ops.append(diagonal_operator(dilation(dim, i, 2), r))
-            for j in range(lo, hi + 1):
-                if i != j:
-                    group_ops.append(diagonal_operator(transvection(dim, i, j, 1), r))
-    der_ops = []
-    for lo, hi in blocks:
-        for i in range(lo, hi + 1):
-            for j in range(lo, hi + 1):
-                der_ops.append(
-                    derivation_operator(SuperMatrix.elementary(dim, i, j), r)
-                )
-    lhs = algebra_generated(dim, r, group_ops)
-    rhs = algebra_generated(dim, r, der_ops)
-    return lhs.equals(rhs)
-
-
-def rho_theta_equality_report(
-    m: int, n: int, r: int, grassmann_n: int = 4, cap: int | None = None
-) -> dict:
-    """Check the linkage between the diagonal group action and the
-    derivation action on one-parameter generators.
-
-    Odd generators: diagonal(I + alpha e_ij) = identity + point-derivation
-    for alpha in {x1, x2}.  Even off-diagonal generators: same identity for
-    the nilpotent alpha = x1 x2.  The even part proper is covered by the
-    classical algebra equality on rational points.
-    """
-    from .grassmann import GrassmannElement
-    from .supermatrix import transvection
-    from .tensor import diagonal_operator, point_derivation_operator
-
-    check_cap(m, n, r, cap)
-    if grassmann_n < 2:
-        raise DimensionError("need at least two Grassmann generators")
-    dim = SuperDim(m, n)
-    N = grassmann_n
-    ident = TensorOperator.identity(dim, r, N)
-    odd_alphas = [GrassmannElement.generator(N, 1), GrassmannElement.generator(N, 2)]
-    even_alpha = GrassmannElement.monomial(N, (1, 2))
-
-    odd_ok = True
-    even_ok = True
-    for i in range(1, dim.size + 1):
-        for j in range(1, dim.size + 1):
-            if i == j:
-                continue
-            elem = SuperMatrix.elementary(dim, i, j)
-            if (dim.parity(i) + dim.parity(j)) % 2 == 1:
-                for alpha in odd_alphas:
-                    lhs = diagonal_operator(transvection(dim, i, j, alpha, N), r)
-                    rhs = ident + point_derivation_operator(elem, alpha, r)
-                    if lhs != rhs:
-                        odd_ok = False
-            else:
-                lhs = diagonal_operator(transvection(dim, i, j, even_alpha, N), r)
-                rhs = ident + point_derivation_operator(elem, even_alpha, r)
-                if lhs != rhs:
-                    even_ok = False
-
-    classical_ok = _classical_even_part_ok(m, n, r)
-    return {
-        "m": m,
-        "n": n,
-        "r": r,
-        "grassmann_n": N,
-        "odd_generator_identity": odd_ok,
-        "even_nilpotent_identity": even_ok,
-        "classical_even_part": classical_ok,
-        "pass": odd_ok and even_ok and classical_ok,
-    }

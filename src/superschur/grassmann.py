@@ -14,9 +14,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DimensionError, FormatError, NotInvertible
+from .errors import CapExceeded, DimensionError, FormatError, NotInvertible
 
 Rational = Fraction
+
+# The most generators an algebra may have.  Elements and sampling work with
+# up to 2^N monomials, so N is bounded before anything is built.
+MAX_GENERATORS = 16
+
+
+def check_generators(num_generators: int) -> None:
+    """Refuse a generator count above MAX_GENERATORS with CapExceeded."""
+    if num_generators > MAX_GENERATORS:
+        raise CapExceeded(
+            f"Grassmann generator count {num_generators} exceeds the cap of "
+            f"{MAX_GENERATORS}"
+        )
 
 
 def _merge_sign(left_mask: int, right_mask: int) -> int:
@@ -52,13 +65,16 @@ class GrassmannElement:
     def __init__(self, num_generators: int, terms=None):
         if num_generators < 0:
             raise DimensionError("generator count must be nonnegative")
+        check_generators(num_generators)
+        bound = 1 << num_generators
         cleaned: dict[int, Fraction] = {}
         for mask, coeff in (terms or {}).items():
-            if mask < 0 or mask >= 1 << num_generators:
+            if mask < 0 or mask >= bound:
                 raise DimensionError(
                     f"monomial mask {mask} out of range for N={num_generators}"
                 )
-            coeff = Fraction(coeff)
+            if not isinstance(coeff, Fraction):
+                coeff = Fraction(coeff)
             if coeff:
                 cleaned[mask] = coeff
         object.__setattr__(self, "num_generators", num_generators)
@@ -299,6 +315,7 @@ class GrassmannElement:
         n = data["n"]
         if not is_json_int(n) or n < 0:
             raise FormatError("'n' must be a nonnegative integer")
+        check_generators(n)
         terms: dict[int, Fraction] = {}
         if not isinstance(data["terms"], list):
             raise FormatError("'terms' must be a list")

@@ -5,6 +5,17 @@ entries on the diagonal blocks and odd entries off them; a GL point is an
 even point whose two diagonal blocks have invertible rational body.  Matrix
 products are the ordinary row-by-column ones with factors multiplied left to
 right, which matters once entries anticommute.
+
+Determinants, inverses, the Berezinian, the LDU factors and the elementary
+factorization all come from one Gauss-Jordan elimination that divides only
+by units.  The even part of Lambda_N is a local ring: an element is a unit
+exactly when its body is nonzero, and the nilpotents form an ideal.  Row
+operations with even coefficients therefore act on the body matrix as
+rational elimination does, so a matrix with invertible body offers a unit
+pivot in every column.  The blocks the group side works with have one:
+either diagonal block of a GL point, and the Schur complement X - Y W^-1 Z,
+whose body is body(X).  A column without a unit pivot means the body is
+singular; only even_det goes on from there, by expanding along that column.
 """
 
 from __future__ import annotations
@@ -16,6 +27,7 @@ from .errors import DimensionError, FormatError, NotInvertible, ParityError
 from .grassmann import (
     GrassmannElement,
     as_element,
+    check_generators,
     is_json_int,
     rational_from_json,
 )
@@ -41,13 +53,6 @@ class SuperDim:
         if not 1 <= index <= self.size:
             raise DimensionError(f"index {index} not in 1..{self.size}")
         return 0 if index <= self.m else 1
-
-
-def _sum(values, zero):
-    acc = zero
-    for v in values:
-        acc = acc + v
-    return acc
 
 
 class SuperMatrix:
@@ -255,9 +260,11 @@ class SuperMatrix:
             return False
         m = self.dim.m
         body = self.body_matrix()
-        top = [row[:m] for row in body[:m]]
-        bottom = [row[m:] for row in body[m:]]
-        return _rational_det(top) != 0 and _rational_det(bottom) != 0
+        zero, one = Fraction(0), Fraction(1)
+        return all(
+            _gauss_jordan(block, (), zero, one)[2] is None
+            for block in ([row[:m] for row in body[:m]], [row[m:] for row in body[m:]])
+        )
 
     # --- serialization ----------------------------------------------------
 
@@ -302,6 +309,7 @@ class SuperMatrix:
             gn = data.get("grassmann_n")
             if not is_json_int(gn) or gn < 0:
                 raise FormatError("'grassmann_n' must be a nonnegative integer")
+            check_generators(gn)
             rows = []
             for row in entries:
                 parsed = []
@@ -331,100 +339,88 @@ def _is_unit(e) -> bool:
     return e != 0
 
 
-def _rational_det(rows: list[list[Fraction]]) -> Fraction:
-    size = len(rows)
-    if size == 0:
-        return Fraction(1)
-    work = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if work[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, size):
-            factor = work[r][col] * inv
-            if factor:
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return det
+def _inverse(e):
+    return e.inverse() if isinstance(e, GrassmannElement) else 1 / Fraction(e)
 
 
-def _det_cofactor(rows, zero, one):
-    """Laplace expansion with memoization on (depth, column mask).
+def _gauss_jordan(rows, rhs, zero, one):
+    """Reduce [rows | rhs] towards [I | rows^-1 rhs], dividing only by units.
 
-    Always defined: uses only ring addition and multiplication, so it works
-    even when no pivot is invertible.
+    ``rhs`` holds one row per row of ``rows`` (or is empty).  Returns
+    (det, work, stuck, steps).  ``work`` is the reduced [rows | rhs]; ``stuck``
+    is None when every column found a unit pivot, so det is det(rows) and
+    ``row[len(rows):]`` of ``work`` is rows^-1 rhs.  Otherwise it is the first
+    column with none: columns before it are reduced, det is the product of
+    their pivots and swap signs, and the block work[stuck:][stuck:] is what
+    remains, with only nilpotent entries in its first column.  ``steps``
+    lists the row operations in order: ("swap", col, row), ("scale", col,
+    pivot) and ("add", row, col, factor) for row -= factor * row col.
     """
     size = len(rows)
-    full = (1 << size) - 1
-    cache: dict[tuple[int, int], object] = {}
-
-    def minor(row: int, colmask: int):
-        if row == size:
-            return one
-        key = (row, colmask)
-        if key in cache:
-            return cache[key]
-        acc = zero
-        sign = 1
-        rest = colmask
-        while rest:
-            low = rest & -rest
-            col = low.bit_length() - 1
-            e = rows[row][col]
-            if not (e == zero):
-                term = e * minor(row + 1, colmask ^ low)
-                acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-            rest ^= low
-        cache[key] = acc
-        return acc
-
-    return minor(0, full)
-
-
-def _det_eliminate(rows, zero, one):
-    """Gaussian elimination dividing only by pivots with invertible body.
-
-    When a column offers no such pivot the remaining minor is finished by
-    cofactor expansion (division there would be ambiguous: the even subring
-    of a Grassmann algebra has zero divisors).
-    """
-    size = len(rows)
-    work = [list(r) for r in rows]
+    work = [list(row) for row in rows]
+    for row, extra in zip(work, rhs):
+        row.extend(extra)
+    width = len(work[0]) if work else 0
     det = one
-    sign = 1
+    steps = []
     for col in range(size):
         pivot = next((r for r in range(col, size) if _is_unit(work[r][col])), None)
         if pivot is None:
-            sub = [row[col:] for row in work[col:]]
-            tail = _det_cofactor(sub, zero, one)
-            return (det * tail) if sign > 0 else -(det * tail)
+            return det, work, col, steps
         if pivot != col:
             work[col], work[pivot] = work[pivot], work[col]
-            sign = -sign
-        p = work[col][col]
+            det = -det
+            steps.append(("swap", col, pivot))
+        prow = work[col]
+        p = prow[col]
         det = det * p
-        inv = (1 / p) if isinstance(p, Fraction) else p.inverse()
-        for r in range(col + 1, size):
-            factor = work[r][col] * inv
-            if not (factor == zero):
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return det if sign > 0 else -det
+        if p != one:
+            inv = _inverse(p)
+            prow[col] = one
+            for j in range(col + 1, width):
+                if prow[j]:
+                    prow[j] = prow[j] * inv
+            steps.append(("scale", col, p))
+        for r, row in enumerate(work):
+            factor = row[col]
+            if r != col and factor:
+                row[col] = zero
+                for j in range(col + 1, width):
+                    if prow[j]:
+                        row[j] = row[j] - factor * prow[j]
+                steps.append(("add", r, col, factor))
+    return det, work, None, steps
 
 
-def even_det(rows, zero=None, one=None, method: str = "auto"):
+def _det_times(rows, scale, zero, one):
+    """scale * det(rows): eliminate, then expand along a stuck column.
+
+    Each term of the expansion carries a nilpotent factor, so once the
+    running multiplier is zero the minor below it is never computed.
+    """
+    det, work, stuck, _ = _gauss_jordan(rows, (), zero, one)
+    scale = scale * det
+    if stuck is None or not scale:
+        return scale
+    block = [row[stuck:] for row in work[stuck:]]
+    acc = zero
+    for i, row in enumerate(block):
+        term = scale * row[0]
+        if term:
+            minor = [r[1:] for k, r in enumerate(block) if k != i]
+            term = _det_times(minor, term, zero, one)
+            acc = acc - term if i & 1 else acc + term
+    return acc
+
+
+def even_det(rows, zero=None, one=None):
     """Determinant of a square matrix with entries in the even subring.
 
     Entries must commute (rationals, or even Grassmann elements); parity is
     the caller's responsibility since diagonal blocks of even points satisfy
-    it by construction.  ``method`` is "auto" (cofactor up to 4x4, then
-    elimination), "cofactor", or "eliminate" -- both paths give equal results
-    and the test suite holds them to that.
+    it by construction.  Defined on every such matrix: when the body is
+    singular the elimination stops at a column of nilpotents and the rest is
+    expanded along it.
     """
     size = len(rows)
     if any(len(r) != size for r in rows):
@@ -436,37 +432,17 @@ def even_det(rows, zero=None, one=None, method: str = "auto"):
             one = GrassmannElement.scalar(sample.num_generators, 1)
         else:
             zero, one = Fraction(0), Fraction(1)
-    if size == 0:
-        return one
-    if method == "cofactor" or (method == "auto" and size <= 4):
-        return _det_cofactor(rows, zero, one)
-    if method in ("eliminate", "auto"):
-        return _det_eliminate(rows, zero, one)
-    raise ValueError(f"unknown determinant method {method!r}")
+    return _det_times(rows, one, zero, one)
 
 
 def even_matrix_inverse(rows, zero, one):
-    """Inverse over the even subring via the adjugate; needs a unit determinant."""
+    """Inverse over the even subring; needs a unit determinant."""
     size = len(rows)
-    det = even_det(rows, zero, one)
-    if not _is_unit(det):
+    ident = [[one if i == j else zero for j in range(size)] for i in range(size)]
+    _, work, stuck, _ = _gauss_jordan(rows, ident, zero, one)
+    if stuck is not None:
         raise NotInvertible("matrix determinant has zero body")
-    det_inv = (1 / det) if isinstance(det, Fraction) else det.inverse()
-    if size == 0:
-        return []
-    out = [[zero] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            minor = [
-                [rows[r][c] for c in range(size) if c != j]
-                for r in range(size)
-                if r != i
-            ]
-            cof = even_det(minor, zero, one)
-            if (i + j) & 1:
-                cof = -cof
-            out[j][i] = cof * det_inv
-    return out
+    return [row[size:] for row in work]
 
 
 # --- supertrace, Berezinian, factorization --------------------------------
@@ -482,33 +458,44 @@ def supertrace(mat: SuperMatrix):
     return acc
 
 
+def _block_product(a, b, width, zero):
+    """a * b for blocks given as lists of rows; b has ``width`` columns."""
+    return [
+        [
+            sum((x * b_row[j] for x, b_row in zip(a_row, b) if x and b_row[j]), zero)
+            for j in range(width)
+        ]
+        for a_row in a
+    ]
+
+
+def _schur_parts(mat: SuperMatrix):
+    """det W, Y W^-1, W^-1 Z and X - Y W^-1 Z for a GL point [[X, Y], [Z, W]].
+
+    One elimination of [W | I | Z] gives det W, W^-1 and W^-1 Z.
+    """
+    zero, one = mat.zero_element, mat.one_element
+    x, y, z, w = mat.blocks()
+    m, n = mat.dim.m, mat.dim.n
+    ident = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    rhs = [i_row + z_row for i_row, z_row in zip(ident, z)]
+    det_w, work, _, _ = _gauss_jordan(w, rhs, zero, one)
+    w_inv = [row[n : 2 * n] for row in work]
+    winv_z = [row[2 * n :] for row in work]
+    y_winv_z = _block_product(y, winv_z, m, zero)
+    schur = [
+        [a - b if b else a for a, b in zip(x_row, p_row)]
+        for x_row, p_row in zip(x, y_winv_z)
+    ]
+    return det_w, _block_product(y, w_inv, n, zero), winv_z, schur
+
+
 def berezinian(mat: SuperMatrix):
     """det(W)^{-1} det(X - Y W^{-1} Z) for a GL point [[X, Y], [Z, W]]."""
     if not mat.is_gl_point():
         raise NotInvertible("Berezinian needs a GL point")
-    zero, one = mat.zero_element, mat.one_element
-    x, y, z, w = mat.blocks()
-    m, n = mat.dim.m, mat.dim.n
-    w_inv = even_matrix_inverse(w, zero, one)
-    # schur = X - Y W^{-1} Z, an m x m matrix over the even subring
-    schur = [
-        [
-            x[i][j]
-            - _sum(
-                (
-                    y[i][a] * w_inv[a][b] * z[b][j]
-                    for a in range(n)
-                    for b in range(n)
-                ),
-                zero,
-            )
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    det_w = even_det(w, zero, one)
-    det_w_inv = (1 / det_w) if isinstance(det_w, Fraction) else det_w.inverse()
-    return det_w_inv * even_det(schur, zero, one)
+    det_w, _, _, schur = _schur_parts(mat)
+    return _inverse(det_w) * even_det(schur, mat.zero_element, mat.one_element)
 
 
 def ldu_factor(mat: SuperMatrix):
@@ -521,41 +508,14 @@ def ldu_factor(mat: SuperMatrix):
     if not mat.is_gl_point():
         raise NotInvertible("LDU factorization needs a GL point")
     zero, one = mat.zero_element, mat.one_element
-    x, y, z, w = mat.blocks()
     m, n = mat.dim.m, mat.dim.n
-    size = mat.dim.size
-    w_inv = even_matrix_inverse(w, zero, one)
-    y_winv = [
-        [_sum((y[i][a] * w_inv[a][j] for a in range(n)), zero) for j in range(n)]
-        for i in range(m)
-    ]
-    winv_z = [
-        [_sum((w_inv[i][a] * z[a][j] for a in range(n)), zero) for j in range(m)]
-        for i in range(n)
-    ]
-    schur = [
-        [
-            x[i][j] - _sum((y_winv[i][a] * z[a][j] for a in range(n)), zero)
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
+    _, y_winv, winv_z, schur = _schur_parts(mat)
+    w = mat.blocks()[3]
 
     def assemble(top_left, top_right, bottom_left, bottom_right):
-        rows = []
-        for i in range(size):
-            row = []
-            for j in range(size):
-                if i < m and j < m:
-                    row.append(top_left[i][j])
-                elif i < m:
-                    row.append(top_right[i][j - m])
-                elif j < m:
-                    row.append(bottom_left[i - m][j])
-                else:
-                    row.append(bottom_right[i - m][j - m])
-            rows.append(row)
-        return SuperMatrix(mat.dim, rows, mat.grassmann_n)
+        rows = [a + b for a, b in zip(top_left, top_right)]
+        rows += [a + b for a, b in zip(bottom_left, bottom_right)]
+        return SuperMatrix._from_rows(mat.dim, rows, mat.grassmann_n)
 
     ident = lambda k: [[one if i == j else zero for j in range(k)] for i in range(k)]
     zeros = lambda r, c: [[zero] * c for _ in range(r)]
@@ -732,16 +692,15 @@ def rational_elementary_factors(block: list[list[Fraction]]):
     size = len(block)
     if any(len(r) != size for r in block):
         raise DimensionError("need a square block")
-    work = [[Fraction(e) for e in row] for row in block]
+    rows = [[Fraction(e) for e in row] for row in block]
+    _, _, stuck, steps = _gauss_jordan(rows, (), Fraction(0), Fraction(1))
+    if stuck is not None:
+        raise NotInvertible("block is singular")
     ops = []
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if work[r][col] != 0), None)
-        if pivot is None:
-            raise NotInvertible("block is singular")
-        if pivot != col:
+    for step in steps:
+        if step[0] == "swap":
             # swap via add/subtract/add/negate, recording the four inverses
-            a, b = col + 1, pivot + 1
-            work[col], work[pivot] = work[pivot], work[col]
+            a, b = step[1] + 1, step[2] + 1
             ops.extend(
                 [
                     ("transvection", a, b, Fraction(-1)),
@@ -750,15 +709,10 @@ def rational_elementary_factors(block: list[list[Fraction]]):
                     ("dilation", b, Fraction(-1)),
                 ]
             )
-        p = work[col][col]
-        if p != 1:
-            work[col] = [e / p for e in work[col]]
-            ops.append(("dilation", col + 1, p))
-        for r in range(size):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-                ops.append(("transvection", r + 1, col + 1, factor))
+        elif step[0] == "scale":
+            ops.append(("dilation", step[1] + 1, step[2]))
+        else:
+            ops.append(("transvection", step[1] + 1, step[2] + 1, step[3]))
     return ops
 
 

@@ -1,10 +1,13 @@
 """Command-line contract: formats, determinism, exit codes."""
 
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -105,6 +108,77 @@ def test_verify_stdout_is_pinned(command, capsys):
     code, out, _ = run_cli(command.split(), capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
+
+
+def pinned_point(m, n, grassmann_n, seed):
+    """A fixed GL point built from integers only.
+
+    Diagonal blocks have body 5/2..7/2 on the diagonal and -1/2..1/2 off it,
+    so they are invertible, plus degree-2 souls over Lambda_N; the odd blocks
+    hold monomials of degree 1 and 3.
+    """
+    rng = random.Random(seed)
+    size = m + n
+
+    def monomial(degree):
+        gens = sorted(rng.sample(range(1, grassmann_n + 1), degree))
+        return GrassmannElement.monomial(grassmann_n, gens, rng.choice((-2, -1, 1, 2)))
+
+    rows = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            if (i < m) != (j < m):
+                entry = 0
+                if grassmann_n is not None:
+                    entry = monomial(1) + monomial(3)
+            else:
+                entry = Fraction(rng.choice((5, 6, 7)) if i == j else rng.choice((-1, 0, 1)), 2)
+                if grassmann_n is not None:
+                    entry = monomial(2) + entry
+            row.append(entry)
+        rows.append(row)
+    return SuperMatrix(SuperDim(m, n), rows, grassmann_n)
+
+
+# sha256 of `berezinian -` and `factor -` stdout on fixed GL points, recorded
+# before the Berezinian and the LDU factors shared one unit-pivot elimination
+PINNED_POINTS = {
+    (2, 0, None): (
+        "24090226050aa86b800672b3ac16123b39bf1d3416076644a810b5619e0f3627",
+        "ae3cc5a906626d2562d5cbbfa9d8ea45968e031c6f0704fa6dbde699b04084d4",
+    ),
+    (0, 2, None): (
+        "3ad4f50041a898019649eb152820a4845982c98f292268aac348075614e4701d",
+        "0b82b59416726468a4511315b2827645665a184984cbd8f45f630b0fcc4de93a",
+    ),
+    (2, 1, 4): (
+        "b198ac4890cceb397389f67b77f01d0c58dbe984a393f6e473b0c42c18eb8879",
+        "3dfd3b2d1e82e625192c7a96c6d113796bed89715853d333c9d1c8930a5d61c1",
+    ),
+    (3, 2, 8): (
+        "da7a8f2df3e577a6c73a277244ca5b5cb2534f20de7f656364138e054e8c10db",
+        "53f875e40cf8bd66d57281d67bc0553b6e809a7c5b094c04635f11c6f6545f91",
+    ),
+    (3, 0, 5): (
+        "ef693a32110b3e69e76e9297965c4c81f5d837234be34c98bb0a9fa24897e62c",
+        "3ac13c149586c5b9d0f68d6a9ba197fe511853f6e14c81c1de3686910a0823d2",
+    ),
+    (0, 2, 3): (
+        "dfaefc0009c034f12dacaa9ccc539df79099813279eb6f175379704129086929",
+        "1d500b05732c2f8d39afebc0db8879b29401b98aa5d7233963b1b75331015a50",
+    ),
+}
+
+
+@pytest.mark.parametrize("point", list(PINNED_POINTS), ids=str)
+def test_point_stdout_is_pinned(point, monkeypatch, capsys):
+    text = json.dumps(pinned_point(*point, seed=sum(point[:2])).to_json())
+    for command, pinned in zip(("berezinian", "factor"), PINNED_POINTS[point]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run_cli([command, "-"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned, command
 
 
 def test_verify_bracket_runs_without_r(capsys):
@@ -242,6 +316,29 @@ def test_cap_flag_beats_env(monkeypatch, capsys):
     monkeypatch.setenv("SUPERSCHUR_CAP", "2")
     code, _, _ = run_cli(["tableaux", "-m", "1", "-n", "1", "-r", "2", "--cap", "10"], capsys)
     assert code == 0
+
+
+def test_generator_count_cap_exit_three(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("work started past the generator cap")
+
+    monkeypatch.setattr(superschur.cli, "run_suite", never)
+    monkeypatch.setattr(superschur.cli, "berezinian", never)
+    big = 10**6
+    for suite in ("group", "bracket"):
+        code, out, err = run_cli(
+            ["verify", suite, "-m", "1", "-n", "1", "--grassmann-n", str(big)], capsys
+        )
+        assert code == 3 and out == "" and "cap" in err
+    path = tmp_path / "point.json"
+    for text in (
+        '{"m": 1, "n": 0, "ring": "grassmann", "grassmann_n": %d, "entries": [[1]]}' % big,
+        '{"m": 1, "n": 0, "ring": "grassmann", "grassmann_n": 1, "entries":'
+        ' [[{"n": %d, "terms": [{"gens": [%d], "coeff": "1"}]}]]}' % (big, big),
+    ):
+        path.write_text(text)
+        code, out, err = run_cli(["berezinian", str(path)], capsys)
+        assert code == 3 and out == "" and "cap" in err
 
 
 def test_usage_errors_exit_two(capsys):

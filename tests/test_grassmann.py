@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superschur import DimensionError, FormatError, GrassmannElement, as_element
+from superschur import CapExceeded, DimensionError, FormatError, GrassmannElement, as_element
+from superschur.grassmann import MAX_GENERATORS
 
 N = 3
 
@@ -170,3 +171,28 @@ def test_repr_is_readable():
     x2 = GrassmannElement.generator(2, 2)
     e = GrassmannElement.scalar(2, Fraction(3, 2)) + 2 * x1 * x2
     assert repr(e) == "3/2 + 2*x1*x2"
+
+
+def test_generator_count_is_capped():
+    # the points workload and the CLI examples use Lambda_10
+    assert MAX_GENERATORS >= 10
+    assert GrassmannElement.generator(MAX_GENERATORS, MAX_GENERATORS).parity() == 1
+    for n in (MAX_GENERATORS + 1, 10**6):
+        with pytest.raises(CapExceeded):
+            GrassmannElement(n, {1: 1})
+        with pytest.raises(CapExceeded):
+            GrassmannElement.scalar(n, 1)
+        with pytest.raises(CapExceeded):
+            GrassmannElement.from_json({"n": n, "terms": [{"gens": [n], "coeff": "1"}]})
+
+
+def test_constructor_keeps_fraction_coefficients():
+    coeff = Fraction(3, 7)
+    elem = GrassmannElement(2, {3: coeff, 1: 2, 2: Fraction(0)})
+    assert elem.terms == {3: coeff, 1: Fraction(2)}
+    assert elem.terms[3] is coeff
+    assert type(elem.terms[1]) is Fraction
+    with pytest.raises(DimensionError):
+        GrassmannElement(2, {4: 1})
+    with pytest.raises(DimensionError):
+        GrassmannElement(2, {-1: 1})

@@ -144,9 +144,34 @@ def test_even_det_paths_agree_with_expansion(size, data):
     rows = [
         [data.draw(even_entries()) for _ in range(size)] for _ in range(size)
     ]
-    reference = perm_det(rows)
-    assert even_det(rows, method="cofactor") == reference
-    assert even_det(rows, method="eliminate") == reference
+    assert even_det(rows) == perm_det(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.data())
+def test_even_det_expands_a_column_of_nilpotents(size, data):
+    # a column of nilpotents leaves elimination without a unit pivot there,
+    # so even_det must finish by expansion
+    rows = [
+        [data.draw(even_entries(4)) for _ in range(size)] for _ in range(size)
+    ]
+    col = data.draw(st.integers(min_value=0, max_value=size - 1))
+    for row in rows:
+        row[col] = row[col].soul()
+    assert even_det(rows) == perm_det(rows)
+    souls = [[e.soul() for e in row] for row in rows]
+    assert even_det(souls) == perm_det(souls)
+
+
+def test_even_det_of_nilpotent_matrices():
+    x = [GrassmannElement.generator(6, i) for i in range(1, 7)]
+    a, b, c = x[0] * x[1], x[2] * x[3], x[4] * x[5]
+    zero = GrassmannElement.zero(6)
+    rows = [[a, zero, zero], [zero, b, zero], [zero, zero, c]]
+    assert even_det(rows) == a * b * c != zero
+    rows = [[a, b, c], [b, c, a], [c, a, b]]
+    assert even_det(rows) == perm_det(rows)
+    assert even_det([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 0
 
 
 @given(
@@ -170,6 +195,43 @@ def test_even_matrix_inverse_round_trip():
         for i in range(2)
     ]
     assert prod == [[one, zero], [zero, one]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.booleans(), st.data())
+def test_even_matrix_inverse_round_trips_or_refuses(size, grassmann, data):
+    if grassmann:
+        entries = even_entries(4)
+        zero, one = GrassmannElement.zero(4), GrassmannElement.scalar(4, 1)
+    else:
+        entries = st.integers(-3, 3).map(Fraction)
+        zero, one = Fraction(0), Fraction(1)
+    rows = [[data.draw(entries) for _ in range(size)] for _ in range(size)]
+    body = [[e.body() if grassmann else e for e in row] for row in rows]
+    if perm_det(body) == 0:
+        with pytest.raises(NotInvertible):
+            even_matrix_inverse(rows, zero, one)
+        return
+    inv = even_matrix_inverse(rows, zero, one)
+    ident = [[one if i == j else zero for j in range(size)] for i in range(size)]
+
+    def times(a, b):
+        return [
+            [sum((a[i][k] * b[k][j] for k in range(size)), zero) for j in range(size)]
+            for i in range(size)
+        ]
+
+    assert times(rows, inv) == ident
+    assert times(inv, rows) == ident
+
+
+def test_even_matrix_inverse_refuses_a_singular_body():
+    one, x1, x2 = grassmann_pair()
+    zero = GrassmannElement.zero(2)
+    rows = [[one, one + x1 * x2], [one, one]]
+    assert even_det(rows) == -(x1 * x2)
+    with pytest.raises(NotInvertible):
+        even_matrix_inverse(rows, zero, one)
 
 
 def test_superbracket_of_odd_pair():
