@@ -2,9 +2,23 @@
 
 Elements are finite sums of monomials in generators x1, ..., xN subject to
 xi*xj = -xj*xi (so xi*xi = 0), with coefficients in Q.  A monomial is encoded
-as a bitmask over the generator set, kept in the canonical ascending order;
-multiplying two monomials merges their masks and the sign is (-1)^k where k
-counts the crossings needed to restore ascending order.
+as a bitmask over the generator set, kept in the canonical ascending order.
+
+An element stores one int numerator per monomial over one common positive
+denominator, in lowest terms: den > 0, gcd(den, every numerator) = 1 and no
+numerator is zero.  The form is unique, so equality compares (N, den,
+numerators).  Products and sums work on the numerators and normalize once,
+by a single gcd; no Fraction is built on the way.
+
+Multiplying two monomials merges their masks with the sign (-1)^k, where k
+counts the pairs (i in the left mask, j in the right mask) with i > j, the
+crossings needed to restore ascending order.  For a left mask m1 the prefix
+parity P has bit j set when m1 has an odd number of bits above j, so the
+sign against a disjoint right mask m2 is the parity of popcount(P & m2).
+P is computed once per left monomial.
+
+``terms``, the {mask: Fraction} view, is built only when it is read
+(serialization, repr); intermediate products never build it.
 
 N is fixed per element and mixing elements from different algebras raises
 DimensionError rather than embedding one algebra in the other.
@@ -13,6 +27,8 @@ DimensionError rather than embedding one algebra in the other.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from types import MappingProxyType
 
 from .errors import CapExceeded, DimensionError, FormatError, NotInvertible
 
@@ -32,16 +48,18 @@ def check_generators(num_generators: int) -> None:
         )
 
 
-def _merge_sign(left_mask: int, right_mask: int) -> int:
-    # number of pairs (i in left, j in right) with i > j, i.e. crossings
-    # when the concatenation is re-sorted
-    crossings = 0
-    j = right_mask
-    while j:
-        low = j & -j
-        crossings += (left_mask >> low.bit_length()).bit_count()
-        j ^= low
-    return -1 if crossings & 1 else 1
+def _prefix_parity(mask: int) -> int:
+    """Bit j is set when ``mask`` has an odd number of bits above j.
+
+    Suffix XOR of mask >> 1 by doubling shifts; four steps cover the
+    MAX_GENERATORS = 16 bits.
+    """
+    p = mask >> 1
+    p ^= p >> 1
+    p ^= p >> 2
+    p ^= p >> 4
+    p ^= p >> 8
+    return p
 
 
 def _mask_indices(mask: int) -> tuple[int, ...]:
@@ -56,11 +74,13 @@ def _mask_indices(mask: int) -> tuple[int, ...]:
 class GrassmannElement:
     """An element of the Grassmann algebra on ``num_generators`` generators.
 
-    Instances are immutable.  ``terms`` maps a generator bitmask to its
-    rational coefficient; zero coefficients are never stored.
+    Instances are immutable.  ``_num`` maps a generator bitmask to an int
+    numerator over the common denominator ``_den``, in lowest terms;
+    ``terms`` is the read-only {mask: Fraction} view.  Zero coefficients are
+    never stored.
     """
 
-    __slots__ = ("num_generators", "terms")
+    __slots__ = ("num_generators", "_num", "_den", "_terms")
 
     def __init__(self, num_generators: int, terms=None):
         if num_generators < 0:
@@ -77,11 +97,50 @@ class GrassmannElement:
                 coeff = Fraction(coeff)
             if coeff:
                 cleaned[mask] = coeff
+        # reduced Fractions over their lcm are already in lowest terms
+        den = lcm(*(c.denominator for c in cleaned.values()))
+        num = {m: c.numerator * (den // c.denominator) for m, c in cleaned.items()}
+        self._fill(num_generators, num, den, MappingProxyType(cleaned))
+
+    def _fill(self, num_generators: int, num: dict, den: int, terms) -> None:
         object.__setattr__(self, "num_generators", num_generators)
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_terms", terms)
+
+    @classmethod
+    def _wrap(cls, num_generators: int, num: dict, den: int) -> "GrassmannElement":
+        """Wrap numerators already in lowest terms over den > 0."""
+        elem = object.__new__(cls)
+        elem._fill(num_generators, num, den, None)
+        return elem
+
+    @classmethod
+    def _reduce(cls, num_generators: int, num: dict, den: int) -> "GrassmannElement":
+        """Bring nonzero numerators over a nonzero den to lowest terms."""
+        if den < 0:
+            den = -den
+            num = {m: -c for m, c in num.items()}
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {m: c // g for m, c in num.items()}
+        return cls._wrap(num_generators, num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("GrassmannElement is immutable")
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only {mask: Fraction} view, built when first read."""
+        if self._terms is None:
+            den = self._den
+            view = MappingProxyType(
+                {m: Fraction(c, den) for m, c in self._num.items()}
+            )
+            object.__setattr__(self, "_terms", view)
+        return self._terms
 
     # --- constructors -------------------------------------------------
 
@@ -117,33 +176,29 @@ class GrassmannElement:
     # --- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def body(self) -> Fraction:
         """The scalar (degree-zero) part."""
-        return self.terms.get(0, Fraction(0))
+        return Fraction(self._num.get(0, 0), self._den)
+
+    def _select(self, keep) -> "GrassmannElement":
+        num = {m: c for m, c in self._num.items() if keep(m)}
+        return GrassmannElement._reduce(self.num_generators, num, self._den)
 
     def soul(self) -> "GrassmannElement":
         """The nilpotent part: everything of degree >= 1."""
-        return GrassmannElement(
-            self.num_generators, {m: c for m, c in self.terms.items() if m}
-        )
+        return self._select(bool)
 
     def even_part(self) -> "GrassmannElement":
-        return GrassmannElement(
-            self.num_generators,
-            {m: c for m, c in self.terms.items() if not m.bit_count() & 1},
-        )
+        return self._select(lambda m: not m.bit_count() & 1)
 
     def odd_part(self) -> "GrassmannElement":
-        return GrassmannElement(
-            self.num_generators,
-            {m: c for m, c in self.terms.items() if m.bit_count() & 1},
-        )
+        return self._select(lambda m: m.bit_count() & 1)
 
     def parity(self):
         """0 for even, 1 for odd, None for mixed.  Zero counts as even."""
-        parities = {m.bit_count() & 1 for m in self.terms}
+        parities = {m.bit_count() & 1 for m in self._num}
         if not parities:
             return 0
         if len(parities) == 1:
@@ -164,23 +219,40 @@ class GrassmannElement:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return GrassmannElement.scalar(self.num_generators, other)
+            if not other:
+                return GrassmannElement._wrap(self.num_generators, {}, 1)
+            return GrassmannElement._wrap(
+                self.num_generators, {0: other.numerator}, other.denominator
+            )
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for mask, coeff in other.terms.items():
-            terms[mask] = terms.get(mask, Fraction(0)) + coeff
-        return GrassmannElement(self.num_generators, terms)
+        if not other._num:
+            return self
+        if not self._num:
+            return other
+        den = self._den
+        if den == other._den:
+            num, right = dict(self._num), other._num
+        else:
+            den = lcm(den, other._den)
+            s1, s2 = den // self._den, den // other._den
+            num = {m: c * s1 for m, c in self._num.items()}
+            right = {m: c * s2 for m, c in other._num.items()}
+        get = num.get
+        for m, c in right.items():
+            num[m] = get(m, 0) + c
+        num = {m: c for m, c in num.items() if c}
+        return GrassmannElement._reduce(self.num_generators, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GrassmannElement(
-            self.num_generators, {m: -c for m, c in self.terms.items()}
+        return GrassmannElement._wrap(
+            self.num_generators, {m: -c for m, c in self._num.items()}, self._den
         )
 
     def __sub__(self, other):
@@ -199,19 +271,23 @@ class GrassmannElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms: dict[int, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        num: dict[int, int] = {}
+        get = num.get
+        right = other._num.items()
+        for m1, c1 in self._num.items():
+            p = _prefix_parity(m1)
+            for m2, c2 in right:
                 if m1 & m2:
                     continue  # repeated generator squares to zero
                 merged = m1 | m2
-                contrib = c1 * c2 * _merge_sign(m1, m2)
-                acc = terms.get(merged, Fraction(0)) + contrib
-                if acc:
-                    terms[merged] = acc
-                elif merged in terms:
-                    del terms[merged]
-        return GrassmannElement(self.num_generators, terms)
+                if (p & m2).bit_count() & 1:
+                    num[merged] = get(merged, 0) - c1 * c2
+                else:
+                    num[merged] = get(merged, 0) + c1 * c2
+        num = {m: c for m, c in num.items() if c}
+        return GrassmannElement._reduce(
+            self.num_generators, num, self._den * other._den
+        )
 
     def __rmul__(self, other):
         # only scalars reach here, and scalars are central
@@ -232,25 +308,26 @@ class GrassmannElement:
         """Multiplicative inverse; exists iff the body is nonzero.
 
         With u = body and s = soul, 1/(u+s) = (1/u) * sum_k (-s/u)^k, and the
-        series stops because s^(N+1) = 0.
+        series stops because s^(N+1) = 0.  On numerators over den, u = b/den
+        and -s/u has numerators -s_m over b, so both divisions by u are
+        integer rescales.
         """
-        u = self.body()
-        if u == 0:
+        b = self._num.get(0, 0)
+        if b == 0:
             raise NotInvertible("element has zero body")
-        s = self.soul()
-        unit = GrassmannElement.scalar(self.num_generators, 1)
-        t = GrassmannElement(
-            self.num_generators, {m: -c / u for m, c in s.terms.items()}
-        )
-        acc = unit
-        power = unit
-        for _ in range(self.num_generators):
+        n = self.num_generators
+        soul = {m: -c for m, c in self._num.items() if m}
+        t = GrassmannElement._reduce(n, soul, b)
+        acc = GrassmannElement._wrap(n, {0: 1}, 1)
+        power = acc
+        for _ in range(n):
             power = power * t
             if power.is_zero():
                 break
             acc = acc + power
-        return GrassmannElement(
-            self.num_generators, {m: c / u for m, c in acc.terms.items()}
+        den = self._den
+        return GrassmannElement._reduce(
+            n, {m: c * den for m, c in acc._num.items()}, acc._den * b
         )
 
     def __truediv__(self, other):
@@ -261,25 +338,28 @@ class GrassmannElement:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = GrassmannElement.scalar(self.num_generators, other)
+            other = self._coerce(other)
         if not isinstance(other, GrassmannElement):
             return NotImplemented
         return (
-            self.num_generators == other.num_generators and self.terms == other.terms
+            self.num_generators == other.num_generators
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self):
-        return hash((self.num_generators, frozenset(self.terms.items())))
+        return hash((self.num_generators, self._den, frozenset(self._num.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for mask in sorted(self.terms, key=lambda m: (m.bit_count(), m)):
-            coeff = self.terms[mask]
+        for mask in sorted(terms, key=lambda m: (m.bit_count(), m)):
+            coeff = terms[mask]
             mono = "*".join(f"x{i}" for i in _mask_indices(mask))
             if not mono:
                 parts.append(str(coeff))
@@ -301,10 +381,11 @@ class GrassmannElement:
 
         Terms are sorted by (degree, mask) so output is deterministic.
         """
+        coeffs = self.terms
         terms = []
-        for mask in sorted(self.terms, key=lambda m: (m.bit_count(), m)):
+        for mask in sorted(coeffs, key=lambda m: (m.bit_count(), m)):
             terms.append(
-                {"gens": list(_mask_indices(mask)), "coeff": str(self.terms[mask])}
+                {"gens": list(_mask_indices(mask)), "coeff": str(coeffs[mask])}
             )
         return {"n": self.num_generators, "terms": terms}
 
@@ -353,10 +434,14 @@ def rational_from_json(value, what: str) -> Fraction:
     """A wire rational: an integer or a "p/q" string.
 
     Floats, Infinity and NaN among them, are refused: a JSON float is a
-    binary approximation, not the rational the sender meant.
+    binary approximation, not the rational the sender meant.  So are strings
+    with a decimal exponent, before Fraction sees them: a few bytes such as
+    "1e999999999" would ask it for an unbounded integer.
     """
     if type(value) not in (int, str):
         raise FormatError(f"{what} {value!r} must be an integer or a 'p/q' string")
+    if type(value) is str and ("e" in value or "E" in value):
+        raise FormatError(f"{what} {value!r} has an exponent; send 'p/q'")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:

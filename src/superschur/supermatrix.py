@@ -470,7 +470,7 @@ def _block_product(a, b, width, zero):
 
 
 def _schur_parts(mat: SuperMatrix):
-    """det W, Y W^-1, W^-1 Z and X - Y W^-1 Z for a GL point [[X, Y], [Z, W]].
+    """det W, W^-1, W^-1 Z and X - Y W^-1 Z for a GL point [[X, Y], [Z, W]].
 
     One elimination of [W | I | Z] gives det W, W^-1 and W^-1 Z.
     """
@@ -487,7 +487,7 @@ def _schur_parts(mat: SuperMatrix):
         [a - b if b else a for a, b in zip(x_row, p_row)]
         for x_row, p_row in zip(x, y_winv_z)
     ]
-    return det_w, _block_product(y, w_inv, n, zero), winv_z, schur
+    return det_w, w_inv, winv_z, schur
 
 
 def berezinian(mat: SuperMatrix):
@@ -509,8 +509,9 @@ def ldu_factor(mat: SuperMatrix):
         raise NotInvertible("LDU factorization needs a GL point")
     zero, one = mat.zero_element, mat.one_element
     m, n = mat.dim.m, mat.dim.n
-    _, y_winv, winv_z, schur = _schur_parts(mat)
-    w = mat.blocks()[3]
+    _, w_inv, winv_z, schur = _schur_parts(mat)
+    _, y, _, w = mat.blocks()
+    y_winv = _block_product(y, w_inv, n, zero)
 
     def assemble(top_left, top_right, bottom_left, bottom_right):
         rows = [a + b for a, b in zip(top_left, top_right)]
@@ -638,23 +639,34 @@ def gl_point(coeff: GrassmannElement, mat: SuperMatrix) -> SuperMatrix:
 # --- seeded sampling of GL points ------------------------------------------
 
 
-def _random_even_element(rng, n: int, max_terms: int = 2) -> GrassmannElement:
-    terms = {0: Fraction(rng.randint(-3, 3))}
-    masks = [m for m in range(1, 1 << n) if m.bit_count() % 2 == 0]
-    for mask in rng.sample(masks, min(max_terms, len(masks))):
-        coeff = rng.randint(-2, 2)
-        if coeff:
-            terms[mask] = Fraction(coeff)
-    return GrassmannElement(n, terms)
+def _nth_mask(i: int, odd: bool) -> int:
+    """The i-th nonzero mask of one parity, in ascending order, in O(1).
+
+    Each pair {2k, 2k+1} holds one even and one odd mask, told apart by the
+    parity p(k) of k: the even one is 2k + p(k), the odd one 2k + 1 - p(k).
+    Mask 0 is left out, so the i-th even mask comes from pair k = i + 1.
+    """
+    if odd:
+        return 2 * i + 1 - (i.bit_count() & 1)
+    k = i + 1
+    return 2 * k + (k.bit_count() & 1)
 
 
-def _random_odd_element(rng, n: int, max_terms: int = 2) -> GrassmannElement:
-    masks = [m for m in range(1, 1 << n) if m.bit_count() % 2 == 1]
-    terms = {}
-    for mask in rng.sample(masks, min(max_terms, len(masks))):
+def _random_element(rng, n: int, odd: bool, max_terms: int = 2) -> GrassmannElement:
+    """A rational body (even elements only) plus up to max_terms monomials
+    of the given parity.
+
+    random.sample picks by index from the population's length alone, so
+    sampling indices from a range and unranking them draws exactly what
+    sampling the listed masks did, without listing 2^(n-1) of them.
+    """
+    terms = {} if odd else {0: Fraction(rng.randint(-3, 3))}
+    half = 1 << n >> 1  # masks of each parity below 2^n when n >= 1
+    count = half if odd else max(half - 1, 0)
+    for i in rng.sample(range(count), min(max_terms, count)):
         coeff = rng.randint(-2, 2)
         if coeff:
-            terms[mask] = Fraction(coeff)
+            terms[_nth_mask(i, odd)] = Fraction(coeff)
     return GrassmannElement(n, terms)
 
 
@@ -665,9 +677,7 @@ def random_gl_point(rng, dim: SuperDim, grassmann_n: int) -> SuperMatrix:
     while True:
         rows = [
             [
-                _random_even_element(rng, grassmann_n)
-                if (dim.parity(i) + dim.parity(j)) % 2 == 0
-                else _random_odd_element(rng, grassmann_n)
+                _random_element(rng, grassmann_n, odd=dim.parity(i) != dim.parity(j))
                 for j in range(1, size + 1)
             ]
             for i in range(1, size + 1)

@@ -1,13 +1,14 @@
 """Exact arithmetic in finite Grassmann algebras."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superschur import CapExceeded, DimensionError, FormatError, GrassmannElement, as_element
-from superschur.grassmann import MAX_GENERATORS
+from superschur.grassmann import MAX_GENERATORS, _prefix_parity
 
 N = 3
 
@@ -196,3 +197,191 @@ def test_constructor_keeps_fraction_coefficients():
         GrassmannElement(2, {4: 1})
     with pytest.raises(DimensionError):
         GrassmannElement(2, {-1: 1})
+
+
+def test_json_refuses_exponent_strings():
+    # "1e5" comes first: were exponents accepted again, the test fails on it
+    # before Fraction is asked to expand the huge forms
+    for coeff in ("1e5", "2E3", "1/1e2", "1e999999999", "1e-999999999"):
+        with pytest.raises(FormatError, match="exponent"):
+            GrassmannElement.from_json(
+                {"n": 1, "terms": [{"gens": [1], "coeff": coeff}]}
+            )
+
+
+# --- a plain {mask: Fraction} reference ---------------------------------------
+
+
+def _merge_sign(left_mask, right_mask):
+    # number of pairs (i in left, j in right) with i > j, i.e. crossings
+    # when the concatenation is re-sorted
+    crossings = 0
+    j = right_mask
+    while j:
+        low = j & -j
+        crossings += (left_mask >> low.bit_length()).bit_count()
+        j ^= low
+    return -1 if crossings & 1 else 1
+
+
+def _nonzero(terms):
+    return {m: c for m, c in terms.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return _nonzero(out)
+
+
+def ref_neg(a):
+    return {m: -c for m, c in a.items()}
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            if not m1 & m2:
+                merged = m1 | m2
+                out[merged] = out.get(merged, Fraction(0)) + c1 * c2 * _merge_sign(m1, m2)
+    return _nonzero(out)
+
+
+def ref_inverse(a, num_generators):
+    u = a.get(0, Fraction(0))
+    t = {m: -c / u for m, c in a.items() if m}
+    acc, power = {0: Fraction(1)}, {0: Fraction(1)}
+    for _ in range(num_generators):
+        power = ref_mul(power, t)
+        acc = ref_add(acc, power)
+    return {m: c / u for m, c in acc.items()}
+
+
+def ref_select(a, keep):
+    return {m: c for m, c in a.items() if keep(m)}
+
+
+def ref_json(a, num_generators):
+    return {
+        "n": num_generators,
+        "terms": [
+            {"gens": [i + 1 for i in range(num_generators) if m >> i & 1], "coeff": str(a[m])}
+            for m in sorted(a, key=lambda m: (m.bit_count(), m))
+        ],
+    }
+
+
+def assert_canonical(e):
+    """Int numerators over one positive denominator, in lowest terms."""
+    assert type(e._den) is int and e._den > 0
+    assert all(type(c) is int and c for c in e._num.values())
+    assert gcd(e._den, *e._num.values()) == 1
+
+
+def assert_matches(e, ref, num_generators):
+    assert_canonical(e)
+    expected = GrassmannElement(num_generators, ref)
+    assert e.terms == ref
+    assert e == expected and hash(e) == hash(expected)
+    assert e.to_json() == ref_json(ref, num_generators)
+
+
+@st.composite
+def reference_triples(draw):
+    """N <= 6 and three {mask: Fraction} dicts whose coefficients have
+    denominators, including negative ones and shared factors."""
+    num_generators = draw(st.integers(min_value=0, max_value=6))
+    coeffs = st.builds(
+        Fraction,
+        st.integers(min_value=-12, max_value=12),
+        st.integers(min_value=1, max_value=12),
+    )
+    masks = st.integers(min_value=0, max_value=(1 << num_generators) - 1)
+    terms = st.dictionaries(masks, coeffs, max_size=6).map(_nonzero)
+    return num_generators, draw(terms), draw(terms), draw(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reference_triples())
+def test_integer_form_matches_fraction_reference(triple):
+    n, ra, rb, rc = triple
+    a, b, c = (GrassmannElement(n, r) for r in (ra, rb, rc))
+    for e, r in ((a, ra), (b, rb), (c, rc)):
+        assert_matches(e, r, n)
+    ab = a * b
+    assert_matches(ab, ref_mul(ra, rb), n)
+    assert_matches(ab * c, ref_mul(ref_mul(ra, rb), rc), n)
+    assert_matches(a + b, ref_add(ra, rb), n)
+    assert_matches(ab + c, ref_add(ref_mul(ra, rb), rc), n)
+    assert_matches(a - b, ref_add(ra, ref_neg(rb)), n)
+    assert_matches(-ab, ref_neg(ref_mul(ra, rb)), n)
+    assert_matches(a - a, {}, n)
+    assert_matches(ab.soul(), ref_select(ref_mul(ra, rb), bool), n)
+    mixed, r_mixed = ab + c, ref_add(ref_mul(ra, rb), rc)
+    even = ref_select(r_mixed, lambda m: m.bit_count() % 2 == 0)
+    assert_matches(mixed.even_part(), even, n)
+    assert_matches(mixed.odd_part(), ref_select(r_mixed, lambda m: m not in even), n)
+    for e, r in ((a, ra), (mixed, r_mixed)):
+        if r.get(0):
+            assert_matches(e.inverse(), ref_inverse(r, n), n)
+            assert_matches((-e).inverse(), ref_neg(ref_inverse(r, n)), n)
+        else:
+            with pytest.raises(ArithmeticError):
+                e.inverse()
+        assert (e.body(), e.is_zero()) == (r.get(0, Fraction(0)), not r)
+    for scalar in (3, Fraction(-5, 6), 0):
+        assert_matches(a * scalar, ref_mul(ra, _nonzero({0: Fraction(scalar)})), n)
+        assert_matches(scalar + a, ref_add(ra, _nonzero({0: Fraction(scalar)})), n)
+    assert (a == b) == (ra == rb)
+    assert (a == ra.get(0, 0)) == (set(ra) <= {0})
+
+
+def test_negative_body_inverse_keeps_a_positive_denominator():
+    x1 = GrassmannElement.generator(2, 1)
+    x2 = GrassmannElement.generator(2, 2)
+    e = GrassmannElement.scalar(2, Fraction(-3, 4)) + Fraction(1, 2) * x1 * x2
+    inv = e.inverse()
+    assert_canonical(inv)
+    assert inv.terms == {0: Fraction(-4, 3), 3: Fraction(-8, 9)}
+    assert e * inv == 1
+
+
+def test_sums_and_products_cancel_common_factors():
+    x1 = GrassmannElement.generator(2, 1)
+    half = GrassmannElement(2, {0: Fraction(1, 2), 1: Fraction(3, 2)})
+    for e, terms in (
+        (half + half, {0: Fraction(1), 1: Fraction(3)}),
+        (half * 2, {0: Fraction(1), 1: Fraction(3)}),
+        (half - Fraction(1, 2), {1: Fraction(3, 2)}),
+        (half.soul(), {1: Fraction(3, 2)}),
+        (half * x1 * 4, {1: Fraction(2)}),
+    ):
+        assert_canonical(e)
+        assert e.terms == terms
+    assert GrassmannElement(2, {0: Fraction(2, 4)}) == Fraction(1, 2)
+    assert_canonical(GrassmannElement.zero(3))
+    assert GrassmannElement.zero(3)._den == 1
+
+
+def test_prefix_parity_matches_its_definition():
+    for mask in range(1 << MAX_GENERATORS):
+        p = _prefix_parity(mask)
+        assert p < 1 << MAX_GENERATORS
+        for j in range(MAX_GENERATORS):
+            assert (p >> j) & 1 == (mask >> (j + 1)).bit_count() & 1, (mask, j)
+
+
+def test_merge_signs_match_the_crossing_count():
+    # every ordered pair of disjoint masks on 6 generators
+    n = 6
+    for m1 in range(1 << n):
+        p = _prefix_parity(m1)
+        left = GrassmannElement(n, {m1: 1})
+        for m2 in range(1 << n):
+            if m1 & m2:
+                continue
+            sign = -1 if (p & m2).bit_count() & 1 else 1
+            assert sign == _merge_sign(m1, m2)
+            assert (left * GrassmannElement(n, {m2: 1})).terms == {m1 | m2: sign}

@@ -30,6 +30,8 @@ from superschur import (
     supertrace,
     transvection,
 )
+from superschur.grassmann import MAX_GENERATORS
+from superschur.supermatrix import _nth_mask, _random_element
 
 D11 = SuperDim(1, 1)
 D21 = SuperDim(2, 1)
@@ -292,6 +294,41 @@ def test_random_gl_point_deterministic():
     b = random_gl_point(random.Random(7), D21, 4)
     assert a == b
     assert a.is_gl_point()
+
+
+def _listed_draws(rng, n, odd, max_terms=2):
+    """The draws of the sampler that listed every mask of the wanted parity."""
+    terms = {} if odd else {0: Fraction(rng.randint(-3, 3))}
+    masks = [m for m in range(1, 1 << n) if m.bit_count() % 2 == odd]
+    for mask in rng.sample(masks, min(max_terms, len(masks))):
+        coeff = rng.randint(-2, 2)
+        if coeff:
+            terms[mask] = Fraction(coeff)
+    return GrassmannElement(n, terms)
+
+
+def test_mask_sampling_matches_the_listed_masks():
+    for n in range(0, 9):
+        for odd in (False, True):
+            listed = [m for m in range(1, 1 << n) if m.bit_count() % 2 == odd]
+            assert [_nth_mask(i, odd) for i in range(len(listed))] == listed
+            for seed in range(6):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                for max_terms in (1, 2, 3):
+                    got = _random_element(ours, n, odd, max_terms)
+                    assert got == _listed_draws(theirs, n, odd, max_terms), (n, seed, odd)
+                assert ours.getstate() == theirs.getstate()
+
+
+def test_mask_sampling_at_the_generator_cap():
+    n = MAX_GENERATORS
+    half = 1 << n - 1
+    top = (1 << n) - 1  # its parity is that of n
+    assert (_nth_mask(0, False), _nth_mask(half - 2, False)) == (3, top - n % 2)
+    assert (_nth_mask(0, True), _nth_mask(half - 1, True)) == (1, top - 1 + n % 2)
+    for odd in (False, True):
+        e = _random_element(random.Random(3), n, odd)
+        assert e.parity() == odd and all(m < 1 << n for m in e.terms)
 
 
 def test_ldu_reconstructs_random_points():
