@@ -10,6 +10,7 @@ suites derive everything from the explicit --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -205,7 +206,10 @@ def _add_dimension_args(parser, with_r: bool):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` leaves it
+    unchanged, and SUPERSCHUR_CAP is read when a command runs, not here."""
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Exact tensor-representation checks for the general linear supergroup.",

@@ -287,6 +287,13 @@ def test_row_space_matches_dense_reduction(case):
     assert kernel_basis(rows, width) == dense.kernel()
     for row in rows:
         assert space.contains([2 * e for e in row])
+    # the integer rows are canonical: any spanning set in any order and
+    # scale gives the same rows
+    other = RowSpace(width)
+    for i, row in enumerate(reversed(rows)):
+        scale = Fraction((-1) ** i * (i + 2), 2 * i + 3)
+        other.add([scale * e for e in row])
+    assert other.equals(space) and space.equals(other)
 
 
 # every (m|n, r) with 2 <= r <= 4 and word space side <= 16
@@ -305,3 +312,105 @@ def test_commutants_match_dense_oracle(m, n, r):
     for gens in (symmetric_group_generators(dim, r), derivation_generators(dim, r)):
         assert same_rows(algebra_generated(dim, r, gens).space, dense_algebra(dim, r, gens))
         assert same_rows(centralizer(dim, r, gens).space, dense_centralizer(dim, r, gens))
+
+
+# --- the three centralizer paths -------------------------------------------------
+# Each set below reaches a path of ``centralizer``: diagonal generators cut
+# the unknowns to weight classes, monomial ones tie them into signed orbits,
+# the rest go to the linear system.  The dense oracle knows none of this.
+
+D22 = SuperDim(2, 2)
+
+
+def operator(dim, r, rows):
+    return TensorOperator(dim, r, [[Fraction(e) for e in row] for row in rows])
+
+
+def diag(*values):
+    return operator(D22, 1, [[v if i == j else 0 for j in range(4)] for i, v in enumerate(values)])
+
+
+def monomial(images, coeffs):
+    """The operator sending e_k to coeffs[k] * e_images[k]."""
+    rows = [[0] * 4 for _ in range(4)]
+    for k, (t, a) in enumerate(zip(images, coeffs)):
+        rows[t][k] = a
+    return operator(D22, 1, rows)
+
+
+GENERAL = operator(D22, 1, [[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 3, 1], [0, 0, 0, 3]])
+PATH_CASES = {
+    "diagonal": [diag(1, 1, 2, 2)],
+    "two diagonals whose joint classes are singletons": [diag(1, 1, 2, 2), diag(5, 7, 5, 7)],
+    "zero and identity": [diag(0, 0, 0, 0), diag(1, 1, 1, 1)],
+    "monomial with 2 and -3": [monomial((1, 0, 3, 2), (2, -3, 1, 1))],
+    "orbit closing with ratio 1/9": [monomial((1, 0, 2, 3), (1, 1, 3, 1))],
+    "orbit closing with sign -1": [monomial((1, 0, 2, 3), (1, -1, 1, 1))],
+    "orbit leaving the weight classes": [diag(1, 1, 2, 2), monomial((0, 2, 1, 3), (1, 1, 1, 1))],
+    "general": [GENERAL],
+    "mixed": [diag(1, 1, 2, 2), monomial((1, 0, 3, 2), (1, 2, -1, 1)), GENERAL],
+    "mixed with a general diagonal-class coupling": [
+        diag(3, 4, 3, 4),
+        operator(D22, 1, [[0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(PATH_CASES))
+def test_centralizer_paths_match_dense_oracle(name):
+    gens = PATH_CASES[name]
+    assert same_rows(centralizer(D22, 1, gens).space, dense_centralizer(D22, 1, gens))
+
+
+def test_centralizer_of_mixed_tau_and_theta_matches_dense_oracle():
+    # tau (monomial), theta(E_ii) (diagonal) and theta(E_12) (general) at once
+    dim = SuperDim(2, 1)
+    gens = symmetric_group_generators(dim, 2) + [
+        derivation_operator(SuperMatrix.elementary(dim, i, j), 2) for i, j in ((1, 1), (3, 3), (1, 2))
+    ]
+    assert same_rows(centralizer(dim, 2, gens).space, dense_centralizer(dim, 2, gens))
+
+
+small_entries = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(-3, 2)])
+
+
+@st.composite
+def generator_sets(draw):
+    """One to three generators on side 4, each diagonal, monomial or dense."""
+    gens = []
+    for kind in draw(st.lists(st.sampled_from(["diagonal", "monomial", "dense"]), min_size=1, max_size=3)):
+        if kind == "diagonal":
+            gens.append(diag(*draw(st.lists(st.integers(-1, 2), min_size=4, max_size=4))))
+        elif kind == "monomial":
+            images = draw(st.permutations(range(4)))
+            coeffs = draw(st.lists(st.sampled_from([1, -1, 2, Fraction(1, 3)]), min_size=4, max_size=4))
+            gens.append(monomial(images, coeffs))
+        else:
+            rows = draw(st.lists(st.lists(small_entries, min_size=4, max_size=4), min_size=4, max_size=4))
+            gens.append(operator(D22, 1, rows))
+    return gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+def test_centralizer_matches_dense_oracle_on_random_sets(gens):
+    assert same_rows(centralizer(D22, 1, gens).space, dense_centralizer(D22, 1, gens))
+
+
+def all_derivations(dim, r):
+    """theta(E_ij) for every (i, j): the full set the Chevalley one replaces."""
+    size = dim.size
+    return [
+        derivation_operator(SuperMatrix.elementary(dim, i, j), r)
+        for i in range(1, size + 1)
+        for j in range(1, size + 1)
+    ]
+
+
+@pytest.mark.parametrize("m,n,r", SMALL_CONFIGS)
+def test_chevalley_generators_give_the_whole_derivation_algebra(m, n, r):
+    dim = SuperDim(m, n)
+    chevalley, full = derivation_generators(dim, r), all_derivations(dim, r)
+    assert len(chevalley) == 3 * dim.size - 2
+    assert algebra_generated(dim, r, chevalley).equals(algebra_generated(dim, r, full))
+    assert centralizer(dim, r, chevalley).equals(centralizer(dim, r, full))
