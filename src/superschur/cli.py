@@ -26,7 +26,7 @@ from .errors import (
 from .grassmann import MAX_GENERATORS, GrassmannElement, check_generators
 from .supermatrix import SuperMatrix, berezinian, ldu_factor, supertrace
 from .suites import SUITE_NAMES, run_suite
-from .tableaux import dimension_table, enumerate_ssyt, symbol_name
+from .tableaux import dimension_table, enumerate_ssyt, render_filling, symbol_name
 
 PROG = "superschur"
 
@@ -116,11 +116,7 @@ def cmd_tableaux(args) -> int:
                 fillings = enumerate_ssyt(tuple(row["shape"]), args.m, args.n)
                 print(f"fillings of {_render_shape(row['shape'])}: {len(fillings)}")
                 for filling in fillings:
-                    rows = [
-                        " ".join(symbol_name(s, args.m) for s in line)
-                        for line in filling
-                    ]
-                    print("  " + " / ".join(rows))
+                    print("  " + " / ".join(render_filling(filling, args.m)))
 
     if weighted != total:
         print(

@@ -32,8 +32,6 @@ from types import MappingProxyType
 
 from .errors import CapExceeded, DimensionError, FormatError, NotInvertible
 
-Rational = Fraction
-
 # The most generators an algebra may have.  Elements and sampling work with
 # up to 2^N monomials, so N is bounded before anything is built.
 MAX_GENERATORS = 16
@@ -204,9 +202,6 @@ class GrassmannElement:
         if len(parities) == 1:
             return parities.pop()
         return None
-
-    def is_homogeneous(self) -> bool:
-        return self.parity() is not None
 
     # --- arithmetic ---------------------------------------------------
 

@@ -3,6 +3,10 @@
 Each suite returns a list of check records: plain dicts with at least
 "check" and "pass" keys plus enough context to reproduce the run.  Every
 comparison is exact; sampled checks take an explicit seed and report it.
+
+A suite forms each elementary object once (E_ij with its parity, each
+bracket {E_ij, E_kl}, each theta(E_ij), each Lambda_2 point, each tau) and
+the checks that need it read it from one table.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from .supermatrix import (
     SuperDim,
     SuperMatrix,
     berezinian,
-    block_parity,
     dilation,
     gl_point,
     ldu_factor,
@@ -39,16 +42,17 @@ from .tensor import (
     diagonal_operator,
     operator_from_transpositions,
     point_derivation_operator,
-    transposition_operator,
+    transposition_perm,
 )
 
 SUITE_NAMES = ("bracket", "actions", "schurweyl", "group")
 
 
 def _elementary_pairs(dim: SuperDim):
+    """(i, j, E_ij, parity of E_ij) over the (i, j) grid, row by row."""
     for i in range(1, dim.size + 1):
         for j in range(1, dim.size + 1):
-            yield i, j, SuperMatrix.elementary(dim, i, j)
+            yield i, j, SuperMatrix.elementary(dim, i, j), dim.parity(i) ^ dim.parity(j)
 
 
 def _record(name: str, ok: bool, **extra) -> dict:
@@ -68,77 +72,71 @@ def suite_bracket(m: int, n: int) -> list[dict]:
     """
     dim = SuperDim(m, n)
     elems = list(_elementary_pairs(dim))
-    checks = []
+    pairs = list(itertools.product(elems, repeat=2))
+    bracket = {(i, j, k, l): superbracket(x, y) for (i, j, x, _), (k, l, y, _) in pairs}
 
-    bad = []
-    for (i, j, x), (k, l, y) in itertools.product(elems, repeat=2):
-        px = dim.parity(i) ^ dim.parity(j)
-        py = dim.parity(k) ^ dim.parity(l)
-        sign = -1 if (px * py) % 2 == 0 else 1
-        if superbracket(x, y) != superbracket(y, x).scale(sign):
-            bad.append([i, j, k, l])
-    checks.append(
-        _record("bracket_antisymmetry", not bad, m=m, n=n, failures=bad[:3])
-    )
-
-    bad = []
-    for (i, j, x), (k, l, y), (s, t, z) in itertools.product(elems, repeat=3):
-        px = dim.parity(i) ^ dim.parity(j)
-        py = dim.parity(k) ^ dim.parity(l)
-        lhs = superbracket(x, superbracket(y, z))
-        rhs = superbracket(superbracket(x, y), z)
-        nested = superbracket(y, superbracket(x, z))
-        if (px * py) % 2:
-            rhs = rhs - nested
-        else:
-            rhs = rhs + nested
-        if lhs != rhs:
-            bad.append([i, j, k, l, s, t])
-    checks.append(_record("bracket_jacobi", not bad, m=m, n=n, failures=bad[:3]))
-
-    bad_sym = []
-    bad_str = []
-    for (i, j, x), (k, l, y) in itertools.product(elems, repeat=2):
-        px = dim.parity(i) ^ dim.parity(j)
-        py = dim.parity(k) ^ dim.parity(l)
-        sign = -1 if (px * py) % 2 else 1
-        if supertrace(x * y) != sign * supertrace(y * x):
-            bad_sym.append([i, j, k, l])
-        if supertrace(superbracket(x, y)) != 0:
-            bad_str.append([i, j, k, l])
-    checks.append(
-        _record("supertrace_twisted_symmetry", not bad_sym, m=m, n=n, failures=bad_sym[:3])
-    )
-    checks.append(
-        _record("supertrace_kills_brackets", not bad_str, m=m, n=n, failures=bad_str[:3])
-    )
-
-    # ordinary commutators of Lambda_2 points against the even-rules bracket
+    # Lambda_2 points a (x) E_ij for coefficients a of the parity of E_ij,
+    # whose ordinary commutators are checked against the even-rules bracket
     N = 2
     one = GrassmannElement.scalar(N, 1)
     x1 = GrassmannElement.generator(N, 1)
     x2 = GrassmannElement.generator(N, 2)
     coeffs = {0: [one, x1 * x2, one + x1 * x2], 1: [x1, x2, x1 + x2]}
-    bad = []
-    for (i, j, v), (k, l, w) in itertools.product(elems, repeat=2):
-        pv = dim.parity(i) ^ dim.parity(j)
-        pw = dim.parity(k) ^ dim.parity(l)
-        bracket = superbracket(v, w)
-        for a in coeffs[pv]:
-            for b in coeffs[pw]:
-                left = gl_point(a, v) * gl_point(b, w) - gl_point(b, w) * gl_point(a, v)
-                right = gl_point(a * b, bracket)
-                if (pw * pv) % 2:
-                    right = right.scale(-1)
-                if left != right:
-                    bad.append([i, j, k, l, repr(a), repr(b)])
-    checks.append(
-        _record("even_rules_consistency", not bad, m=m, n=n, grassmann_n=N, failures=bad[:3])
-    )
-    return checks
+    points = {(i, j): [(a, gl_point(a, x)) for a in coeffs[p]] for i, j, x, p in elems}
+
+    bad_anti, bad_sym, bad_str, bad_even = [], [], [], []
+    for (i, j, x, px), (k, l, y, py) in pairs:
+        odd = px & py
+        xy = bracket[i, j, k, l]
+        if xy != bracket[k, l, i, j].scale(1 if odd else -1):
+            bad_anti.append([i, j, k, l])
+        if supertrace(x * y) != (-1 if odd else 1) * supertrace(y * x):
+            bad_sym.append([i, j, k, l])
+        if supertrace(xy) != 0:
+            bad_str.append([i, j, k, l])
+        for a, v in points[i, j]:
+            for b, w in points[k, l]:
+                right = gl_point(a * b, xy)
+                if v * w - w * v != (right.scale(-1) if odd else right):
+                    bad_even.append([i, j, k, l, repr(a), repr(b)])
+
+    bad_jacobi = []
+    for (i, j, x, px), (k, l, y, py), (s, t, z, _) in itertools.product(elems, repeat=3):
+        lhs = superbracket(x, bracket[k, l, s, t])
+        rhs = superbracket(bracket[i, j, k, l], z)
+        nested = superbracket(y, bracket[i, j, s, t])
+        if lhs != (rhs - nested if px & py else rhs + nested):
+            bad_jacobi.append([i, j, k, l, s, t])
+
+    return [
+        _record("bracket_antisymmetry", not bad_anti, m=m, n=n, failures=bad_anti[:3]),
+        _record("bracket_jacobi", not bad_jacobi, m=m, n=n, failures=bad_jacobi[:3]),
+        _record("supertrace_twisted_symmetry", not bad_sym, m=m, n=n, failures=bad_sym[:3]),
+        _record("supertrace_kills_brackets", not bad_str, m=m, n=n, failures=bad_str[:3]),
+        _record(
+            "even_rules_consistency", not bad_even, m=m, n=n, grassmann_n=N, failures=bad_even[:3]
+        ),
+    ]
 
 
 # --- actions -----------------------------------------------------------------
+
+
+def _theta_homomorphism(elems, r: int, odd_count: str, first_only: bool):
+    """theta of every elementary matrix under one sign convention, and the
+    pairs [i, j, k, l] where theta({E_ij, E_kl}) differs from the graded
+    commutator of theta(E_ij) and theta(E_kl): all of them, or the first."""
+    thetas = {(i, j): derivation_operator(x, r, odd_count=odd_count) for i, j, x, _ in elems}
+    bad = []
+    for (i, j, x, px), (k, l, y, py) in itertools.product(elems, repeat=2):
+        lhs = derivation_operator(superbracket(x, y), r, odd_count=odd_count)
+        first = thetas[i, j] * thetas[k, l]
+        second = thetas[k, l] * thetas[i, j]
+        if lhs != (first + second if px & py else first - second):
+            bad.append([i, j, k, l])
+            if first_only:
+                break
+    return thetas, bad
 
 
 def suite_actions(m: int, n: int, r: int, seed: int = 0, cap: int | None = None) -> list[dict]:
@@ -177,17 +175,7 @@ def suite_actions(m: int, n: int, r: int, seed: int = 0, cap: int | None = None)
     )
 
     elems = list(_elementary_pairs(dim))
-    thetas = {(i, j): derivation_operator(x, r) for i, j, x in elems}
-    bad = []
-    for (i, j, x), (k, l, y) in itertools.product(elems, repeat=2):
-        px = dim.parity(i) ^ dim.parity(j)
-        py = dim.parity(k) ^ dim.parity(l)
-        lhs = derivation_operator(superbracket(x, y), r)
-        rhs = thetas[(i, j)] * thetas[(k, l)]
-        second = thetas[(k, l)] * thetas[(i, j)]
-        rhs = rhs + second if (px * py) % 2 else rhs - second
-        if lhs != rhs:
-            bad.append([i, j, k, l])
+    thetas, bad = _theta_homomorphism(elems, r, "exclusive", first_only=False)
     checks.append(
         _record("theta_bracket_homomorphism", not bad, m=m, n=n, r=r, failures=bad[:3])
     )
@@ -205,34 +193,23 @@ def suite_actions(m: int, n: int, r: int, seed: int = 0, cap: int | None = None)
             )
         )
     else:
-        witness = None
-        incl = {(i, j): derivation_operator(x, r, odd_count="inclusive") for i, j, x in elems}
-        for (i, j, x), (k, l, y) in itertools.product(elems, repeat=2):
-            px = dim.parity(i) ^ dim.parity(j)
-            py = dim.parity(k) ^ dim.parity(l)
-            lhs = derivation_operator(superbracket(x, y), r, odd_count="inclusive")
-            rhs = incl[(i, j)] * incl[(k, l)]
-            second = incl[(k, l)] * incl[(i, j)]
-            rhs = rhs + second if (px * py) % 2 else rhs - second
-            if lhs != rhs:
-                witness = [i, j, k, l]
-                break
+        _, bad = _theta_homomorphism(elems, r, "inclusive", first_only=True)
         checks.append(
             _record(
                 "theta_inclusive_sign_fails",
-                witness is not None,
+                bool(bad),
                 m=m,
                 n=n,
                 r=r,
-                witness=witness,
+                witness=bad[0] if bad else None,
             )
         )
 
     bad = []
     for pos in range(1, r):
-        tau = transposition_operator(dim, r, pos, pos + 1)
-        for (i, j, x) in elems:
-            th = thetas[(i, j)]
+        tau = operators[transposition_perm(r, pos, pos + 1)]
+        for i, j, _, _ in elems:
+            th = thetas[i, j]
             if tau * th != th * tau:
                 bad.append([pos, i, j])
     checks.append(
@@ -268,20 +245,12 @@ def _classical_even_part_ok(m: int, n: int, r: int) -> bool:
     generate the same rational algebra (the classical unsigned statement)."""
     dim = SuperDim(m, n)
     group_ops = []
-    blocks = [(1, m), (m + 1, m + n)]
-    for lo, hi in blocks:
-        for i in range(lo, hi + 1):
-            group_ops.append(diagonal_operator(dilation(dim, i, 2), r))
-            for j in range(lo, hi + 1):
-                if i != j:
-                    group_ops.append(diagonal_operator(transvection(dim, i, j, 1), r))
     der_ops = []
-    for lo, hi in blocks:
-        for i in range(lo, hi + 1):
-            for j in range(lo, hi + 1):
-                der_ops.append(
-                    derivation_operator(SuperMatrix.elementary(dim, i, j), r)
-                )
+    for i, j, elem, parity in _elementary_pairs(dim):
+        if parity == 0:
+            point = dilation(dim, i, 2) if i == j else transvection(dim, i, j, 1)
+            group_ops.append(diagonal_operator(point, r))
+            der_ops.append(derivation_operator(elem, r))
     lhs = algebra_generated(dim, r, group_ops)
     rhs = algebra_generated(dim, r, der_ops)
     return lhs.equals(rhs)
@@ -304,27 +273,19 @@ def rho_theta_equality_report(
     dim = SuperDim(m, n)
     N = grassmann_n
     ident = TensorOperator.identity(dim, r, N)
-    odd_alphas = [GrassmannElement.generator(N, 1), GrassmannElement.generator(N, 2)]
-    even_alpha = GrassmannElement.monomial(N, (1, 2))
+    alphas = {
+        1: [GrassmannElement.generator(N, 1), GrassmannElement.generator(N, 2)],
+        0: [GrassmannElement.monomial(N, (1, 2))],
+    }
 
-    odd_ok = True
-    even_ok = True
-    for i in range(1, dim.size + 1):
-        for j in range(1, dim.size + 1):
-            if i == j:
-                continue
-            elem = SuperMatrix.elementary(dim, i, j)
-            if (dim.parity(i) + dim.parity(j)) % 2 == 1:
-                for alpha in odd_alphas:
-                    lhs = diagonal_operator(transvection(dim, i, j, alpha, N), r)
-                    rhs = ident + point_derivation_operator(elem, alpha, r)
-                    if lhs != rhs:
-                        odd_ok = False
-            else:
-                lhs = diagonal_operator(transvection(dim, i, j, even_alpha, N), r)
-                rhs = ident + point_derivation_operator(elem, even_alpha, r)
-                if lhs != rhs:
-                    even_ok = False
+    ok = {0: True, 1: True}
+    for i, j, elem, parity in _elementary_pairs(dim):
+        if i == j:
+            continue
+        for alpha in alphas[parity]:
+            lhs = diagonal_operator(transvection(dim, i, j, alpha, N), r)
+            if lhs != ident + point_derivation_operator(elem, alpha, r):
+                ok[parity] = False
 
     classical_ok = _classical_even_part_ok(m, n, r)
     return {
@@ -332,10 +293,10 @@ def rho_theta_equality_report(
         "n": n,
         "r": r,
         "grassmann_n": N,
-        "odd_generator_identity": odd_ok,
-        "even_nilpotent_identity": even_ok,
+        "odd_generator_identity": ok[1],
+        "even_nilpotent_identity": ok[0],
         "classical_even_part": classical_ok,
-        "pass": odd_ok and even_ok and classical_ok,
+        "pass": ok[1] and ok[0] and classical_ok,
     }
 
 
@@ -420,11 +381,8 @@ def suite_group(
     odd_values = [GrassmannElement.generator(N, 1), GrassmannElement.generator(N, 2)]
     even_values = [GrassmannElement.scalar(N, 3), GrassmannElement.monomial(N, (1, 2))]
     bad = []
-    for i in range(1, dim.size + 1):
-        for j in range(1, dim.size + 1):
-            if i == j:
-                continue
-            slot = (dim.parity(i) + dim.parity(j)) % 2
+    for i, j, _, slot in _elementary_pairs(dim):
+        if i != j:
             for value in odd_values if slot else even_values:
                 if berezinian(transvection(dim, i, j, value, N)) != one:
                     bad.append([i, j, repr(value)])

@@ -137,13 +137,10 @@ class SuperMatrix:
         size = dim.size
         if not (1 <= i <= size and 1 <= j <= size):
             raise DimensionError(f"position ({i},{j}) not in 1..{size}")
-        return cls(
-            dim,
-            [
-                [1 if (r, c) == (i - 1, j - 1) else 0 for c in range(size)]
-                for r in range(size)
-            ],
-        )
+        zero = Fraction(0)
+        rows = [[zero] * size for _ in range(size)]
+        rows[i - 1][j - 1] = Fraction(1)
+        return cls._from_rows(dim, rows)
 
     def lift(self, grassmann_n: int) -> "SuperMatrix":
         """Reinterpret a rational matrix inside Lambda_N."""

@@ -16,6 +16,8 @@ order, so the output order is deterministic.
 
 from __future__ import annotations
 
+from math import factorial
+
 from .errors import DimensionError
 
 Shape = tuple[int, ...]
@@ -78,7 +80,14 @@ def enumerate_syt(shape: Shape) -> list[Filling]:
 
 
 def count_syt(shape: Shape) -> int:
-    return len(enumerate_syt(shape))
+    """Number of standard fillings by the hook length formula: r! over the
+    product of the hook lengths (arm + leg + 1) of the cells."""
+    _check_shape(shape)
+    hooks = 1
+    for i, width in enumerate(shape):
+        for j in range(width):
+            hooks *= width - j + sum(1 for below in shape[i + 1:] if below > j)
+    return factorial(sum(shape)) // hooks
 
 
 def enumerate_ssyt(shape: Shape, m: int, n: int) -> list[Filling]:

@@ -63,10 +63,6 @@ def word_index(dim: SuperDim, word: Word) -> int:
     return idx
 
 
-def word_odd_count(dim: SuperDim, word: Word) -> int:
-    return sum(dim.parity(letter) for letter in word)
-
-
 def swap_letters(dim: SuperDim, word: Word, i: int, j: int) -> tuple[int, Word]:
     """Signed swap of positions i < j (1-based): returns (sign, new word)."""
     r = len(word)

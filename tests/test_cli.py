@@ -106,6 +106,12 @@ PINNED_STDOUT = {
     # recorded before RowSpace kept primitive integer rows: its classical
     # even-part check compares two spaces, which needs a canonical form
     "verify group -m 2 -n 1 -r 3": "209bf1cdd4764e9ccba2cbe2940a7adc464307ba76ffdeb181f5acdcf746e1d4",
+    # recorded before each suite formed every bracket, theta(E_ij), Lambda_2
+    # point and tau once and shared it between its checks
+    "verify actions -m 1 -n 1 -r 4": "eee0bcf95cd4b1a2d9591370ad83b62514d848a4418b9be39f559386c5ae6bf8",
+    "verify actions -m 2 -n 0 -r 2": "7cb82e88c4888c3ca06abef3362e4754bb33e1b3c5f32002a446699be66b5119",
+    "verify bracket -m 1 -n 2": "5a4c00f7a01651c52ad5a755641eaf7a83e360bf3c02aec5444154cf132ed25e",
+    "verify group -m 0 -n 3 -r 2 --grassmann-n 3": "b666d591cbd46bbe51cd709ff05c1a788875cb305f371aee652d244865a7a90a",
 }
 
 
@@ -114,6 +120,29 @@ def test_verify_stdout_is_pinned(command, capsys):
     code, out, _ = run_cli(command.split(), capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
+
+
+# sha256 of the records when the suites bracket with the ungraded commutator
+# xy - yx: the failures lists, witnesses and passing checks of a failing run
+# are pinned too, recorded before the suites shared their elementary objects
+PINNED_FAILURES = {
+    ("bracket", 1, 1): "51c74fb9413db8e33f3d0ca9bfb31d89e07ac520f8b4c29ac16d78edf4ebeb59",
+    ("bracket", 2, 1): "c8c281862250c07d20bc6ddc47925963ed436b1534e6d924ad76aba5b99b8190",
+    ("actions", 1, 1, 2): "05c40bf26c0b6c5f63806af82dff7f88db69b80a360448dbf77aefbeea4000a0",
+    ("actions", 1, 1, 3): "6aa57d3e44fd974b4079622b915d249517ea5e1988330520e52f9d4fffd58fdf",
+    ("actions", 2, 1, 2): "4401a3f1c272c891a1cb75a02631cdf57cdc486a4f82443152e57a4c97d6b301",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_FAILURES))
+def test_failing_records_are_pinned(key, monkeypatch):
+    suites = superschur.suites
+    monkeypatch.setattr(suites, "superbracket", lambda x, y: x * y - y * x)
+    suite = suites.suite_bracket if key[0] == "bracket" else suites.suite_actions
+    records = suite(*key[1:])
+    assert not all(record["pass"] for record in records)
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_FAILURES[key]
 
 
 def pinned_point(m, n, grassmann_n, seed):

@@ -119,7 +119,15 @@ def test_standard_counts_match_hook_lengths():
 
 
 def test_standard_counts_square_to_group_order():
-    assert sum(count_syt(shape) ** 2 for shape in partitions(4)) == 24
+    # at r = 20, counting by enumerating each tableau would not finish
+    for r in (4, 20):
+        assert sum(count_syt(shape) ** 2 for shape in partitions(r)) == factorial(r)
+
+
+def test_standard_counts_match_enumeration():
+    for r in range(9):
+        for shape in partitions(r):
+            assert count_syt(shape) == len(enumerate_syt(shape))
 
 
 def test_standard_fillings_are_standard():
