@@ -6,7 +6,10 @@ comparison is exact; sampled checks take an explicit seed and report it.
 
 A suite forms each elementary object once (E_ij with its parity, each
 bracket {E_ij, E_kl}, each theta(E_ij), each Lambda_2 point, each tau) and
-the checks that need it read it from one table.
+the checks that need it read it from one table.  A product that a loop over
+ordered pairs reads at (a, b) and again at (b, a) is formed once too.  The
+group suite draws its TRIALS = 5 seeded pairs (g, h) once, and one pass over
+them feeds every sampled check.
 """
 
 from __future__ import annotations
@@ -55,6 +58,21 @@ def _elementary_pairs(dim: SuperDim):
             yield i, j, SuperMatrix.elementary(dim, i, j), dim.parity(i) ^ dim.parity(j)
 
 
+def _each_once(form):
+    """form(a, b) for a loop over ordered pairs that reads each product twice,
+    at (a, b) and again at (b, a): formed at the first read, dropped at the
+    second, so it is formed once and only pairs still waiting are kept."""
+    waiting = {}
+
+    def read(a, b):
+        if (a, b) in waiting:
+            return waiting.pop((a, b))
+        waiting[a, b] = value = form(a, b)
+        return value
+
+    return read
+
+
 def _record(name: str, ok: bool, **extra) -> dict:
     out = {"check": name, "pass": bool(ok)}
     out.update(extra)
@@ -82,7 +100,10 @@ def suite_bracket(m: int, n: int) -> list[dict]:
     x1 = GrassmannElement.generator(N, 1)
     x2 = GrassmannElement.generator(N, 2)
     coeffs = {0: [one, x1 * x2, one + x1 * x2], 1: [x1, x2, x1 + x2]}
-    points = {(i, j): [(a, gl_point(a, x)) for a in coeffs[p]] for i, j, x, p in elems}
+    points = {(i, j): [gl_point(a, x) for a in coeffs[p]] for i, j, x, p in elems}
+    matrix = {(i, j): x for i, j, x, _ in elems}
+    trace = _each_once(lambda a, b: supertrace(matrix[a] * matrix[b]))
+    products = _each_once(lambda a, b: [[v * w for w in points[b]] for v in points[a]])
 
     bad_anti, bad_sym, bad_str, bad_even = [], [], [], []
     for (i, j, x, px), (k, l, y, py) in pairs:
@@ -90,15 +111,15 @@ def suite_bracket(m: int, n: int) -> list[dict]:
         xy = bracket[i, j, k, l]
         if xy != bracket[k, l, i, j].scale(1 if odd else -1):
             bad_anti.append([i, j, k, l])
-        if supertrace(x * y) != (-1 if odd else 1) * supertrace(y * x):
+        if trace((i, j), (k, l)) != (-1 if odd else 1) * trace((k, l), (i, j)):
             bad_sym.append([i, j, k, l])
         if supertrace(xy) != 0:
             bad_str.append([i, j, k, l])
-        for a, v in points[i, j]:
-            for b, w in points[k, l]:
-                right = gl_point(a * b, xy)
-                if v * w - w * v != (right.scale(-1) if odd else right):
-                    bad_even.append([i, j, k, l, repr(a), repr(b)])
+        vw, wv = products((i, j), (k, l)), products((k, l), (i, j))
+        for (ia, a), (ib, b) in itertools.product(enumerate(coeffs[px]), enumerate(coeffs[py])):
+            right = gl_point(a * b, xy)
+            if vw[ia][ib] - wv[ib][ia] != (right.scale(-1) if odd else right):
+                bad_even.append([i, j, k, l, repr(a), repr(b)])
 
     bad_jacobi = []
     for (i, j, x, px), (k, l, y, py), (s, t, z, _) in itertools.product(elems, repeat=3):
@@ -127,11 +148,12 @@ def _theta_homomorphism(elems, r: int, odd_count: str, first_only: bool):
     pairs [i, j, k, l] where theta({E_ij, E_kl}) differs from the graded
     commutator of theta(E_ij) and theta(E_kl): all of them, or the first."""
     thetas = {(i, j): derivation_operator(x, r, odd_count=odd_count) for i, j, x, _ in elems}
+    times = _each_once(lambda a, b: thetas[a] * thetas[b])
     bad = []
     for (i, j, x, px), (k, l, y, py) in itertools.product(elems, repeat=2):
         lhs = derivation_operator(superbracket(x, y), r, odd_count=odd_count)
-        first = thetas[i, j] * thetas[k, l]
-        second = thetas[k, l] * thetas[i, j]
+        first = times((i, j), (k, l))
+        second = times((k, l), (i, j))
         if lhs != (first + second if px & py else first - second):
             bad.append([i, j, k, l])
             if first_only:
@@ -300,6 +322,9 @@ def rho_theta_equality_report(
     }
 
 
+TRIALS = 5  # seeded pairs (g, h) drawn by the group suite
+
+
 def _even_invertibles(N: int):
     soul = GrassmannElement.monomial(N, (1, 2))
     return [
@@ -309,168 +334,80 @@ def _even_invertibles(N: int):
     ]
 
 
+def _factored_body(dim: SuperDim, body) -> SuperMatrix:
+    """The rational matrix of a block-diagonal body, multiplied back from
+    the elementary factors of its two diagonal blocks."""
+    m = dim.m
+    top = rational_elementary_factors([row[:m] for row in body[:m]])
+    bottom = rational_elementary_factors([row[m:] for row in body[m:]])
+    return realize_elementary_factors(dim, 0, top) * realize_elementary_factors(dim, m, bottom)
+
+
 def suite_group(
-    m: int,
-    n: int,
-    r: int,
-    grassmann_n: int = 4,
-    seed: int = 0,
-    trials: int = 5,
-    cap: int | None = None,
+    m: int, n: int, r: int, grassmann_n: int = 4, seed: int = 0, cap: int | None = None
 ) -> list[dict]:
-    """Group-level checks: Berezinian, factorizations, and the diagonal action."""
-    check_cap(m, n, r, cap)
-    if grassmann_n < 2:
-        raise ValueError("the group suite needs at least two Grassmann generators")
+    """Group-level checks: Berezinian, factorizations, and the diagonal action.
+
+    The TRIALS seeded pairs (g, h) are drawn once and one pass over them
+    feeds every sampled check; each product g * h is formed once.
+    """
+    report = rho_theta_equality_report(m, n, r, grassmann_n=grassmann_n, cap=cap)
     dim = SuperDim(m, n)
     N = grassmann_n
-    checks = []
-
-    report = rho_theta_equality_report(m, n, r, grassmann_n=N, cap=cap)
-    first = {"check": "one_parameter_linkage", "pass": report["pass"]}
-    first.update(report)
-    checks.append(first)
-
     ident = SuperMatrix.identity(dim, N)
-    checks.append(
-        _record(
-            "rho_identity",
-            diagonal_operator(ident, r) == TensorOperator.identity(dim, r, N),
-            m=m,
-            n=n,
-            r=r,
-            grassmann_n=N,
-        )
-    )
-
-    rng = random.Random(seed)
-    points = [
-        (random_gl_point(rng, dim, N), random_gl_point(rng, dim, N))
-        for _ in range(trials)
-    ]
-
-    bad = []
-    for t, (g, h) in enumerate(points):
-        if diagonal_operator(g, r) * diagonal_operator(h, r) != diagonal_operator(g * h, r):
-            bad.append(t)
-    checks.append(
-        _record(
-            "rho_homomorphism",
-            not bad,
-            m=m,
-            n=n,
-            r=r,
-            grassmann_n=N,
-            seed=seed,
-            trials=trials,
-            failures=bad[:3],
-        )
-    )
-
     one = GrassmannElement.scalar(N, 1)
-    checks.append(
-        _record(
-            "berezinian_identity",
-            berezinian(ident) == one and berezinian(SuperMatrix.identity(dim)) == 1,
-            m=m,
-            n=n,
-            grassmann_n=N,
-        )
-    )
 
+    bad_one = []
     odd_values = [GrassmannElement.generator(N, 1), GrassmannElement.generator(N, 2)]
     even_values = [GrassmannElement.scalar(N, 3), GrassmannElement.monomial(N, (1, 2))]
-    bad = []
     for i, j, _, slot in _elementary_pairs(dim):
         if i != j:
             for value in odd_values if slot else even_values:
                 if berezinian(transvection(dim, i, j, value, N)) != one:
-                    bad.append([i, j, repr(value)])
+                    bad_one.append([i, j, repr(value)])
     for i in range(1, dim.size + 1):
         for value in _even_invertibles(N):
-            got = berezinian(dilation(dim, i, value, N))
             want = value if i <= m else value.inverse()
-            if got != want:
-                bad.append([i, i, repr(value)])
-    checks.append(
-        _record("berezinian_one_parameter", not bad, m=m, n=n, grassmann_n=N, failures=bad[:3])
-    )
+            if berezinian(dilation(dim, i, value, N)) != want:
+                bad_one.append([i, i, repr(value)])
 
-    bad = []
-    bad_str = []
+    rng = random.Random(seed)
+    points = [(random_gl_point(rng, dim, N), random_gl_point(rng, dim, N)) for _ in range(TRIALS)]
+    bad_rho, bad_ber, bad_str, bad_gen = [], [], [], []
+    bad_ldu = [] if ldu_factor(ident) == (ident, ident, ident) else ["identity"]
     for t, (g, h) in enumerate(points):
-        if berezinian(g * h) != berezinian(g) * berezinian(h):
-            bad.append(t)
-        if supertrace(g * h) != supertrace(h * g):
+        gh = g * h
+        if diagonal_operator(g, r) * diagonal_operator(h, r) != diagonal_operator(gh, r):
+            bad_rho.append(t)
+        if berezinian(gh) != berezinian(g) * berezinian(h):
+            bad_ber.append(t)
+        if supertrace(gh) != supertrace(h * g):
             bad_str.append(t)
-    checks.append(
-        _record(
-            "berezinian_multiplicative",
-            not bad,
-            m=m,
-            n=n,
-            grassmann_n=N,
-            seed=seed,
-            trials=trials,
-            failures=bad[:3],
-        )
-    )
-    checks.append(
-        _record(
-            "supertrace_even_symmetry",
-            not bad_str,
-            m=m,
-            n=n,
-            grassmann_n=N,
-            seed=seed,
-            trials=trials,
-            failures=bad_str[:3],
-        )
-    )
-
-    bad = []
-    idu = ldu_factor(ident)
-    if idu != (ident, ident, ident):
-        bad.append("identity")
-    for t, (g, _) in enumerate(points):
         upper, blockdiag, lower = ldu_factor(g)
         if upper * blockdiag * lower != g:
-            bad.append(t)
-    checks.append(
-        _record(
-            "ldu_reconstruction",
-            not bad,
-            m=m,
-            n=n,
-            grassmann_n=N,
-            seed=seed,
-            trials=trials,
-            failures=bad[:3],
-        )
-    )
-
-    bad = []
-    for t, (g, _) in enumerate(points):
+            bad_ldu.append(t)
         body = g.body_matrix()
-        target = SuperMatrix(dim, body)
-        ops = rational_elementary_factors([row[:m] for row in body[:m]])
-        built = realize_elementary_factors(dim, 0, ops)
-        ops = rational_elementary_factors([row[m:] for row in body[m:]])
-        built = built * realize_elementary_factors(dim, m, ops)
-        if built != target:
-            bad.append(t)
-    checks.append(
+        if _factored_body(dim, body) != SuperMatrix(dim, body):
+            bad_gen.append(t)
+
+    def sampled(name, bad, **where):
+        return _record(name, not bad, **where, seed=seed, trials=TRIALS, failures=bad[:3])
+
+    rho_identity = diagonal_operator(ident, r) == TensorOperator.identity(dim, r, N)
+    ber_identity = berezinian(ident) == one and berezinian(SuperMatrix.identity(dim)) == 1
+    return [
+        {"check": "one_parameter_linkage", **report},
+        _record("rho_identity", rho_identity, m=m, n=n, r=r, grassmann_n=N),
+        sampled("rho_homomorphism", bad_rho, m=m, n=n, r=r, grassmann_n=N),
+        _record("berezinian_identity", ber_identity, m=m, n=n, grassmann_n=N),
         _record(
-            "one_parameter_generation",
-            not bad,
-            m=m,
-            n=n,
-            seed=seed,
-            trials=trials,
-            failures=bad[:3],
-        )
-    )
-    return checks
+            "berezinian_one_parameter", not bad_one, m=m, n=n, grassmann_n=N, failures=bad_one[:3]
+        ),
+        sampled("berezinian_multiplicative", bad_ber, m=m, n=n, grassmann_n=N),
+        sampled("supertrace_even_symmetry", bad_str, m=m, n=n, grassmann_n=N),
+        sampled("ldu_reconstruction", bad_ldu, m=m, n=n, grassmann_n=N),
+        sampled("one_parameter_generation", bad_gen, m=m, n=n),
+    ]
 
 
 def run_suite(
@@ -481,7 +418,6 @@ def run_suite(
     grassmann_n: int = 4,
     seed: int = 0,
     cap: int | None = None,
-    trials: int = 5,
 ) -> list[dict]:
     if name == "bracket":
         return suite_bracket(m, n)
@@ -490,5 +426,5 @@ def run_suite(
     if name == "schurweyl":
         return suite_schurweyl(m, n, r, cap=cap)
     if name == "group":
-        return suite_group(m, n, r, grassmann_n=grassmann_n, seed=seed, trials=trials, cap=cap)
+        return suite_group(m, n, r, grassmann_n=grassmann_n, seed=seed, cap=cap)
     raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")

@@ -227,24 +227,16 @@ class SuperMatrix:
         w = [list(row[m:]) for row in e[m:]]
         return x, y, z, w
 
-    def entry_block_parity(self, i: int, j: int) -> int:
-        """Parity of position (i, j): 0 on diagonal blocks, 1 off them."""
-        return (self.dim.parity(i) + self.dim.parity(j)) % 2
-
     def is_even_point(self) -> bool:
-        """Diagonal blocks even, off-diagonal blocks odd (entrywise)."""
-        for i in range(1, self.dim.size + 1):
-            for j in range(1, self.dim.size + 1):
-                e = self.entries[i - 1][j - 1]
-                want_odd = self.entry_block_parity(i, j) == 1
-                if self.grassmann_n is None:
-                    if want_odd and e != 0:
-                        return False
-                else:
-                    bad = e.even_part() if want_odd else e.odd_part()
-                    if not bad.is_zero():
-                        return False
-        return True
+        """Diagonal blocks even, off-diagonal blocks odd (entrywise); a
+        nonzero rational is even and zero has either parity."""
+        m = self.dim.m
+        rational = self.grassmann_n is None
+        return all(
+            not e or (0 if rational else e.parity()) == int((i < m) != (j < m))
+            for i, row in enumerate(self.entries)
+            for j, e in enumerate(row)
+        )
 
     def body_matrix(self) -> list[list[Fraction]]:
         if self.grassmann_n is None:

@@ -112,6 +112,13 @@ PINNED_STDOUT = {
     "verify actions -m 2 -n 0 -r 2": "7cb82e88c4888c3ca06abef3362e4754bb33e1b3c5f32002a446699be66b5119",
     "verify bracket -m 1 -n 2": "5a4c00f7a01651c52ad5a755641eaf7a83e360bf3c02aec5444154cf132ed25e",
     "verify group -m 0 -n 3 -r 2 --grassmann-n 3": "b666d591cbd46bbe51cd709ff05c1a788875cb305f371aee652d244865a7a90a",
+    # recorded before the group suite drew its sampled pairs once and fed
+    # every sampled check from one pass over them
+    "verify group -m 1 -n 1 -r 2 --grassmann-n 4 --seed 1": "078d4de90a457b5bdd45fd96edc5bcb9968cf990a324f14ce3160fcf1a65e34f",
+    "verify group -m 1 -n 1 -r 3 --grassmann-n 6 --seed 1": "91fd893a7ce6f07e4c07ef12afefdfc95fa60158f6892e5022f87ad68025d454",
+    "verify group -m 2 -n 2 -r 1 --grassmann-n 10 --seed 1": "1db6f6163edef97cf874475fafa4ddec01f0e82adf586515536184babffd28ab",
+    "verify group -m 3 -n 2 -r 1 --grassmann-n 8 --seed 1": "adbabf1d1225b32ce4c8eb482ac26361dba6ac917aa57f775696da495d27ede3",
+    "verify group -m 1 -n 2 -r 2 --grassmann-n 5 --seed 7": "f88fe97339948dddaadf0c222f7c70c9837bc47745337e2fe4717b09b340dff9",
 }
 
 
@@ -143,6 +150,50 @@ def test_failing_records_are_pinned(key, monkeypatch):
     assert not all(record["pass"] for record in records)
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
     assert digest == PINNED_FAILURES[key]
+
+
+def spoiled(fn, wrong):
+    """fn, but wrong(value) on about a third of its inputs.  The inputs are
+    picked by a sha256 of their repr, which is the same in every process
+    (hash(None), part of a rational matrix's hash, is not)."""
+
+    def patched(*args):
+        value = fn(*args)
+        return wrong(value) if hashlib.sha256(repr(args).encode()).digest()[0] % 3 == 0 else value
+
+    return patched
+
+
+# sha256 of the group suite's records when five of the functions it checks
+# return wrong values on some inputs: the order of every failures list is
+# pinned, recorded before the suite fed its sampled checks from one pass
+PINNED_GROUP_FAILURES = {
+    (1, 1, 2, 4, 0): "956f41990aba9035fedaff8e295d5cc97c88e6a433e7f9cd632f9318316d99fd",
+    (2, 1, 2, 4, 0): "eacb0307aedd9e1a175a9a71cd97fa40538cdb16dc10a3e7a47965bcd98f7d99",
+    (1, 2, 1, 5, 7): "f00e096ea729eaf9de0fa29848ba629da21357645214d3085db18da555a10fe0",
+    (2, 2, 1, 4, 0): "ded1428a51bc2159ef49c9b53e8901a64bba3d16f7c376a112ff90c1947a8b79",
+    (2, 0, 2, 3, 0): "83831cbc8feb98c836c38682d73ddc3a90f136ae26d48ba3498ef89b54df8dd8",
+    (0, 2, 1, 3, 7): "fa6e8623e9a73f8a63b18f2fe17622b384a9010664625bdf15071dc311870303",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_GROUP_FAILURES))
+def test_failing_group_records_are_pinned(key, monkeypatch):
+    suites = superschur.suites
+    wrong = {
+        "berezinian": lambda value: value + 1,
+        "supertrace": lambda value: value + 1,
+        "ldu_factor": lambda factors: (factors[0].scale(2),) + factors[1:],
+        "diagonal_operator": lambda op: op.scale(2),
+        "realize_elementary_factors": lambda mat: mat.scale(2),
+    }
+    for name, spoil in wrong.items():
+        monkeypatch.setattr(suites, name, spoiled(getattr(suites, name), spoil))
+    m, n, r, grassmann_n, seed = key
+    records = suites.suite_group(m, n, r, grassmann_n=grassmann_n, seed=seed)
+    assert not all(record["pass"] for record in records)
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_GROUP_FAILURES[key]
 
 
 def pinned_point(m, n, grassmann_n, seed):

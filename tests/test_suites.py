@@ -61,8 +61,8 @@ def test_schurweyl_suite_shape():
 
 
 def test_group_suite_passes_and_is_deterministic():
-    first = suite_group(1, 1, 2, grassmann_n=4, seed=3, trials=3)
-    second = suite_group(1, 1, 2, grassmann_n=4, seed=3, trials=3)
+    first = suite_group(1, 1, 2, grassmann_n=4, seed=3)
+    second = suite_group(1, 1, 2, grassmann_n=4, seed=3)
     assert first == second
     assert all(c["pass"] for c in first)
     assert "one_parameter_linkage" in names(first)

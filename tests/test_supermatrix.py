@@ -398,6 +398,19 @@ def test_even_point_classification():
     assert not bad.is_even_point()
     singular = SuperMatrix(D11, [[x1 * x2, x1], [x2, one]], 2)
     assert singular.is_even_point() and not singular.is_gl_point()
+    zero = GrassmannElement.scalar(2, 0)
+    # a mixed entry on a diagonal block
+    assert not SuperMatrix(D11, [[one + x1, zero], [zero, one]], 2).is_even_point()
+    assert not SuperMatrix(D11, [[one, zero], [zero, x2 + x1 * x2]], 2).is_even_point()
+    # an even nonzero entry off the diagonal blocks, unit or nilpotent
+    assert not SuperMatrix(D11, [[one, one], [zero, one]], 2).is_even_point()
+    assert not SuperMatrix(D11, [[one, zero], [x1 * x2, one]], 2).is_even_point()
+    # zero entries have either parity
+    assert SuperMatrix(D11, [[zero, zero], [zero, zero]], 2).is_even_point()
+    # over Q a nonzero entry off the diagonal blocks is refused, zero is not
+    assert not SuperMatrix(D11, [[1, Fraction(1, 2)], [0, 1]]).is_even_point()
+    assert not SuperMatrix(D11, [[1, 0], [-3, 1]]).is_even_point()
+    assert SuperMatrix(SuperDim(2, 1), [[1, 2, 0], [3, 4, 0], [0, 0, 5]]).is_even_point()
 
 
 def dense_matrix_product(a, b, zero):
