@@ -119,12 +119,14 @@ class SuperMatrix:
 
     @classmethod
     def identity(cls, dim: SuperDim, grassmann_n: int | None = None) -> "SuperMatrix":
+        if grassmann_n is None:
+            zero, one = Fraction(0), Fraction(1)
+        else:
+            zero = GrassmannElement.zero(grassmann_n)
+            one = GrassmannElement.scalar(grassmann_n, 1)
         size = dim.size
-        return cls(
-            dim,
-            [[1 if i == j else 0 for j in range(size)] for i in range(size)],
-            grassmann_n,
-        )
+        rows = [[one if i == j else zero for j in range(size)] for i in range(size)]
+        return cls._from_rows(dim, rows, grassmann_n)
 
     @classmethod
     def zero(cls, dim: SuperDim, grassmann_n: int | None = None) -> "SuperMatrix":
@@ -536,9 +538,9 @@ def transvection(
         value = as_element(value, grassmann_n)
         if not value.is_zero() and value.parity() != want:
             raise ParityError(f"slot ({i},{j}) needs parity {want}")
-    rows = [[1 if r == c else 0 for c in range(size)] for r in range(size)]
+    rows = [list(row) for row in SuperMatrix.identity(dim, grassmann_n).entries]
     rows[i - 1][j - 1] = value
-    return SuperMatrix(dim, rows, grassmann_n)
+    return SuperMatrix._from_rows(dim, rows, grassmann_n)
 
 
 def dilation(
@@ -558,9 +560,9 @@ def dilation(
             raise ParityError("dilation value must be even")
         if value.body() == 0:
             raise NotInvertible("dilation value must have invertible body")
-    rows = [[1 if r == c else 0 for c in range(size)] for r in range(size)]
+    rows = [list(row) for row in SuperMatrix.identity(dim, grassmann_n).entries]
     rows[i - 1][i - 1] = value
-    return SuperMatrix(dim, rows, grassmann_n)
+    return SuperMatrix._from_rows(dim, rows, grassmann_n)
 
 
 # --- the rational Lie superalgebra -----------------------------------------

@@ -16,16 +16,19 @@ Three actions live here:
   (moving an odd letter across odd letters costs a sign).  With that rule
   any two transposition decompositions of a permutation give the same
   operator.
-* derivations: a homogeneous square matrix x acts in each position, the
-  term at position k carrying (-1)^{p(x) * (odd letters strictly before k)}.
-  The per-position signs of the derivation actions all come from
-  ``_position_signs``.
-* the diagonal group action: a GL point g acts in every position at once;
-  expanding the product puts each matrix entry past the new letters to its
-  right, so the entry chosen at position k carries
-  (-1)^{p(entry) * (odd new letters strictly after k)}.  This is the unique
-  sign bookkeeping for which the action is multiplicative under ordinary
-  left-to-right matrix products; the test suite holds it to that.
+* derivations: theta(x) = sum_k x^(k), where x^(k) is x acting at
+  position k alone; a point alpha (x) x acts as alpha * sum_k x^(k).
+* the diagonal group action: rho(g) = g^(0) g^(1) ... g^(r-1), a
+  left-to-right product, so each factor acts after the new letters to its
+  right.  This is the unique sign bookkeeping for which the action is
+  multiplicative under ordinary left-to-right matrix products; the test
+  suite holds it to that.
+
+The last two share one piece, written by ``_one_position`` and keeping the
+only sign rule they use: in x^(k) the entry x_ta that turns letter a into t
+carries (-1)^{(p(t) + p(a)) * o(k)}, where o(k) counts odd letters of the
+word strictly before k for a derivation and strictly after k for a point or
+group element.
 
 Permutations are tuples in one-line notation (1-based images).  Products
 compose left to right on places: ``compose(s, p)(k) = p(s(k))``, and
@@ -34,7 +37,9 @@ compose left to right on places: ``compose(s, p)(k) = p(s(k))``, and
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from fractions import Fraction
 
 from .errors import DimensionError, ParityError
@@ -366,82 +371,76 @@ def permutation_operator(dim: SuperDim, r: int, sigma: Perm) -> TensorOperator:
     return operator_from_transpositions(dim, r, pairs)
 
 
-# --- the derivation action ----------------------------------------------------
+# --- one matrix at one position: the derivation and group actions ------------
 
 
-def _position_signs(dim: SuperDim, word: Word, parity: int, odd_count: str):
-    """Yield (position, sign) for each 0-based position k of the word.
+def _one_position(x: SuperMatrix, r: int, odd_count: str) -> list[TensorOperator]:
+    """The r operators x^(k), the k-th being x acting at 0-based position k
+    alone, over x's ring.
 
-    The sign is (-1)^{parity * o(k)}, where o(k) counts the odd letters
-    strictly before k ("exclusive"), before and at k ("inclusive"), or
-    strictly after k ("suffix").
+    The entry x_ta that turns letter a into t carries (-1)^{(p(t) + p(a)) * o(k)},
+    where o(k) counts the odd letters of the column's word strictly before k
+    ("exclusive"), before and at k ("inclusive"), or strictly after k
+    ("suffix").
     """
-    odd = [dim.parity(letter) for letter in word]
-    after = sum(odd)
-    before = 0
-    for pos, here in enumerate(odd):
-        after -= here
-        if odd_count == "exclusive":
-            o = before
-        elif odd_count == "inclusive":
-            o = before + here
-        else:
-            o = after
-        yield pos, (-1 if (parity * o) & 1 else 1)
-        before += here
-
-
-def _derivation_columns(x: SuperMatrix, r: int, parity: int, odd_count: str):
-    """The columns of sum_k sign_k * (x acting at position k), over Q, with
-    the signs of ``_position_signs``."""
     dim = x.dim
     size = dim.size
-    # the nonzero (target, entry) pairs of each column of x, 0-based
+    odd = [dim.parity(a) for a in range(1, size + 1)]
+    # the nonzero (target, entry, entry parity) triples of each column of x
     x_cols = [
-        [(t, x.entries[t][a]) for t in range(size) if x.entries[t][a]]
+        [(t, x.entries[t][a], odd[t] ^ odd[a]) for t in range(size) if x.entries[t][a]]
         for a in range(size)
     ]
-    strides = [size ** (r - 1 - pos) for pos in range(r)]
-    cols = []
-    for col, word in enumerate(basis_words(dim, r)):
-        acc = {}
-        for pos, sign in _position_signs(dim, word, parity, odd_count):
-            letter = word[pos] - 1
-            for target, coeff in x_cols[letter]:
-                idx = col + (target - letter) * strides[pos]
-                acc[idx] = acc.get(idx, 0) + sign * coeff
-        cols.append({i: e for i, e in acc.items() if e})
-    return cols
+    counted = {
+        "exclusive": lambda word, k: word[:k],
+        "inclusive": lambda word, k: word[: k + 1],
+        "suffix": lambda word, k: word[k + 1 :],
+    }[odd_count]
+    words = basis_words(dim, r)
+    pieces = []
+    for k in range(r):
+        stride = size ** (r - 1 - k)
+        cols = []
+        for col, word in enumerate(words):
+            o = sum(odd[letter - 1] for letter in counted(word, k)) & 1
+            a = word[k] - 1
+            cols.append(
+                {col + (t - a) * stride: -e if p & o else e for t, e, p in x_cols[a]}
+            )
+        pieces.append(TensorOperator._from_cols(dim, r, cols, x.grassmann_n))
+    return pieces
 
 
 def derivation_operator(
     x: SuperMatrix, r: int, odd_count: str = "exclusive"
 ) -> TensorOperator:
-    """Derivation action of a homogeneous rational matrix on degree-r words.
+    """Derivation action theta(x) = sum_k x^(k) of a homogeneous rational
+    matrix on degree-r words.
 
-    The term acting at position k carries (-1)^{p(x) * o(k)} where o(k)
-    counts odd letters strictly before position k ("exclusive").  The
-    "inclusive" variant (counting position k as well) exists only so the
-    test suite can demonstrate that it breaks the bracket homomorphism.
+    The piece at position k carries (-1)^{p(x) * o(k)}, where o(k) counts
+    odd letters strictly before position k ("exclusive").  The "inclusive"
+    variant (counting position k as well) exists only so the test suite can
+    demonstrate that it breaks the bracket homomorphism.
     """
     if x.grassmann_n is not None:
         raise DimensionError("derivation action takes a rational matrix")
-    parity = block_parity(x)
-    if parity is None:
+    if block_parity(x) is None:
         raise ParityError("derivation action needs a homogeneous matrix")
     if odd_count not in ("exclusive", "inclusive"):
         raise ValueError("odd_count must be 'exclusive' or 'inclusive'")
-    return TensorOperator._from_cols(x.dim, r, _derivation_columns(x, r, parity, odd_count))
+    pieces = _one_position(x, r, odd_count)
+    return sum(pieces[1:], pieces[0])
 
 
 def point_derivation_operator(
     x: SuperMatrix, alpha: GrassmannElement, r: int
 ) -> TensorOperator:
-    """Derivation action of the point alpha (x) x, over alpha's algebra.
+    """Derivation action of the point alpha (x) x: alpha times sum_k x^(k),
+    over alpha's algebra.
 
     Requires p(alpha) == p(x).  The coefficient pulled out at position k
-    moves right past the unchanged letters after k, so the term carries
-    (-1)^{p(alpha) * (odd letters strictly after k)} alpha.  With this rule
+    moves right past the unchanged letters after k, so the piece at k counts
+    the odd letters strictly after k ("suffix").  With this rule
     ``diagonal_operator(I + alpha e_ij, r) == identity + this`` holds exactly
     whenever alpha^2 = 0 (odd alpha, or even nilpotent alpha).
     """
@@ -453,66 +452,27 @@ def point_derivation_operator(
     ap = alpha.parity()
     if ap is None or (not alpha.is_zero() and ap != parity):
         raise ParityError("coefficient parity must match the matrix parity")
+    pieces = _one_position(x, r, "suffix")
     cols = [
         {i: point for i, e in col.items() if (point := alpha * e)}
-        for col in _derivation_columns(x, r, ap, "suffix")
+        for col in sum(pieces[1:], pieces[0]).cols
     ]
     return TensorOperator._from_cols(x.dim, r, cols, alpha.num_generators)
 
 
-# --- the diagonal group action -------------------------------------------------
-
-
 def diagonal_operator(g: SuperMatrix, r: int) -> TensorOperator:
-    """The group element g acting in every tensor position at once.
+    """The group element g acting in every tensor position at once:
+    rho(g) = g^(0) g^(1) ... g^(r-1), the left-to-right product of the
+    "suffix" pieces.
 
-    Entry signs: expanding g(word_1) (x) ... (x) g(word_r) left to right, the
-    matrix entry chosen at position k is moved past the new letters in
-    positions k+1..r, picking up (-1)^{p(entry) * sum of their parities}.
-    Entry parity is the block parity p(row) + p(col), which is the actual
-    parity of every entry of an even point.
-
-    The expansion runs one position at a time over every (word, image)
-    prefix pair, so a product of entries shared by many words is formed once.
+    The factor at k acts after those to its right, so the entry chosen at
+    position k moves past the new letters in positions k+1..r, picking up
+    (-1)^{p(entry) * their odd count}.  Entry parity is the block parity
+    p(row) + p(col), the actual parity of every entry of an even point.
+    Factors at different positions commute.
     """
     if not g.is_gl_point():
         raise ParityError("diagonal action is defined on GL points")
-    dim = g.dim
-    size = dim.size
     if r < 1:
         raise DimensionError("tensor degree must be at least 1")
-    parities = [dim.parity(a) for a in range(1, size + 1)]
-    # the nonzero (target, entry, entry parity) triples of each column of g
-    g_cols = [
-        [
-            (t, g.entries[t][a], parities[t] ^ parities[a])
-            for t in range(size)
-            if g.entries[t][a]
-        ]
-        for a in range(size)
-    ]
-    # (word prefix, image prefix, product of entries, sign exponent, sum of
-    # entry parities); a new letter t at position k crosses every entry
-    # chosen before it, adding p(t) * (their parity sum) to the exponent
-    states = [(0, 0, None, 0, 0)]
-    for _ in range(r):
-        grown = []
-        for col, row, product, exponent, carried in states:
-            for a in range(size):
-                for t, entry, entry_parity in g_cols[a]:
-                    p = entry if product is None else product * entry
-                    if p:
-                        grown.append(
-                            (
-                                col * size + a,
-                                row * size + t,
-                                p,
-                                exponent + parities[t] * carried,
-                                carried + entry_parity,
-                            )
-                        )
-        states = grown
-    cols = [{} for _ in range(size ** r)]
-    for col, row, product, exponent, _ in states:
-        cols[col][row] = -product if exponent & 1 else product
-    return TensorOperator._from_cols(dim, r, cols, g.grassmann_n)
+    return functools.reduce(operator.mul, _one_position(g, r, "suffix"))

@@ -17,6 +17,7 @@ from superschur import (
     adjacent_decomposition,
     all_perms,
     basis_words,
+    block_parity,
     compose,
     cycle_decomposition,
     derivation_operator,
@@ -35,6 +36,8 @@ from superschur.grassmann import as_element
 
 D11 = SuperDim(1, 1)
 D21 = SuperDim(2, 1)
+D12 = SuperDim(1, 2)
+D22 = SuperDim(2, 2)
 
 
 def oracle_sign(dim, word, sigma):
@@ -406,7 +409,9 @@ def dense_diagonal_operator(g, r):
     return rows
 
 
-@pytest.mark.parametrize("dim,r", [(D11, 1), (D11, 2), (D11, 3), (D21, 2)])
+@pytest.mark.parametrize(
+    "dim,r", [(D11, 1), (D11, 2), (D11, 3), (D21, 2), (D12, 3), (D22, 2)]
+)
 def test_diagonal_action_matches_dense_expansion(dim, r):
     rng = random.Random(11)
     for _ in range(3):
@@ -419,3 +424,73 @@ def test_diagonal_action_matches_dense_expansion(dim, r):
     assert diagonal_operator(rational, r).matrix == tuple(
         map(tuple, dense_diagonal_operator(rational, r))
     )
+
+
+def dense_derivation_rows(x, r, counted, coeff=None):
+    """Reference derivation action: every (word, position) term expanded on
+    its own, with the sign (-1)^{parity * (odd letters in counted(word, k))}.
+
+    Over Q the term at k is sign * x_ta; given a Grassmann coefficient it is
+    coeff * (sign * x_ta), with the sign taken from the coefficient's parity.
+    """
+    dim = x.dim
+    words = basis_words(dim, r)
+    parity = block_parity(x) if coeff is None else coeff.parity()
+    zero = Fraction(0) if coeff is None else GrassmannElement.zero(coeff.num_generators)
+    rows = [[zero] * len(words) for _ in words]
+    for col, word in enumerate(words):
+        for k in range(r):
+            odd = sum(dim.parity(letter) for letter in counted(word, k))
+            sign = -1 if parity * odd % 2 else 1
+            for t in range(1, dim.size + 1):
+                entry = x.entries[t - 1][word[k] - 1]
+                image = word[:k] + (t,) + word[k + 1 :]
+                term = sign * entry if coeff is None else coeff * (sign * entry)
+                rows[word_index(dim, image)][col] += term
+    return tuple(map(tuple, rows))
+
+
+def homogeneous_matrices(dim, rng):
+    """Every E_ij, plus one random even and one random odd rational matrix."""
+    out = [x for _, _, x in elementary_list(dim)]
+    for want in (0, 1):
+        rows = [
+            [
+                rng.choice(RATIONAL_POOL) if (dim.parity(i) + dim.parity(j)) % 2 == want else 0
+                for j in range(1, dim.size + 1)
+            ]
+            for i in range(1, dim.size + 1)
+        ]
+        out.append(SuperMatrix(dim, rows))
+    return out
+
+
+BEFORE = lambda word, k: word[:k]
+THROUGH = lambda word, k: word[: k + 1]
+AFTER = lambda word, k: word[k + 1 :]
+DERIVATION_CASES = [(dim, r) for dim in (D11, D21, D12, D22) for r in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("dim,r", DERIVATION_CASES)
+def test_derivation_matches_dense_definition(dim, r):
+    for x in homogeneous_matrices(dim, random.Random(13)):
+        for odd_count, counted in (("exclusive", BEFORE), ("inclusive", THROUGH)):
+            assert derivation_operator(x, r, odd_count).matrix == dense_derivation_rows(
+                x, r, counted
+            )
+
+
+# over Lambda_3: odd coefficients, and even ones that square to zero
+ODD_POOL = [_x[0], _x[0] - _x[2] * 2, _x[1] + _x[0] * _x[1] * _x[2]]
+EVEN_NILPOTENT_POOL = [_x[1] * _x[2], _x[0] * _x[2] + _x[1] * _x[2] * Fraction(2, 3)]
+
+
+@pytest.mark.parametrize("dim,r", DERIVATION_CASES)
+def test_point_derivation_matches_dense_definition(dim, r):
+    rng = random.Random(17)
+    for x in homogeneous_matrices(dim, rng):
+        pool = ODD_POOL if block_parity(x) else EVEN_NILPOTENT_POOL
+        alpha = rng.choice(pool)
+        assert point_derivation_operator(x, alpha, r).matrix == dense_derivation_rows(
+            x, r, AFTER, alpha
+        )
