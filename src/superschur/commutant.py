@@ -143,15 +143,6 @@ def flatten(op: TensorOperator) -> Vector:
     return {i * side + j: _exact(e) for j, col in enumerate(op.cols) for i, e in col.items()}
 
 
-def unflatten(dim: SuperDim, r: int, vec: Vector) -> TensorOperator:
-    side = dim.size ** r
-    cols: list[Vector] = [{} for _ in range(side)]
-    for idx, e in vec.items():
-        i, j = divmod(idx, side)
-        cols[j][i] = Fraction(e)
-    return TensorOperator._from_cols(dim, r, cols)
-
-
 def _rows(op: TensorOperator) -> list[Vector]:
     """op's rows as sparse maps: rows[i] = {j: a_ij}."""
     rows: list[Vector] = [{} for _ in range(op.side)]
@@ -265,37 +256,23 @@ class RowSpace:
 
 
 class OperatorSpace:
-    """A rational span of tensor operators with exact membership tests.
-
-    ``vectors`` holds the flattened operators that grew the span, in order;
-    ``operators`` builds them as dense operators when read.
-    """
+    """A rational span of tensor operators with exact membership tests,
+    kept as the row space of the flattened operators."""
 
     def __init__(self, dim: SuperDim, r: int):
         self.dim = dim
         self.r = r
         side = dim.size ** r
         self.space = RowSpace(side * side)
-        self.vectors: list[Vector] = []
 
     @property
     def dimension(self) -> int:
         return self.space.dim
 
-    @property
-    def operators(self) -> list[TensorOperator]:
-        return [unflatten(self.dim, self.r, v) for v in self.vectors]
-
     def add(self, op: TensorOperator) -> bool:
         if op.dim != self.dim or op.r != self.r:
             raise DimensionError("operator lives on a different space")
-        return self.add_vector(flatten(op))
-
-    def add_vector(self, vec: Vector) -> bool:
-        if self.space.add(vec):
-            self.vectors.append(vec)
-            return True
-        return False
+        return self.space.add(flatten(op))
 
     def contains(self, op: TensorOperator) -> bool:
         return self.space.contains(flatten(op))
@@ -324,15 +301,18 @@ def algebra_generated(dim: SuperDim, r: int, generators) -> OperatorSpace:
     """
     side = dim.size ** r
     gens = list(generators)
-    result = span(dim, r, [TensorOperator.identity(dim, r)] + gens)
+    result = OperatorSpace(dim, r)
+    frontier = []
+    for op in [TensorOperator.identity(dim, r)] + gens:
+        if result.add(op):
+            frontier.append(flatten(op))
     gen_rows = [_rows(g) for g in gens]
-    frontier = list(result.vectors)
     while frontier:
         fresh = []
         for left in frontier:
             for rows in gen_rows:
                 candidate = _product(left, rows, side)
-                if result.add_vector(candidate):
+                if result.space.add(candidate):
                     fresh.append(candidate)
         frontier = fresh
     return result
@@ -439,7 +419,7 @@ def centralizer(dim: SuperDim, r: int, generators) -> OperatorSpace:
         for vec in system.kernel()
     ]
     for vec in _lowest_lead_last(expanded):
-        out.add_vector(vec)
+        out.space.add(vec)
     return out
 
 

@@ -160,16 +160,7 @@ class SuperMatrix:
         if not isinstance(other, SuperMatrix):
             return NotImplemented
         self._check_compatible(other)
-        zero = self.zero_element
-        rows = []
-        for a_row in self.entries:
-            out = [zero] * self.dim.size
-            for a, b_row in zip(a_row, other.entries):
-                if a:
-                    for j, b in enumerate(b_row):
-                        if b:
-                            out[j] = out[j] + a * b
-            rows.append(out)
+        rows = _block_product(self.entries, other.entries, self.dim.size, self.zero_element)
         return SuperMatrix._from_rows(self.dim, rows, self.grassmann_n)
 
     def __add__(self, other):
@@ -450,18 +441,23 @@ def supertrace(mat: SuperMatrix):
 
 
 def _block_product(a, b, width, zero):
-    """a * b for blocks given as lists of rows; b has ``width`` columns."""
-    return [
-        [
-            sum((x * b_row[j] for x, b_row in zip(a_row, b) if x and b_row[j]), zero)
-            for j in range(width)
-        ]
-        for a_row in a
-    ]
+    """a * b for blocks given as lists of rows, b with ``width`` columns,
+    over the nonzero entries of both, each term formed left factor first."""
+    rows = []
+    for a_row in a:
+        out = [zero] * width
+        for x, b_row in zip(a_row, b):
+            if x:
+                for j, y in enumerate(b_row):
+                    if y:
+                        out[j] = out[j] + x * y
+        rows.append(out)
+    return rows
 
 
 def _schur_parts(mat: SuperMatrix):
-    """det W, W^-1, W^-1 Z and X - Y W^-1 Z for a GL point [[X, Y], [Z, W]].
+    """det W, W^-1, W^-1 Z and X - Y W^-1 Z for an even point [[X, Y], [Z, W]],
+    or None when the body of W is singular.
 
     One elimination of [W | I | Z] gives det W, W^-1 and W^-1 Z.
     """
@@ -470,7 +466,9 @@ def _schur_parts(mat: SuperMatrix):
     m, n = mat.dim.m, mat.dim.n
     ident = [[one if i == j else zero for j in range(n)] for i in range(n)]
     rhs = [i_row + z_row for i_row, z_row in zip(ident, z)]
-    det_w, work, _, _ = _gauss_jordan(w, rhs, zero, one)
+    det_w, work, stuck, _ = _gauss_jordan(w, rhs, zero, one)
+    if stuck is not None:
+        return None
     w_inv = [row[n : 2 * n] for row in work]
     winv_z = [row[2 * n :] for row in work]
     y_winv_z = _block_product(y, winv_z, m, zero)
@@ -482,11 +480,15 @@ def _schur_parts(mat: SuperMatrix):
 
 
 def berezinian(mat: SuperMatrix):
-    """det(W)^{-1} det(X - Y W^{-1} Z) for a GL point [[X, Y], [Z, W]]."""
-    if not mat.is_gl_point():
-        raise NotInvertible("Berezinian needs a GL point")
-    det_w, _, _, schur = _schur_parts(mat)
-    return _inverse(det_w) * even_det(schur, mat.zero_element, mat.one_element)
+    """det(W)^{-1} det(X - Y W^{-1} Z) for a GL point [[X, Y], [Z, W]]; an
+    even point is one exactly when W and X - Y W^-1 Z eliminate to the end."""
+    parts = _schur_parts(mat) if mat.is_even_point() else None
+    if parts is not None:
+        det_w, _, _, schur = parts
+        det_s, _, stuck, _ = _gauss_jordan(schur, (), mat.zero_element, mat.one_element)
+        if stuck is None:
+            return _inverse(det_w) * det_s
+    raise NotInvertible("Berezinian needs a GL point")
 
 
 def ldu_factor(mat: SuperMatrix):

@@ -1,4 +1,5 @@
-"""Partitions and their standard / semistandard super fillings.
+"""Partitions, their standard-filling counts and their semistandard super
+fillings.
 
 A filling of a partition shape uses two ordered alphabets, t_1 < ... < t_m
 followed by u_1 < ... < u_n, encoded as integers 1..m for the t's and
@@ -47,36 +48,6 @@ def is_partition(shape: Shape) -> bool:
 def _check_shape(shape: Shape):
     if not is_partition(shape):
         raise DimensionError(f"{shape!r} is not a partition")
-
-
-def enumerate_syt(shape: Shape) -> list[Filling]:
-    """All standard fillings: 1..r each once, rows and columns increasing.
-
-    Built by placing 1, 2, ..., r in turn at every frontier cell (first free
-    cell of some row, not longer than the row above).
-    """
-    _check_shape(shape)
-    rows = len(shape)
-    filled = [0] * rows  # boxes already placed in each row
-    grid = [[0] * width for width in shape]
-    total = sum(shape)
-    out: list[Filling] = []
-
-    def place(value: int):
-        if value > total:
-            out.append(tuple(tuple(row) for row in grid))
-            return
-        for i in range(rows):
-            if filled[i] < shape[i] and (i == 0 or filled[i] < filled[i - 1]):
-                j = filled[i]
-                grid[i][j] = value
-                filled[i] += 1
-                place(value + 1)
-                filled[i] -= 1
-                grid[i][j] = 0
-
-    place(1)
-    return out
 
 
 def count_syt(shape: Shape) -> int:
@@ -136,37 +107,6 @@ def count_ssyt(shape: Shape, m: int, n: int) -> int:
     return len(enumerate_ssyt(shape, m, n))
 
 
-def is_semistandard(filling: Filling, m: int, n: int) -> bool:
-    """Check the three conditions directly (used as a cross-check)."""
-    shape = tuple(len(row) for row in filling)
-    if not is_partition(shape) and shape != ():
-        return False
-    t_counts = []
-    for row in filling:
-        ts = [s for s in row if s <= m]
-        # all t's first
-        if any(s <= m for s in row[len(ts):]):
-            return False
-        t_counts.append(len(ts))
-    if any(a < b for a, b in zip(t_counts, t_counts[1:])):
-        return False
-    for i, row in enumerate(filling):
-        for j, sym in enumerate(row):
-            if j + 1 < len(row):
-                right = row[j + 1]
-                if sym <= m and right <= m and sym > right:
-                    return False
-                if sym > m and right > m and sym >= right:
-                    return False
-            if i + 1 < len(filling) and j < len(filling[i + 1]):
-                below = filling[i + 1][j]
-                if sym <= m and below <= m and sym >= below:
-                    return False
-                if sym > m and below > m and sym > below:
-                    return False
-    return True
-
-
 def symbol_name(sym: int, m: int) -> str:
     return f"t{sym}" if sym <= m else f"u{sym - m}"
 
@@ -197,7 +137,3 @@ def dimension_table(m: int, n: int, r: int) -> list[dict]:
         )
     return table
 
-
-def multiplicity_sum(m: int, n: int, r: int) -> int:
-    """Sum over shapes of (standard count) * (semistandard count)."""
-    return sum(row["syt"] * row["ssyt"] for row in dimension_table(m, n, r))

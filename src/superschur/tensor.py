@@ -325,12 +325,6 @@ class TensorOperator:
         ring = "Q" if self.grassmann_n is None else f"Lambda_{self.grassmann_n}"
         return f"TensorOperator(({self.dim.m}|{self.dim.n})^r={self.r} over {ring})"
 
-    def apply_word(self, word: Word) -> list:
-        """The image column of a basis word, as a dense coefficient list."""
-        col = self.cols[word_index(self.dim, word)]
-        zero = self.zero_element
-        return [col.get(i, zero) for i in range(self.side)]
-
 
 def _fill(op: TensorOperator, dim: SuperDim, r: int, grassmann_n, cols) -> None:
     setattr_ = object.__setattr__

@@ -611,3 +611,20 @@ def test_wire_input_meets_the_exit_code_contract(value):
             assert err == "" and json.loads(out)
         else:
             assert (code, out, err) == (1, "", NOT_GL[command])
+
+
+def test_even_points_with_a_singular_body_exit_1(monkeypatch, capsys):
+    # W's body singular, then X's, on (1|1) and (2|1) over Lambda_2
+    one, zero = GrassmannElement.scalar(2, 1), GrassmannElement.zero(2)
+    x1, x2 = GrassmannElement.generator(2, 1), GrassmannElement.generator(2, 2)
+    points = [
+        (SuperDim(1, 1), [[one, x1], [x2, x1 * x2]]),
+        (SuperDim(1, 1), [[x1 * x2, x1], [x2, one]]),
+        (SuperDim(2, 1), [[one, zero, x1], [zero, one, zero], [x2, zero, x1 * x2]]),
+        (SuperDim(2, 1), [[one, zero, zero], [zero, x1 * x2, x1], [zero, x2, one]]),
+    ]
+    for dim, rows in points:
+        text = json.dumps(SuperMatrix(dim, rows, 2).to_json())
+        for command, message in NOT_GL.items():
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            assert run_cli([command, "-"], capsys) == (1, "", message), (rows, command)

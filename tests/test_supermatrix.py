@@ -95,6 +95,25 @@ def test_berezinian_needs_gl_point():
         berezinian(mat)
 
 
+def test_berezinian_refuses_even_points_with_a_singular_body():
+    # W's body is singular, so W's elimination sticks; then X's body is,
+    # so the Schur complement's elimination sticks (its body is X's)
+    one, x1, x2 = grassmann_pair()
+    zero = GrassmannElement.zero(2)
+    points = [
+        SuperMatrix(D11, [[one, x1], [x2, x1 * x2]], 2),
+        SuperMatrix(D11, [[x1 * x2, x1], [x2, one]], 2),
+        SuperMatrix(D21, [[one, zero, x1], [zero, one, zero], [x2, zero, x1 * x2]], 2),
+        SuperMatrix(D21, [[one, zero, zero], [zero, x1 * x2, x1], [zero, x2, one]], 2),
+    ]
+    for mat in points:
+        assert mat.is_even_point()
+        with pytest.raises(NotInvertible, match="^Berezinian needs a GL point$"):
+            berezinian(mat)
+        with pytest.raises(NotInvertible):
+            ldu_factor(mat)
+
+
 def test_transvections_compose_additively():
     one, x1, x2 = grassmann_pair()
     left = transvection(D11, 1, 2, x1, 2)
