@@ -17,8 +17,10 @@ parity P has bit j set when m1 has an odd number of bits above j, so the
 sign against a disjoint right mask m2 is the parity of popcount(P & m2).
 P is computed once per left monomial.
 
-``terms``, the {mask: Fraction} view, is built only when it is read
-(serialization, repr); intermediate products never build it.
+``terms``, the {mask: Fraction} view, is built only when it is read (repr);
+intermediate products never build it.  The wire codec reads and writes
+coefficients as integer numerator and denominator pairs, so it builds no
+Fraction either.
 
 N is fixed per element and mixing elements from different algebras raises
 DimensionError rather than embedding one algebra in the other.
@@ -26,6 +28,7 @@ DimensionError rather than embedding one algebra in the other.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -374,14 +377,16 @@ class GrassmannElement:
     def to_json(self) -> dict:
         """Wire format: {"n": N, "terms": [{"gens": [...], "coeff": "p/q"}]}.
 
-        Terms are sorted by (degree, mask) so output is deterministic.
+        Terms are sorted by (degree, mask) so output is deterministic; each
+        coefficient is written in lowest terms, as str(Fraction) writes it.
         """
-        coeffs = self.terms
+        num, den = self._num, self._den
         terms = []
-        for mask in sorted(coeffs, key=lambda m: (m.bit_count(), m)):
-            terms.append(
-                {"gens": list(_mask_indices(mask)), "coeff": str(coeffs[mask])}
-            )
+        for mask in sorted(num, key=lambda m: (m.bit_count(), m)):
+            g = gcd(num[mask], den)
+            p, q = num[mask] // g, den // g
+            coeff = str(p) if q == 1 else f"{p}/{q}"
+            terms.append({"gens": list(_mask_indices(mask)), "coeff": coeff})
         return {"n": self.num_generators, "terms": terms}
 
     @classmethod
@@ -392,7 +397,7 @@ class GrassmannElement:
         if not is_json_int(n) or n < 0:
             raise FormatError("'n' must be a nonnegative integer")
         check_generators(n)
-        terms: dict[int, Fraction] = {}
+        parts: dict[int, tuple[int, int]] = {}
         if not isinstance(data["terms"], list):
             raise FormatError("'terms' must be a list")
         for term in data["terms"]:
@@ -412,11 +417,21 @@ class GrassmannElement:
                     )
                 mask |= 1 << (i - 1)
                 prev = i
-            coeff = rational_from_json(term["coeff"], "coefficient")
-            if mask in terms:
+            coeff = rational_parts(term["coeff"], "coefficient")
+            if mask in parts:
                 raise FormatError("duplicate monomial in terms")
-            terms[mask] = coeff
-        return cls(n, terms)
+            parts[mask] = coeff
+        # reduced p/q over the lcm of the q's are already in lowest terms
+        den = lcm(*(q for p, q in parts.values() if p))
+        num = {mask: p * (den // q) for mask, (p, q) in parts.items() if p}
+        return cls._wrap(n, num, den)
+
+    @classmethod
+    def scalar_from_json(cls, num_generators: int, value) -> "GrassmannElement":
+        """A matrix entry sent as a bare wire rational (see rational_parts),
+        as a scalar of Lambda_N."""
+        p, q = rational_parts(value, "entry")
+        return cls._wrap(num_generators, {0: p} if p else {}, q)
 
 
 def is_json_int(value) -> bool:
@@ -425,22 +440,44 @@ def is_json_int(value) -> bool:
     return type(value) is int
 
 
-def rational_from_json(value, what: str) -> Fraction:
-    """A wire rational: an integer or a "p/q" string.
+# The whole grammar of a wire rational string.  [0-9] is ASCII only, where
+# Fraction() would also take a '+' sign, spaces, underscores, decimal points
+# and other scripts' digits.
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
-    Floats, Infinity and NaN among them, are refused: a JSON float is a
-    binary approximation, not the rational the sender meant.  So are strings
-    with a decimal exponent, before Fraction sees them: a few bytes such as
-    "1e999999999" would ask it for an unbounded integer.
+
+def rational_parts(value, what: str) -> tuple[int, int]:
+    """A wire rational as (p, q) in lowest terms with q > 0.
+
+    The wire takes a JSON integer or a string matching -?[0-9]+(/[0-9]+)?
+    and refuses everything else with FormatError.  Floats, Infinity and NaN
+    among them, are refused: a JSON float is a binary approximation, not the
+    rational the sender meant.  A string with a decimal exponent gets its
+    own message: it is the form a float sender would try next.
     """
-    if type(value) not in (int, str):
-        raise FormatError(f"{what} {value!r} must be an integer or a 'p/q' string")
-    if type(value) is str and ("e" in value or "E" in value):
-        raise FormatError(f"{what} {value!r} has an exponent; send 'p/q'")
+    if type(value) is int:
+        return value, 1
+    if type(value) is not str:
+        raise FormatError(f"{what} {_shown(value)} must be an integer or a 'p/q' string")
+    if "e" in value or "E" in value:
+        raise FormatError(f"{what} {_shown(value)} has an exponent; send 'p/q'")
+    match = _RATIONAL.fullmatch(value)
+    if match is None:
+        raise FormatError(f"bad rational {what} {_shown(value)}; send an integer or 'p/q'")
     try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad rational {what} {value!r}") from exc
+        p, q = int(match[1]), int(match[2] or 1)
+    except ValueError as exc:  # more digits than int() converts
+        raise FormatError(f"rational {what} has too many digits") from exc
+    if q == 0:
+        raise FormatError(f"rational {what} {_shown(value)} has a zero denominator")
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+def _shown(value) -> str:
+    """repr(value) cut to 40 characters: a refusal need not echo a megabyte."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def as_element(value, num_generators: int) -> GrassmannElement:

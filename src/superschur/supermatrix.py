@@ -29,7 +29,7 @@ from .grassmann import (
     as_element,
     check_generators,
     is_json_int,
-    rational_from_json,
+    rational_parts,
 )
 
 
@@ -285,8 +285,8 @@ class SuperMatrix:
         ):
             raise FormatError(f"'entries' must be a {size}x{size} array")
         if ring == "Q":
-            rows = [[rational_from_json(e, "entry") for e in row] for row in entries]
-            return cls(dim, rows)
+            rows = [[Fraction(*rational_parts(e, "entry")) for e in row] for row in entries]
+            return cls._from_rows(dim, rows)
         if ring == "grassmann":
             gn = data.get("grassmann_n")
             if not is_json_int(gn) or gn < 0:
@@ -304,11 +304,9 @@ class SuperMatrix:
                             )
                         parsed.append(elem)
                     else:
-                        parsed.append(
-                            GrassmannElement.scalar(gn, rational_from_json(e, "entry"))
-                        )
+                        parsed.append(GrassmannElement.scalar_from_json(gn, e))
                 rows.append(parsed)
-            return cls(dim, rows, gn)
+            return cls._from_rows(dim, rows, gn)
         raise FormatError("'ring' must be 'Q' or 'grassmann'")
 
 

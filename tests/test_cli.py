@@ -367,24 +367,52 @@ def test_wire_refuses_floats_and_bools(tmp_path, capsys, text):
     assert code == 2 and out == "" and err.startswith("superschur: ")
 
 
+def rational_payloads(coeff):
+    """(1|0) points carrying coeff as a Q entry, as a scalar Lambda_1 entry
+    and as the coefficient of a Lambda_1 element."""
+    element = {"n": 1, "terms": [{"gens": [], "coeff": coeff}]}
+    return [
+        json.dumps({"m": 1, "n": 0, "ring": "Q", "entries": [[coeff]]}),
+        json.dumps({"m": 1, "n": 0, "ring": "grassmann", "grassmann_n": 1, "entries": [[coeff]]}),
+        json.dumps({"m": 1, "n": 0, "ring": "grassmann", "grassmann_n": 1, "entries": [[element]]}),
+    ]
+
+
 def test_wire_refuses_exponent_strings(monkeypatch, capsys):
     # "1e5" comes first: were exponents accepted again, the test fails on it
     # before Fraction is asked to expand the huge forms
     for coeff in ("1e5", "1E5", "1e999999999", "1e-999999999"):
-        element = {"n": 1, "terms": [{"gens": [], "coeff": coeff}]}
-        for text in (
-            json.dumps({"m": 1, "n": 0, "ring": "Q", "entries": [[coeff]]}),
-            json.dumps(
-                {"m": 1, "n": 0, "ring": "grassmann", "grassmann_n": 1, "entries": [[coeff]]}
-            ),
-            json.dumps(
-                {"m": 1, "n": 0, "ring": "grassmann", "grassmann_n": 1, "entries": [[element]]}
-            ),
-        ):
+        for text in rational_payloads(coeff):
             monkeypatch.setattr(sys, "stdin", io.StringIO(text))
             code, out, err = run_cli(["berezinian", "-"], capsys)
             assert (code, out) == (2, ""), coeff
             assert "exponent" in err, coeff
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    [
+        "1.5",
+        "+3",
+        " 2",
+        "1_000",
+        "\u0661",  # ARABIC-INDIC DIGIT ONE, which int() reads as 1
+        "1/-2",
+        "1 / 2",
+        "1/0",
+        pytest.param("7" * 5000, id="5000-digits"),
+        pytest.param("7" * 5000 + "/0", id="5000-digits-over-zero"),
+        pytest.param("x" * 5000, id="5000-letters"),
+    ],
+)
+def test_wire_refuses_strings_outside_the_grammar(monkeypatch, capsys, coeff):
+    # a wire rational string is -?[0-9]+(/[0-9]+)?, whatever else int() or
+    # Fraction() would read; the refusal quotes a long string only in part
+    for text in rational_payloads(coeff):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run_cli(["berezinian", "-"], capsys)
+        assert (code, out) == (2, "") and err.startswith("superschur: "), text[:80]
+        assert len(err) < 200, err[:200]
 
 
 def test_wire_takes_integers_and_fraction_strings(tmp_path, capsys):

@@ -159,12 +159,26 @@ def test_json_shape():
         {"n": 2, "terms": [{"gens": [3], "coeff": "1"}]},
         {"n": 2, "terms": [{"gens": [1], "coeff": "x"}]},
         {"n": 2, "terms": [{"gens": [1]}]},
+        {"n": 2, "terms": [{"gens": [1], "coeff": "0"}, {"gens": [1], "coeff": "1"}]},
         "nonsense",
     ],
 )
 def test_json_rejects_malformed(payload):
     with pytest.raises(FormatError):
         GrassmannElement.from_json(payload)
+
+
+def test_json_builds_the_lowest_terms_form():
+    # unreduced and mixed denominators, alone and together
+    coeffs = {0: "2/4", 1: "-6/9", 2: "1/3", 3: "5"}
+    for masks in ([0], [1], [2], [3], [0, 1, 2, 3]):
+        wire = [{"gens": [i + 1 for i in range(2) if m >> i & 1], "coeff": coeffs[m]} for m in masks]
+        parsed = GrassmannElement.from_json({"n": 2, "terms": wire})
+        built = GrassmannElement(2, {m: Fraction(coeffs[m]) for m in masks})
+        assert (parsed._den, parsed._num, hash(parsed)) == (built._den, built._num, hash(built))
+    for zero in ("0", "0/7", "-0", 0):
+        parsed = GrassmannElement.from_json({"n": 1, "terms": [{"gens": [1], "coeff": zero}]})
+        assert (parsed._den, parsed._num) == (1, {})
 
 
 def test_repr_is_readable():
