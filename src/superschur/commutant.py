@@ -2,7 +2,8 @@
 
 An operator on a word space of side D is flattened row-major into a sparse
 vector ``{i * D + j: entry}`` of width D^2 that holds only its nonzero
-entries.  Entries are ints or Fractions, never floats.
+entries.  Entries come in the form ``exact_rational`` gives: an int when
+integral, else a Fraction, never a float.
 
 ``RowSpace`` keeps a subspace in reduced row-echelon form, one sparse
 integer row per pivot: the row's lowest nonzero column, where every other
@@ -58,6 +59,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import CapExceeded, DimensionError
+from .grassmann import exact_rational
 from .supermatrix import SuperDim, SuperMatrix
 from .tableaux import dimension_table
 from .tensor import TensorOperator, transposition_operator, derivation_operator
@@ -78,19 +80,11 @@ def check_cap(m: int, n: int, r: int, cap: int | None) -> int:
     return side
 
 
-def _exact(e):
-    """e as an int when it is integral, else as a Fraction."""
-    if type(e) is int:
-        return e
-    e = Fraction(e)
-    return e.numerator if e.denominator == 1 else e
-
-
 def _ratio(a, b):
     """a / b exactly: an int when it is integral, else a Fraction."""
     if type(a) is int and type(b) is int and a % b == 0:
         return a // b
-    return _exact(Fraction(a) / b)
+    return exact_rational(Fraction(a) / b)
 
 
 def _sparse(vec, width: int) -> Vector:
@@ -107,7 +101,7 @@ def _sparse(vec, width: int) -> Vector:
     out = {c: e for c, e in items if e}
     if all(type(e) is int for e in out.values()):
         return out
-    exact = {c: Fraction(e) for c, e in out.items()}
+    exact = {c: exact_rational(e) for c, e in out.items()}
     scale = lcm(*(e.denominator for e in exact.values()))
     return {c: e.numerator * (scale // e.denominator) for c, e in exact.items() if e}
 
@@ -140,7 +134,7 @@ def flatten(op: TensorOperator) -> Vector:
     if op.grassmann_n is not None:
         raise DimensionError("row spaces hold rational operators only")
     side = op.side
-    return {i * side + j: _exact(e) for j, col in enumerate(op.cols) for i, e in col.items()}
+    return {i * side + j: exact_rational(e) for j, col in enumerate(op.cols) for i, e in col.items()}
 
 
 def _rows(op: TensorOperator) -> list[Vector]:
@@ -148,7 +142,7 @@ def _rows(op: TensorOperator) -> list[Vector]:
     rows: list[Vector] = [{} for _ in range(op.side)]
     for j, col in enumerate(op.cols):
         for i, e in col.items():
-            rows[i][j] = _exact(e)
+            rows[i][j] = exact_rational(e)
     return rows
 
 
@@ -352,7 +346,7 @@ def centralizer(dim: SuperDim, r: int, generators) -> OperatorSpace:
     for g in generators:
         if g.dim != dim or g.r != r:
             raise DimensionError("operator lives on a different space")
-        cols = [{i: _exact(e) for i, e in col.items()} for col in g.cols]
+        cols = [{i: exact_rational(e) for i, e in col.items()} for col in g.cols]
         if all(col.keys() <= {j} for j, col in enumerate(cols)):
             diagonal.append([col.get(j, 0) for j, col in enumerate(cols)])
         elif all(len(col) == 1 for col in cols) and len({i for col in cols for i in col}) == side:

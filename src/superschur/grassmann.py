@@ -95,7 +95,8 @@ class GrassmannElement:
                     f"monomial mask {mask} out of range for N={num_generators}"
                 )
             if not isinstance(coeff, Fraction):
-                coeff = Fraction(coeff)
+                # an int; exact_rational refuses floats, bools and the rest
+                coeff = Fraction(exact_rational(coeff))
             if coeff:
                 cleaned[mask] = coeff
         # reduced Fractions over their lcm are already in lowest terms
@@ -147,7 +148,7 @@ class GrassmannElement:
 
     @classmethod
     def scalar(cls, num_generators: int, value) -> "GrassmannElement":
-        return cls(num_generators, {0: Fraction(value)})
+        return cls(num_generators, {0: value})
 
     @classmethod
     def zero(cls, num_generators: int) -> "GrassmannElement":
@@ -158,7 +159,7 @@ class GrassmannElement:
         """The generator x_index, 1-based."""
         if not 1 <= index <= num_generators:
             raise DimensionError(f"generator index {index} not in 1..{num_generators}")
-        return cls(num_generators, {1 << (index - 1): Fraction(1)})
+        return cls(num_generators, {1 << (index - 1): 1})
 
     @classmethod
     def monomial(cls, num_generators: int, indices, coeff=1) -> "GrassmannElement":
@@ -172,7 +173,7 @@ class GrassmannElement:
                 raise FormatError("monomial indices must be strictly increasing")
             mask |= 1 << (i - 1)
             prev = i
-        return cls(num_generators, {mask: Fraction(coeff)})
+        return cls(num_generators, {mask: coeff})
 
     # --- structure ----------------------------------------------------
 
@@ -472,6 +473,17 @@ def rational_parts(value, what: str) -> tuple[int, int]:
         raise FormatError(f"rational {what} {_shown(value)} has a zero denominator")
     g = gcd(p, q)
     return p // g, q // g
+
+
+def exact_rational(value):
+    """A rational in its one exact form: an int when it is integral, else a
+    Fraction.  Floats, bools and every other type raise TypeError: a float
+    is a binary approximation, and True is not a number anyone meant."""
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(f"{_shown(value)} is not an int or a Fraction")
 
 
 def _shown(value) -> str:

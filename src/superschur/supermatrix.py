@@ -28,6 +28,7 @@ from .grassmann import (
     GrassmannElement,
     as_element,
     check_generators,
+    exact_rational,
     is_json_int,
     rational_parts,
 )
@@ -56,7 +57,13 @@ class SuperDim:
 
 
 class SuperMatrix:
-    """A square matrix over Q (``grassmann_n is None``) or Lambda_N."""
+    """A square matrix over Q (``grassmann_n is None``) or Lambda_N.
+
+    A rational entry is an int when it is integral and a Fraction otherwise
+    (see exact_rational), so integer matrices multiply in int arithmetic.  A
+    product of Fractions that comes out integral may stay a Fraction; it
+    compares and hashes equal to the int, so equality never sees the form.
+    """
 
     __slots__ = ("dim", "grassmann_n", "entries")
 
@@ -78,8 +85,9 @@ class SuperMatrix:
 
     @classmethod
     def _from_rows(cls, dim: SuperDim, rows, grassmann_n: int | None = None) -> "SuperMatrix":
-        """Wrap rows whose entries are already Fractions (over Q) or elements
-        of Lambda_N, skipping the coercion of every entry."""
+        """Wrap rows whose entries are already exact, ints or Fractions over
+        Q and elements of Lambda_N otherwise, skipping the coercion of every
+        entry."""
         mat = object.__new__(cls)
         object.__setattr__(mat, "dim", dim)
         object.__setattr__(mat, "grassmann_n", grassmann_n)
@@ -93,20 +101,20 @@ class SuperMatrix:
     def _as_rational(e):
         if isinstance(e, GrassmannElement):
             raise DimensionError("rational matrix cannot hold Grassmann entries")
-        return Fraction(e)
+        return exact_rational(e)
 
     # --- ring plumbing --------------------------------------------------
 
     @property
     def zero_element(self):
         if self.grassmann_n is None:
-            return Fraction(0)
+            return 0
         return GrassmannElement.zero(self.grassmann_n)
 
     @property
     def one_element(self):
         if self.grassmann_n is None:
-            return Fraction(1)
+            return 1
         return GrassmannElement.scalar(self.grassmann_n, 1)
 
     def _check_compatible(self, other: "SuperMatrix"):
@@ -120,7 +128,7 @@ class SuperMatrix:
     @classmethod
     def identity(cls, dim: SuperDim, grassmann_n: int | None = None) -> "SuperMatrix":
         if grassmann_n is None:
-            zero, one = Fraction(0), Fraction(1)
+            zero, one = 0, 1
         else:
             zero = GrassmannElement.zero(grassmann_n)
             one = GrassmannElement.scalar(grassmann_n, 1)
@@ -139,9 +147,8 @@ class SuperMatrix:
         size = dim.size
         if not (1 <= i <= size and 1 <= j <= size):
             raise DimensionError(f"position ({i},{j}) not in 1..{size}")
-        zero = Fraction(0)
-        rows = [[zero] * size for _ in range(size)]
-        rows[i - 1][j - 1] = Fraction(1)
+        rows = [[0] * size for _ in range(size)]
+        rows[i - 1][j - 1] = 1
         return cls._from_rows(dim, rows)
 
     def lift(self, grassmann_n: int) -> "SuperMatrix":
@@ -185,7 +192,7 @@ class SuperMatrix:
 
     def scale(self, value) -> "SuperMatrix":
         """Multiply every entry by a central scalar (int or Fraction)."""
-        factor = Fraction(value)
+        factor = exact_rational(value)
         rows = [[e * factor if e else e for e in row] for row in self.entries]
         return SuperMatrix._from_rows(self.dim, rows, self.grassmann_n)
 
@@ -202,8 +209,10 @@ class SuperMatrix:
         return hash((self.dim, self.grassmann_n, self.entries))
 
     def __repr__(self):
+        # rational entries print as Fractions whatever their stored form
+        show = repr if self.grassmann_n is not None else lambda e: repr(Fraction(e))
         body = "; ".join(
-            "[" + ", ".join(repr(e) for e in row) + "]" for row in self.entries
+            "[" + ", ".join(show(e) for e in row) + "]" for row in self.entries
         )
         ring = "Q" if self.grassmann_n is None else f"Lambda_{self.grassmann_n}"
         return f"SuperMatrix({self.dim.m}|{self.dim.n} over {ring}: {body})"
@@ -231,7 +240,7 @@ class SuperMatrix:
             for j, e in enumerate(row)
         )
 
-    def body_matrix(self) -> list[list[Fraction]]:
+    def body_matrix(self) -> list[list]:
         if self.grassmann_n is None:
             return [list(row) for row in self.entries]
         return [[e.body() for e in row] for row in self.entries]
@@ -242,9 +251,8 @@ class SuperMatrix:
             return False
         m = self.dim.m
         body = self.body_matrix()
-        zero, one = Fraction(0), Fraction(1)
         return all(
-            _gauss_jordan(block, (), zero, one)[2] is None
+            _gauss_jordan(block, (), 0, 1)[2] is None
             for block in ([row[:m] for row in body[:m]], [row[m:] for row in body[m:]])
         )
 
@@ -285,7 +293,8 @@ class SuperMatrix:
         ):
             raise FormatError(f"'entries' must be a {size}x{size} array")
         if ring == "Q":
-            rows = [[Fraction(*rational_parts(e, "entry")) for e in row] for row in entries]
+            parts = ([rational_parts(e, "entry") for e in row] for row in entries)
+            rows = [[p if q == 1 else Fraction(p, q) for p, q in row] for row in parts]
             return cls._from_rows(dim, rows)
         if ring == "grassmann":
             gn = data.get("grassmann_n")
@@ -406,12 +415,12 @@ def even_det(rows, zero=None, one=None):
     if any(len(r) != size for r in rows):
         raise DimensionError("determinant needs a square matrix")
     if zero is None or one is None:
-        sample = rows[0][0] if size else Fraction(0)
+        sample = rows[0][0] if size else 0
         if isinstance(sample, GrassmannElement):
             zero = GrassmannElement.zero(sample.num_generators)
             one = GrassmannElement.scalar(sample.num_generators, 1)
         else:
-            zero, one = Fraction(0), Fraction(1)
+            zero, one = 0, 1
     return _det_times(rows, one, zero, one)
 
 
@@ -531,7 +540,7 @@ def transvection(
         raise DimensionError(f"position ({i},{j}) not in 1..{size}")
     want = (dim.parity(i) + dim.parity(j)) % 2
     if grassmann_n is None:
-        value = Fraction(value)
+        value = exact_rational(value)
         if want == 1 and value != 0:
             raise ParityError("odd slot needs an odd element, not a rational")
     else:
@@ -551,7 +560,7 @@ def dilation(
     if not 1 <= i <= size:
         raise DimensionError(f"index {i} not in 1..{size}")
     if grassmann_n is None:
-        value = Fraction(value)
+        value = exact_rational(value)
         if value == 0:
             raise NotInvertible("dilation value must be invertible")
     else:
@@ -693,7 +702,7 @@ def rational_elementary_factors(block: list[list[Fraction]]):
     size = len(block)
     if any(len(r) != size for r in block):
         raise DimensionError("need a square block")
-    rows = [[Fraction(e) for e in row] for row in block]
+    rows = [[Fraction(exact_rational(e)) for e in row] for row in block]
     _, _, stuck, steps = _gauss_jordan(rows, (), Fraction(0), Fraction(1))
     if stuck is not None:
         raise NotInvertible("block is singular")

@@ -40,10 +40,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from fractions import Fraction
 
 from .errors import DimensionError, ParityError
-from .grassmann import GrassmannElement, as_element
+from .grassmann import GrassmannElement, as_element, exact_rational
 from .supermatrix import SuperDim, SuperMatrix, block_parity
 
 Word = tuple[int, ...]
@@ -163,9 +162,10 @@ def _check_decomposition(sigma: Perm, pairs) -> None:
 class TensorOperator:
     """Endomorphism of the r-fold tensor power, over Q or Lambda_N.
 
-    ``cols[j]`` maps each row i to the nonzero entry (i, j): a Fraction over
-    Q, a GrassmannElement over Lambda_N.  Zeros are never stored, so equal
-    operators have equal column maps.
+    ``cols[j]`` maps each row i to the nonzero entry (i, j): over Q an int
+    when it is integral and a Fraction otherwise, as in SuperMatrix; over
+    Lambda_N a GrassmannElement.  Zeros are never stored, so equal operators
+    have equal column maps.
     """
 
     __slots__ = ("dim", "r", "grassmann_n", "cols")
@@ -177,7 +177,7 @@ class TensorOperator:
         if len(rows) != side or any(len(row) != side for row in rows):
             raise DimensionError(f"operator matrix must be {side}x{side}")
         if grassmann_n is None:
-            exact = Fraction
+            exact = exact_rational
         else:
             exact = lambda e: as_element(e, grassmann_n)
         cols = [{} for _ in range(side)]
@@ -207,7 +207,7 @@ class TensorOperator:
     @property
     def zero_element(self):
         if self.grassmann_n is None:
-            return Fraction(0)
+            return 0
         return GrassmannElement.zero(self.grassmann_n)
 
     @property
@@ -225,7 +225,7 @@ class TensorOperator:
     def identity(
         cls, dim: SuperDim, r: int, grassmann_n: int | None = None
     ) -> "TensorOperator":
-        one = Fraction(1) if grassmann_n is None else GrassmannElement.scalar(grassmann_n, 1)
+        one = 1 if grassmann_n is None else GrassmannElement.scalar(grassmann_n, 1)
         return cls._from_cols(dim, r, [{j: one} for j in range(dim.size ** r)], grassmann_n)
 
     @classmethod
@@ -300,7 +300,7 @@ class TensorOperator:
         return self._combine(other, subtract=True)
 
     def scale(self, value) -> "TensorOperator":
-        factor = Fraction(value)
+        factor = exact_rational(value)
         cols = [
             {i: e * factor for i, e in col.items()} if factor else {}
             for col in self.cols
@@ -334,9 +334,6 @@ def _fill(op: TensorOperator, dim: SuperDim, r: int, grassmann_n, cols) -> None:
     setattr_(op, "cols", tuple(cols))
 
 
-_SIGN = {1: Fraction(1), -1: Fraction(-1)}
-
-
 # --- the symmetric group action ----------------------------------------------
 
 
@@ -345,7 +342,7 @@ def transposition_operator(dim: SuperDim, r: int, i: int, j: int) -> TensorOpera
     cols = []
     for word in basis_words(dim, r):
         sign, image = swap_letters(dim, word, i, j)
-        cols.append({word_index(dim, image): _SIGN[sign]})
+        cols.append({word_index(dim, image): sign})
     return TensorOperator._from_cols(dim, r, cols)
 
 

@@ -465,7 +465,12 @@ def test_product_matches_dense_reference(pair):
     want = dense_matrix_product(a.entries, b.entries, a.zero_element)
     got = a * b
     assert got == SuperMatrix(a.dim, want, a.grassmann_n)
-    assert all(type(e) is type(a.zero_element) for row in got.entries for e in row)
+    if a.grassmann_n is None:
+        assert all(type(e) in (int, Fraction) for row in got.entries for e in row)
+        if all(type(e) is int for m in pair for row in m.entries for e in row):
+            assert all(type(e) is int for row in got.entries for e in row)
+    else:
+        assert all(type(e) is GrassmannElement for row in got.entries for e in row)
     assert a + b == SuperMatrix(
         a.dim, [[x + y for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)], a.grassmann_n
     )
