@@ -7,8 +7,15 @@ as a bitmask over the generator set, kept in the canonical ascending order.
 An element stores one int numerator per monomial over one common positive
 denominator, in lowest terms: den > 0, gcd(den, every numerator) = 1 and no
 numerator is zero.  The form is unique, so equality compares (N, den,
-numerators).  Products and sums work on the numerators and normalize once,
-by a single gcd; no Fraction is built on the way.
+numerators).  Sums work on the numerators and normalize once, by a single
+gcd; no Fraction is built on the way.
+
+Every product goes through one kernel, ``sum_of_products``, which returns
+start + x1*y1 + ... + xk*yk.  It brings all terms to one common denominator,
+the lcm of the start's and of each x._den * y._den, merges every monomial
+pair into one dict of int numerators, drops the zeros and reduces once.  A
+matrix, elimination or tensor entry of k terms is thus one reduced element,
+not 2k - 1 of them; ``x * y`` is the kernel on the single pair (x, y).
 
 Multiplying two monomials merges their masks with the sign (-1)^k, where k
 counts the pairs (i in the left mask, j in the right mask) with i > j, the
@@ -47,20 +54,6 @@ def check_generators(num_generators: int) -> None:
             f"Grassmann generator count {num_generators} exceeds the cap of "
             f"{MAX_GENERATORS}"
         )
-
-
-def _prefix_parity(mask: int) -> int:
-    """Bit j is set when ``mask`` has an odd number of bits above j.
-
-    Suffix XOR of mask >> 1 by doubling shifts; four steps cover the
-    MAX_GENERATORS = 16 bits.
-    """
-    p = mask >> 1
-    p ^= p >> 1
-    p ^= p >> 2
-    p ^= p >> 4
-    p ^= p >> 8
-    return p
 
 
 def _mask_indices(mask: int) -> tuple[int, ...]:
@@ -270,23 +263,7 @@ class GrassmannElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        num: dict[int, int] = {}
-        get = num.get
-        right = other._num.items()
-        for m1, c1 in self._num.items():
-            p = _prefix_parity(m1)
-            for m2, c2 in right:
-                if m1 & m2:
-                    continue  # repeated generator squares to zero
-                merged = m1 | m2
-                if (p & m2).bit_count() & 1:
-                    num[merged] = get(merged, 0) - c1 * c2
-                else:
-                    num[merged] = get(merged, 0) + c1 * c2
-        num = {m: c for m, c in num.items() if c}
-        return GrassmannElement._reduce(
-            self.num_generators, num, self._den * other._den
-        )
+        return sum_of_products(self.num_generators, ((self, other),))
 
     def __rmul__(self, other):
         # only scalars reach here, and scalars are central
@@ -433,6 +410,53 @@ class GrassmannElement:
         as a scalar of Lambda_N."""
         p, q = rational_parts(value, "entry")
         return cls._wrap(num_generators, {0: p} if p else {}, q)
+
+
+def sum_of_products(num_generators: int, pairs, start=None) -> GrassmannElement:
+    """start + sum of x * y over the (x, y) pairs, all in Lambda_N, reduced once.
+
+    Each term is formed left factor first, since odd elements anticommute.
+    The numerators are summed over the lcm of the start's denominator and
+    each x._den * y._den, zeros are dropped once, and one gcd brings the sum
+    to lowest terms.  ``pairs`` is a sequence; it is read twice.
+    """
+    den = 1 if start is None else start._den
+    for x, y in pairs:
+        d = x._den * y._den
+        if d != den:
+            den = lcm(den, d)
+    if start is None or not start._num:
+        num: dict[int, int] = {}
+    elif start._den == den:
+        num = dict(start._num)
+    else:
+        scale = den // start._den
+        num = {m: c * scale for m, c in start._num.items()}
+    get = num.get
+    for x, y in pairs:
+        scale = den // (x._den * y._den)
+        right = y._num.items()
+        for m1, c1 in x._num.items():
+            # the prefix parity P of m1: suffix XOR of m1 >> 1 by doubling
+            # shifts, four steps for MAX_GENERATORS = 16 bits (inline, as
+            # a call here costs more than the shifts)
+            p = m1 >> 1
+            p ^= p >> 1
+            p ^= p >> 2
+            p ^= p >> 4
+            p ^= p >> 8
+            if scale != 1:
+                c1 *= scale
+            for m2, c2 in right:
+                if m1 & m2:
+                    continue  # repeated generator squares to zero
+                merged = m1 | m2
+                if (p & m2).bit_count() & 1:
+                    num[merged] = get(merged, 0) - c1 * c2
+                else:
+                    num[merged] = get(merged, 0) + c1 * c2
+    num = {m: c for m, c in num.items() if c}
+    return GrassmannElement._reduce(num_generators, num, den)
 
 
 def is_json_int(value) -> bool:

@@ -4,7 +4,9 @@ Rows and columns 1..m are even, m+1..m+n are odd.  An even point has even
 entries on the diagonal blocks and odd entries off them; a GL point is an
 even point whose two diagonal blocks have invertible rational body.  Matrix
 products are the ordinary row-by-column ones with factors multiplied left to
-right, which matters once entries anticommute.
+right, which matters once entries anticommute.  Over Lambda_N each product
+entry, and each entry a row operation updates, is one call of the Grassmann
+kernel ``sum_of_products``, so it is normalized once, not once per term.
 
 Determinants, inverses, the Berezinian, the LDU factors and the elementary
 factorization all come from one Gauss-Jordan elimination that divides only
@@ -31,6 +33,7 @@ from .grassmann import (
     exact_rational,
     is_json_int,
     rational_parts,
+    sum_of_products,
 )
 
 
@@ -332,6 +335,11 @@ def _inverse(e):
     return e.inverse() if isinstance(e, GrassmannElement) else 1 / Fraction(e)
 
 
+def _generators(zero):
+    """N for the ring Lambda_N that ``zero`` lives in; None over Q."""
+    return zero.num_generators if isinstance(zero, GrassmannElement) else None
+
+
 def _gauss_jordan(rows, rhs, zero, one):
     """Reduce [rows | rhs] towards [I | rows^-1 rhs], dividing only by units.
 
@@ -350,6 +358,7 @@ def _gauss_jordan(rows, rhs, zero, one):
     for row, extra in zip(work, rhs):
         row.extend(extra)
     width = len(work[0]) if work else 0
+    n = _generators(zero)
     det = one
     steps = []
     for col in range(size):
@@ -374,9 +383,15 @@ def _gauss_jordan(rows, rhs, zero, one):
             factor = row[col]
             if r != col and factor:
                 row[col] = zero
-                for j in range(col + 1, width):
-                    if prow[j]:
-                        row[j] = row[j] - factor * prow[j]
+                if n is not None:
+                    neg = -factor
+                    for j in range(col + 1, width):
+                        if prow[j]:
+                            row[j] = sum_of_products(n, ((neg, prow[j]),), row[j])
+                else:
+                    for j in range(col + 1, width):
+                        if prow[j]:
+                            row[j] = row[j] - factor * prow[j]
                 steps.append(("add", r, col, factor))
     return det, work, None, steps
 
@@ -449,35 +464,53 @@ def supertrace(mat: SuperMatrix):
 
 def _block_product(a, b, width, zero):
     """a * b for blocks given as lists of rows, b with ``width`` columns,
-    over the nonzero entries of both, each term formed left factor first."""
+    over the nonzero entries of both, each term formed left factor first.
+    Over Lambda_N the terms of each entry are collected first and summed by
+    one sum_of_products call."""
+    n = _generators(zero)
     rows = []
     for a_row in a:
         out = [zero] * width
-        for x, b_row in zip(a_row, b):
-            if x:
-                for j, y in enumerate(b_row):
-                    if y:
-                        out[j] = out[j] + x * y
+        if n is None:
+            for x, b_row in zip(a_row, b):
+                if x:
+                    for j, y in enumerate(b_row):
+                        if y:
+                            out[j] = out[j] + x * y
+        else:
+            terms = {}
+            for x, b_row in zip(a_row, b):
+                if x:
+                    for j, y in enumerate(b_row):
+                        if y:
+                            if j in terms:
+                                terms[j].append((x, y))
+                            else:
+                                terms[j] = [(x, y)]
+            for j, pairs in terms.items():
+                out[j] = sum_of_products(n, pairs)
         rows.append(out)
     return rows
 
 
-def _schur_parts(mat: SuperMatrix):
-    """det W, W^-1, W^-1 Z and X - Y W^-1 Z for an even point [[X, Y], [Z, W]],
-    or None when the body of W is singular.
+def _schur_parts(mat: SuperMatrix, with_inverse: bool):
+    """det W, W^-1 (None unless ``with_inverse``), W^-1 Z and X - Y W^-1 Z
+    for an even point [[X, Y], [Z, W]], or None when the body of W is
+    singular.
 
-    One elimination of [W | I | Z] gives det W, W^-1 and W^-1 Z.
+    One elimination of [W | I | Z], or of [W | Z] without the inverse,
+    gives det W, W^-1 and W^-1 Z.
     """
     zero, one = mat.zero_element, mat.one_element
     x, y, z, w = mat.blocks()
     m, n = mat.dim.m, mat.dim.n
-    ident = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    rhs = [i_row + z_row for i_row, z_row in zip(ident, z)]
+    k = n if with_inverse else 0  # identity columns carried along
+    rhs = [[one if i == j else zero for j in range(k)] + z_row for i, z_row in enumerate(z)]
     det_w, work, stuck, _ = _gauss_jordan(w, rhs, zero, one)
     if stuck is not None:
         return None
-    w_inv = [row[n : 2 * n] for row in work]
-    winv_z = [row[2 * n :] for row in work]
+    w_inv = [row[n : n + k] for row in work] if with_inverse else None
+    winv_z = [row[n + k :] for row in work]
     y_winv_z = _block_product(y, winv_z, m, zero)
     schur = [
         [a - b if b else a for a, b in zip(x_row, p_row)]
@@ -489,7 +522,7 @@ def _schur_parts(mat: SuperMatrix):
 def berezinian(mat: SuperMatrix):
     """det(W)^{-1} det(X - Y W^{-1} Z) for a GL point [[X, Y], [Z, W]]; an
     even point is one exactly when W and X - Y W^-1 Z eliminate to the end."""
-    parts = _schur_parts(mat) if mat.is_even_point() else None
+    parts = _schur_parts(mat, with_inverse=False) if mat.is_even_point() else None
     if parts is not None:
         det_w, _, _, schur = parts
         det_s, _, stuck, _ = _gauss_jordan(schur, (), mat.zero_element, mat.one_element)
@@ -509,7 +542,7 @@ def ldu_factor(mat: SuperMatrix):
         raise NotInvertible("LDU factorization needs a GL point")
     zero, one = mat.zero_element, mat.one_element
     m, n = mat.dim.m, mat.dim.n
-    _, w_inv, winv_z, schur = _schur_parts(mat)
+    _, w_inv, winv_z, schur = _schur_parts(mat, with_inverse=True)
     _, y, _, w = mat.blocks()
     y_winv = _block_product(y, w_inv, n, zero)
 

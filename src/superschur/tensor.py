@@ -42,7 +42,7 @@ import itertools
 import operator
 
 from .errors import DimensionError, ParityError
-from .grassmann import GrassmannElement, as_element, exact_rational
+from .grassmann import GrassmannElement, as_element, exact_rational, sum_of_products
 from .supermatrix import SuperDim, SuperMatrix, block_parity
 
 Word = tuple[int, ...]
@@ -256,13 +256,27 @@ class TensorOperator:
         """(AB)[:, j] = sum_k A[:, k] B[k, j], over the nonzeros of both.
 
         Each term is formed as a * b, in that order: odd Grassmann entries
-        anticommute.
+        anticommute.  Over Lambda_N the pairs of each output entry are
+        collected first and summed by one sum_of_products call.
         """
         if not isinstance(other, TensorOperator):
             return NotImplemented
         self._check_compatible(other)
         a_cols = self.cols
         cols = []
+        n = self.grassmann_n
+        if n is not None:
+            for b_col in other.cols:
+                terms = {}
+                for k, b in b_col.items():
+                    for i, a in a_cols[k].items():
+                        if i in terms:
+                            terms[i].append((a, b))
+                        else:
+                            terms[i] = [(a, b)]
+                sums = ((i, sum_of_products(n, pairs)) for i, pairs in terms.items())
+                cols.append({i: e for i, e in sums if e})
+            return TensorOperator._from_cols(self.dim, self.r, cols, n)
         for b_col in other.cols:
             acc = {}
             for k, b in b_col.items():

@@ -119,6 +119,9 @@ PINNED_STDOUT = {
     "verify group -m 2 -n 2 -r 1 --grassmann-n 10 --seed 1": "1db6f6163edef97cf874475fafa4ddec01f0e82adf586515536184babffd28ab",
     "verify group -m 3 -n 2 -r 1 --grassmann-n 8 --seed 1": "adbabf1d1225b32ce4c8eb482ac26361dba6ac917aa57f775696da495d27ede3",
     "verify group -m 1 -n 2 -r 2 --grassmann-n 5 --seed 7": "f88fe97339948dddaadf0c222f7c70c9837bc47745337e2fe4717b09b340dff9",
+    # recorded before Lambda_N matrix, elimination and tensor entries were
+    # each summed by one multiply-accumulate call
+    "verify group -m 2 -n 2 -r 3": "1091ff5f3db58eb9de3add418642c85820540d59179fbee4342bcb7649b35eb6",
 }
 
 

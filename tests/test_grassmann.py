@@ -1,5 +1,6 @@
 """Exact arithmetic in finite Grassmann algebras."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superschur import CapExceeded, DimensionError, FormatError, GrassmannElement, as_element
-from superschur.grassmann import MAX_GENERATORS, _prefix_parity
+from superschur.grassmann import MAX_GENERATORS, sum_of_products
+
+from grassmann_oracles import (
+    merge_sign,
+    nonzero,
+    prefix_parity,
+    ref_add,
+    ref_mul,
+    ref_sum_of_products,
+)
 
 N = 3
 
@@ -226,41 +236,8 @@ def test_json_refuses_exponent_strings():
 # --- a plain {mask: Fraction} reference ---------------------------------------
 
 
-def _merge_sign(left_mask, right_mask):
-    # number of pairs (i in left, j in right) with i > j, i.e. crossings
-    # when the concatenation is re-sorted
-    crossings = 0
-    j = right_mask
-    while j:
-        low = j & -j
-        crossings += (left_mask >> low.bit_length()).bit_count()
-        j ^= low
-    return -1 if crossings & 1 else 1
-
-
-def _nonzero(terms):
-    return {m: c for m, c in terms.items() if c}
-
-
-def ref_add(a, b):
-    out = dict(a)
-    for m, c in b.items():
-        out[m] = out.get(m, Fraction(0)) + c
-    return _nonzero(out)
-
-
 def ref_neg(a):
     return {m: -c for m, c in a.items()}
-
-
-def ref_mul(a, b):
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            if not m1 & m2:
-                merged = m1 | m2
-                out[merged] = out.get(merged, Fraction(0)) + c1 * c2 * _merge_sign(m1, m2)
-    return _nonzero(out)
 
 
 def ref_inverse(a, num_generators):
@@ -313,7 +290,7 @@ def reference_triples(draw):
         st.integers(min_value=1, max_value=12),
     )
     masks = st.integers(min_value=0, max_value=(1 << num_generators) - 1)
-    terms = st.dictionaries(masks, coeffs, max_size=6).map(_nonzero)
+    terms = st.dictionaries(masks, coeffs, max_size=6).map(nonzero)
     return num_generators, draw(terms), draw(terms), draw(terms)
 
 
@@ -346,8 +323,8 @@ def test_integer_form_matches_fraction_reference(triple):
                 e.inverse()
         assert (e.body(), e.is_zero()) == (r.get(0, Fraction(0)), not r)
     for scalar in (3, Fraction(-5, 6), 0):
-        assert_matches(a * scalar, ref_mul(ra, _nonzero({0: Fraction(scalar)})), n)
-        assert_matches(scalar + a, ref_add(ra, _nonzero({0: Fraction(scalar)})), n)
+        assert_matches(a * scalar, ref_mul(ra, nonzero({0: Fraction(scalar)})), n)
+        assert_matches(scalar + a, ref_add(ra, nonzero({0: Fraction(scalar)})), n)
     assert (a == b) == (ra == rb)
     assert (a == ra.get(0, 0)) == (set(ra) <= {0})
 
@@ -381,7 +358,7 @@ def test_sums_and_products_cancel_common_factors():
 
 def test_prefix_parity_matches_its_definition():
     for mask in range(1 << MAX_GENERATORS):
-        p = _prefix_parity(mask)
+        p = prefix_parity(mask)
         assert p < 1 << MAX_GENERATORS
         for j in range(MAX_GENERATORS):
             assert (p >> j) & 1 == (mask >> (j + 1)).bit_count() & 1, (mask, j)
@@ -391,11 +368,89 @@ def test_merge_signs_match_the_crossing_count():
     # every ordered pair of disjoint masks on 6 generators
     n = 6
     for m1 in range(1 << n):
-        p = _prefix_parity(m1)
+        p = prefix_parity(m1)
         left = GrassmannElement(n, {m1: 1})
         for m2 in range(1 << n):
             if m1 & m2:
                 continue
             sign = -1 if (p & m2).bit_count() & 1 else 1
-            assert sign == _merge_sign(m1, m2)
+            assert sign == merge_sign(m1, m2)
             assert (left * GrassmannElement(n, {m2: 1})).terms == {m1 | m2: sign}
+    # and sampled disjoint pairs at the generator cap, where every shift
+    # step of the prefix parity counts
+    rng = random.Random(16)
+    n = MAX_GENERATORS
+    for _ in range(2000):
+        m1 = rng.getrandbits(n)
+        m2 = rng.getrandbits(n) & ~m1
+        product = GrassmannElement(n, {m1: 1}) * GrassmannElement(n, {m2: 1})
+        assert product.terms == {m1 | m2: merge_sign(m1, m2)}
+
+
+# --- the multiply-accumulate kernel ------------------------------------------
+
+
+def mixed_elements(num_generators, parity=None):
+    """Elements of Lambda_N whose coefficients have assorted denominators,
+    optionally of one parity."""
+    coeffs = st.builds(
+        Fraction,
+        st.integers(min_value=-12, max_value=12),
+        st.integers(min_value=1, max_value=12),
+    )
+    masks = st.integers(min_value=0, max_value=(1 << num_generators) - 1)
+    if parity is not None:
+        masks = masks.filter(lambda m: m.bit_count() % 2 == parity)
+    return st.dictionaries(masks, coeffs, max_size=5).map(
+        lambda terms: GrassmannElement(num_generators, terms)
+    )
+
+
+@st.composite
+def kernel_cases(draw):
+    """N <= 6, up to five (x, y) pairs and a start that may be None."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    element = mixed_elements(n)
+    pairs = draw(st.lists(st.tuples(element, element), max_size=5))
+    return n, pairs, draw(st.none() | element)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases())
+def test_sum_of_products_matches_term_by_term_reference(case):
+    n, pairs, start = case
+    assert_matches(sum_of_products(n, pairs, start), ref_sum_of_products(pairs, start), n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(st.just(n), mixed_elements(n, parity=1), mixed_elements(n, parity=1))
+))
+def test_sum_of_products_keeps_odd_factors_in_order(case):
+    n, x, y = case
+    xy = sum_of_products(n, [(x, y)])
+    assert xy == -(y * x)
+    assert_matches(xy, ref_mul(x.terms, y.terms), n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.tuples(st.just(n), mixed_elements(n), mixed_elements(n))
+))
+def test_sum_of_products_cancels_to_the_canonical_zero(case):
+    n, x, y = case
+    zero = GrassmannElement.zero(n)
+    for total in (
+        sum_of_products(n, [(x, y), (-x, y)]),
+        sum_of_products(n, [(x, -y)], x * y),
+        sum_of_products(n, [(x, y)], -(x * y)),
+    ):
+        assert total == zero and hash(total) == hash(zero)
+        assert total._den == 1 and not total._num
+
+
+def test_sum_of_products_of_no_pairs():
+    start = GrassmannElement(3, {0: Fraction(1, 6), 5: Fraction(-4, 9)})
+    assert sum_of_products(3, [], start) == start
+    empty = sum_of_products(3, [])
+    assert empty == GrassmannElement.zero(3) and empty._den == 1

@@ -33,6 +33,8 @@ from superschur import (
 from superschur.grassmann import MAX_GENERATORS
 from superschur.supermatrix import _nth_mask, _random_element
 
+from grassmann_oracles import ref_matrix_product
+
 D11 = SuperDim(1, 1)
 D21 = SuperDim(2, 1)
 
@@ -477,3 +479,29 @@ def test_product_matches_dense_reference(pair):
     assert a - b == SuperMatrix(
         a.dim, [[x - y for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)], a.grassmann_n
     )
+
+
+def grassmann_entries(num_generators):
+    """Entries of Lambda_N with assorted denominators, zero a third of the time."""
+    coeffs = st.builds(
+        Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=6)
+    )
+    masks = st.integers(min_value=0, max_value=(1 << num_generators) - 1)
+    elements = st.dictionaries(masks, coeffs, max_size=3).map(
+        lambda terms: GrassmannElement(num_generators, terms)
+    )
+    return st.one_of(st.just(GrassmannElement.zero(num_generators)), elements, elements)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([D11, D21, SuperDim(2, 2)]), st.data())
+def test_grassmann_product_matches_term_by_term_reference(dim, data):
+    size = dim.size
+    rows = st.lists(
+        st.lists(grassmann_entries(4), min_size=size, max_size=size), min_size=size, max_size=size
+    )
+    a, b = SuperMatrix(dim, data.draw(rows), 4), SuperMatrix(dim, data.draw(rows), 4)
+    got = a * b
+    want = ref_matrix_product(a.entries, b.entries)
+    assert [[e.terms for e in row] for row in got.entries] == want
+    assert got == SuperMatrix(dim, [[GrassmannElement(4, t) for t in row] for row in want], 4)

@@ -34,6 +34,8 @@ from superschur import (
 )
 from superschur.grassmann import as_element
 
+from grassmann_oracles import ref_matrix_product
+
 D11 = SuperDim(1, 1)
 D21 = SuperDim(2, 1)
 D12 = SuperDim(1, 2)
@@ -494,3 +496,21 @@ def test_point_derivation_matches_dense_definition(dim, r):
         assert point_derivation_operator(x, alpha, r).matrix == dense_derivation_rows(
             x, r, AFTER, alpha
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(D11, 1), (D11, 2), (D21, 1)]), st.data())
+def test_grassmann_operator_product_matches_term_by_term_reference(case, data):
+    dim, r = case
+    side = dim.size ** r
+    coeffs = st.builds(
+        Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=6)
+    )
+    masks = st.integers(min_value=0, max_value=15)
+    element = st.dictionaries(masks, coeffs, max_size=3).map(lambda t: GrassmannElement(4, t))
+    entry = st.one_of(st.just(0), st.just(0), element)
+    rows = st.lists(st.lists(entry, min_size=side, max_size=side), min_size=side, max_size=side)
+    a, b = TensorOperator(dim, r, data.draw(rows), 4), TensorOperator(dim, r, data.draw(rows), 4)
+    got = a * b
+    assert [[e.terms for e in row] for row in got.matrix] == ref_matrix_product(a.matrix, b.matrix)
+    assert all(e for col in got.cols for e in col.values())
