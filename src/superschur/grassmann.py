@@ -10,7 +10,7 @@ numerator is zero.  The form is unique, so equality compares (N, den,
 numerators).  Sums work on the numerators and normalize once, by a single
 gcd; no Fraction is built on the way.
 
-Every product goes through one kernel, ``sum_of_products``, which returns
+Every product goes through one kernel, ``_sum_of_products``, which returns
 start + x1*y1 + ... + xk*yk.  It brings all terms to one common denominator,
 the lcm of the start's and of each x._den * y._den, merges every monomial
 pair into one dict of int numerators, drops the zeros and reduces once.  A
@@ -263,7 +263,7 @@ class GrassmannElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return sum_of_products(self.num_generators, ((self, other),))
+        return _sum_of_products(self.num_generators, ((self, other),))
 
     def __rmul__(self, other):
         # only scalars reach here, and scalars are central
@@ -412,13 +412,14 @@ class GrassmannElement:
         return cls._wrap(num_generators, {0: p} if p else {}, q)
 
 
-def sum_of_products(num_generators: int, pairs, start=None) -> GrassmannElement:
+def _sum_of_products(num_generators: int, pairs, start=None) -> GrassmannElement:
     """start + sum of x * y over the (x, y) pairs, all in Lambda_N, reduced once.
 
     Each term is formed left factor first, since odd elements anticommute.
     The numerators are summed over the lcm of the start's denominator and
     each x._den * y._den, zeros are dropped once, and one gcd brings the sum
-    to lowest terms.  ``pairs`` is a sequence; it is read twice.
+    to lowest terms.  ``pairs`` must be a list or tuple: it is read twice,
+    so an iterator would be used up by the denominator pass.
     """
     den = 1 if start is None else start._den
     for x, y in pairs:

@@ -6,7 +6,7 @@ even point whose two diagonal blocks have invertible rational body.  Matrix
 products are the ordinary row-by-column ones with factors multiplied left to
 right, which matters once entries anticommute.  Over Lambda_N each product
 entry, and each entry a row operation updates, is one call of the Grassmann
-kernel ``sum_of_products``, so it is normalized once, not once per term.
+kernel ``_sum_of_products``, so it is normalized once, not once per term.
 
 Determinants, inverses, the Berezinian, the LDU factors and the elementary
 factorization all come from one Gauss-Jordan elimination that divides only
@@ -28,12 +28,12 @@ from fractions import Fraction
 from .errors import DimensionError, FormatError, NotInvertible, ParityError
 from .grassmann import (
     GrassmannElement,
+    _sum_of_products,
     as_element,
     check_generators,
     exact_rational,
     is_json_int,
     rational_parts,
-    sum_of_products,
 )
 
 
@@ -352,6 +352,9 @@ def _gauss_jordan(rows, rhs, zero, one):
     remains, with only nilpotent entries in its first column.  ``steps``
     lists the row operations in order: ("swap", col, row), ("scale", col,
     pivot) and ("add", row, col, factor) for row -= factor * row col.
+
+    Over Lambda_N, rational entries of ``rows`` and ``rhs`` are lifted first,
+    since the row update hands every entry to the Grassmann kernel.
     """
     size = len(rows)
     work = [list(row) for row in rows]
@@ -359,6 +362,8 @@ def _gauss_jordan(rows, rhs, zero, one):
         row.extend(extra)
     width = len(work[0]) if work else 0
     n = _generators(zero)
+    if n is not None:
+        work = [[as_element(e, n) for e in row] for row in work]
     det = one
     steps = []
     for col in range(size):
@@ -387,7 +392,7 @@ def _gauss_jordan(rows, rhs, zero, one):
                     neg = -factor
                     for j in range(col + 1, width):
                         if prow[j]:
-                            row[j] = sum_of_products(n, ((neg, prow[j]),), row[j])
+                            row[j] = _sum_of_products(n, ((neg, prow[j]),), row[j])
                 else:
                     for j in range(col + 1, width):
                         if prow[j]:
@@ -466,7 +471,8 @@ def _block_product(a, b, width, zero):
     """a * b for blocks given as lists of rows, b with ``width`` columns,
     over the nonzero entries of both, each term formed left factor first.
     Over Lambda_N the terms of each entry are collected first and summed by
-    one sum_of_products call."""
+    one _sum_of_products call; over Q adding each term in place is faster
+    than collecting them."""
     n = _generators(zero)
     rows = []
     for a_row in a:
@@ -488,7 +494,7 @@ def _block_product(a, b, width, zero):
                             else:
                                 terms[j] = [(x, y)]
             for j, pairs in terms.items():
-                out[j] = sum_of_products(n, pairs)
+                out[j] = _sum_of_products(n, pairs)
         rows.append(out)
     return rows
 

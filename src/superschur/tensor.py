@@ -42,7 +42,7 @@ import itertools
 import operator
 
 from .errors import DimensionError, ParityError
-from .grassmann import GrassmannElement, as_element, exact_rational, sum_of_products
+from .grassmann import GrassmannElement, _sum_of_products, as_element, exact_rational
 from .supermatrix import SuperDim, SuperMatrix, block_parity
 
 Word = tuple[int, ...]
@@ -257,7 +257,8 @@ class TensorOperator:
 
         Each term is formed as a * b, in that order: odd Grassmann entries
         anticommute.  Over Lambda_N the pairs of each output entry are
-        collected first and summed by one sum_of_products call.
+        collected first and summed by one _sum_of_products call; over Q
+        adding each term in place is faster than collecting them.
         """
         if not isinstance(other, TensorOperator):
             return NotImplemented
@@ -274,7 +275,7 @@ class TensorOperator:
                             terms[i].append((a, b))
                         else:
                             terms[i] = [(a, b)]
-                sums = ((i, sum_of_products(n, pairs)) for i, pairs in terms.items())
+                sums = ((i, _sum_of_products(n, pairs)) for i, pairs in terms.items())
                 cols.append({i: e for i, e in sums if e})
             return TensorOperator._from_cols(self.dim, self.r, cols, n)
         for b_col in other.cols:

@@ -20,17 +20,6 @@ def merge_sign(left_mask, right_mask):
     return -1 if crossings & 1 else 1
 
 
-def prefix_parity(mask):
-    """Bit j is set when ``mask`` has an odd number of bits above j, the
-    form the package's product kernel computes inline."""
-    p = mask >> 1
-    p ^= p >> 1
-    p ^= p >> 2
-    p ^= p >> 4
-    p ^= p >> 8
-    return p
-
-
 def nonzero(terms):
     return {m: c for m, c in terms.items() if c}
 

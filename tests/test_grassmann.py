@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superschur import CapExceeded, DimensionError, FormatError, GrassmannElement, as_element
-from superschur.grassmann import MAX_GENERATORS, sum_of_products
+from superschur.grassmann import MAX_GENERATORS, _sum_of_products
 
 from grassmann_oracles import (
     merge_sign,
     nonzero,
-    prefix_parity,
     ref_add,
     ref_mul,
     ref_sum_of_products,
@@ -357,25 +356,27 @@ def test_sums_and_products_cancel_common_factors():
 
 
 def test_prefix_parity_matches_its_definition():
-    for mask in range(1 << MAX_GENERATORS):
-        p = prefix_parity(mask)
-        assert p < 1 << MAX_GENERATORS
-        for j in range(MAX_GENERATORS):
-            assert (p >> j) & 1 == (mask >> (j + 1)).bit_count() & 1, (mask, j)
+    # the kernel's inline prefix parity, on every mask at the generator cap:
+    # each of the 2^16 monomials times x_j lands on its own monomial, so
+    # each coefficient of the product is the merge sign of that monomial
+    n = MAX_GENERATORS
+    every = GrassmannElement(n, {m: 1 for m in range(1 << n)})
+    for j in range(n):
+        bit = 1 << j
+        product = _sum_of_products(n, [(every, GrassmannElement(n, {bit: 1}))])
+        assert product._den == 1
+        assert product._num == {m | bit: merge_sign(m, bit) for m in range(1 << n) if not m & bit}
 
 
 def test_merge_signs_match_the_crossing_count():
     # every ordered pair of disjoint masks on 6 generators
     n = 6
     for m1 in range(1 << n):
-        p = prefix_parity(m1)
         left = GrassmannElement(n, {m1: 1})
         for m2 in range(1 << n):
-            if m1 & m2:
-                continue
-            sign = -1 if (p & m2).bit_count() & 1 else 1
-            assert sign == merge_sign(m1, m2)
-            assert (left * GrassmannElement(n, {m2: 1})).terms == {m1 | m2: sign}
+            if not m1 & m2:
+                product = left * GrassmannElement(n, {m2: 1})
+                assert product.terms == {m1 | m2: merge_sign(m1, m2)}
     # and sampled disjoint pairs at the generator cap, where every shift
     # step of the prefix parity counts
     rng = random.Random(16)
@@ -419,7 +420,7 @@ def kernel_cases(draw):
 @given(kernel_cases())
 def test_sum_of_products_matches_term_by_term_reference(case):
     n, pairs, start = case
-    assert_matches(sum_of_products(n, pairs, start), ref_sum_of_products(pairs, start), n)
+    assert_matches(_sum_of_products(n, pairs, start), ref_sum_of_products(pairs, start), n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -428,7 +429,7 @@ def test_sum_of_products_matches_term_by_term_reference(case):
 ))
 def test_sum_of_products_keeps_odd_factors_in_order(case):
     n, x, y = case
-    xy = sum_of_products(n, [(x, y)])
+    xy = _sum_of_products(n, [(x, y)])
     assert xy == -(y * x)
     assert_matches(xy, ref_mul(x.terms, y.terms), n)
 
@@ -441,9 +442,9 @@ def test_sum_of_products_cancels_to_the_canonical_zero(case):
     n, x, y = case
     zero = GrassmannElement.zero(n)
     for total in (
-        sum_of_products(n, [(x, y), (-x, y)]),
-        sum_of_products(n, [(x, -y)], x * y),
-        sum_of_products(n, [(x, y)], -(x * y)),
+        _sum_of_products(n, [(x, y), (-x, y)]),
+        _sum_of_products(n, [(x, -y)], x * y),
+        _sum_of_products(n, [(x, y)], -(x * y)),
     ):
         assert total == zero and hash(total) == hash(zero)
         assert total._den == 1 and not total._num
@@ -451,6 +452,6 @@ def test_sum_of_products_cancels_to_the_canonical_zero(case):
 
 def test_sum_of_products_of_no_pairs():
     start = GrassmannElement(3, {0: Fraction(1, 6), 5: Fraction(-4, 9)})
-    assert sum_of_products(3, [], start) == start
-    empty = sum_of_products(3, [])
+    assert _sum_of_products(3, [], start) == start
+    empty = _sum_of_products(3, [])
     assert empty == GrassmannElement.zero(3) and empty._den == 1

@@ -257,6 +257,21 @@ def test_even_matrix_inverse_refuses_a_singular_body():
         even_matrix_inverse(rows, zero, one)
 
 
+def test_even_det_and_inverse_take_rows_mixing_rationals_and_elements():
+    one, x1, x2 = grassmann_pair()
+    zero = GrassmannElement.zero(2)
+    # the pivot of the first column is one, so the int in the pivot row
+    # reaches the row update unscaled
+    rows = [[one + x1 * x2, 1], [x1 * x2, Fraction(1, 2)]]
+    assert even_det(rows) == perm_det(rows) == GrassmannElement(2, {0: Fraction(1, 2), 3: Fraction(-1, 2)})
+    inv = even_matrix_inverse(rows, zero, one)
+    prod = [
+        [sum((rows[i][k] * inv[k][j] for k in range(2)), zero) for j in range(2)]
+        for i in range(2)
+    ]
+    assert prod == [[one, zero], [zero, one]]
+
+
 def test_superbracket_of_odd_pair():
     e12 = SuperMatrix.elementary(D11, 1, 2)
     e21 = SuperMatrix.elementary(D11, 2, 1)
