@@ -10,6 +10,15 @@ the checks that need it read it from one table.  A product that a loop over
 ordered pairs reads at (a, b) and again at (b, a) is formed once too.  The
 group suite draws its TRIALS = 5 seeded pairs (g, h) once, and one pass over
 them feeds every sampled check.
+
+Nested brackets and theta of a bracket are read from the bracket table by
+bilinearity.  {E_ij, E_kl} is a sum c E_e over at most two elementary
+matrices of one parity, so {E_ij, {E_kl, E_st}} is the sum of c {E_ij, E_e}
+over table entries, and theta({E_ij, E_kl}) the sum of c theta(E_e).  Both
+sums are exact rational arithmetic, and every elementary tuple is still
+checked, so the checks stay exhaustive; they equal the dense forms because
+the bracket is bilinear and theta linear on each parity, which
+tests/test_suites.py checks on random rational combinations.
 """
 
 from __future__ import annotations
@@ -58,6 +67,39 @@ def _elementary_pairs(dim: SuperDim):
             yield i, j, SuperMatrix.elementary(dim, i, j), dim.parity(i) ^ dim.parity(j)
 
 
+def _bracket_table(elems) -> dict:
+    """{(i, j, k, l): {E_ij, E_kl}} over every ordered pair of elementary
+    matrices, formed through the module-level superbracket."""
+    return {
+        (i, j, k, l): superbracket(x, y)
+        for (i, j, x, _), (k, l, y, _) in itertools.product(elems, repeat=2)
+    }
+
+
+def _terms(mat: SuperMatrix) -> dict:
+    """{(a, b): entry} over the nonzero entries of a rational matrix, so the
+    matrix is the sum of entry * E_ab (1-based)."""
+    return {
+        (a, b): e
+        for a, row in enumerate(mat.entries, start=1)
+        for b, e in enumerate(row, start=1)
+        if e
+    }
+
+
+def _bilinear(*parts) -> dict:
+    """The sum of sign * c * images[e] over each part (sign, coeffs, images)
+    and each item (e, c) of coeffs, where each images[e] is a {key: entry}
+    map; returned as such a map with no zero entries."""
+    out = {}
+    for sign, coeffs, images in parts:
+        for e, c in coeffs.items():
+            c = sign * c
+            for f, v in images[e].items():
+                out[f] = out[f] + c * v if f in out else c * v
+    return {f: v for f, v in out.items() if v}
+
+
 def _each_once(form):
     """form(a, b) for a loop over ordered pairs that reads each product twice,
     at (a, b) and again at (b, a): formed at the first read, dropped at the
@@ -86,12 +128,21 @@ def suite_bracket(m: int, n: int) -> list[dict]:
     """Exact identities of the rational bracket and the supertrace.
 
     Elementary matrices span each homogeneous component, so exhausting
-    elementary tuples settles every multilinear identity checked here.
+    elementary tuples settles every multilinear identity checked here.  The
+    Jacobi check reads its three nested brackets per triple from the table:
+    {E_ij, {E_kl, E_st}} is the sum of c {E_ij, E_e} over the terms c E_e of
+    {E_kl, E_st}, and likewise for the other two, compared as {(a, b): entry}
+    maps.
     """
     dim = SuperDim(m, n)
     elems = list(_elementary_pairs(dim))
     pairs = list(itertools.product(elems, repeat=2))
-    bracket = {(i, j, k, l): superbracket(x, y) for (i, j, x, _), (k, l, y, _) in pairs}
+    bracket = _bracket_table(elems)
+    # by_left[i, j][k, l] and by_right[k, l][i, j] are the terms of {E_ij, E_kl}
+    by_left = {(i, j): {} for i, j, _, _ in elems}
+    by_right = {(i, j): {} for i, j, _, _ in elems}
+    for (i, j, k, l), xy in bracket.items():
+        by_left[i, j][k, l] = by_right[k, l][i, j] = _terms(xy)
 
     # Lambda_2 points a (x) E_ij for coefficients a of the parity of E_ij,
     # whose ordinary commutators are checked against the even-rules bracket
@@ -122,11 +173,11 @@ def suite_bracket(m: int, n: int) -> list[dict]:
                 bad_even.append([i, j, k, l, repr(a), repr(b)])
 
     bad_jacobi = []
-    for (i, j, x, px), (k, l, y, py), (s, t, z, _) in itertools.product(elems, repeat=3):
-        lhs = superbracket(x, bracket[k, l, s, t])
-        rhs = superbracket(bracket[i, j, k, l], z)
-        nested = superbracket(y, bracket[i, j, s, t])
-        if lhs != (rhs - nested if px & py else rhs + nested):
+    for (i, j, _, px), (k, l, _, py), (s, t, _, _) in itertools.product(elems, repeat=3):
+        of_x, of_y = by_left[i, j], by_left[k, l]
+        lhs = _bilinear((1, of_y[s, t], of_x))
+        rhs = _bilinear((1, of_x[k, l], by_right[s, t]), (-1 if px & py else 1, of_x[s, t], of_y))
+        if lhs != rhs:
             bad_jacobi.append([i, j, k, l, s, t])
 
     return [
@@ -143,15 +194,20 @@ def suite_bracket(m: int, n: int) -> list[dict]:
 # --- actions -----------------------------------------------------------------
 
 
-def _theta_homomorphism(elems, r: int, odd_count: str, first_only: bool):
+def _theta_homomorphism(dim, elems, brackets, r: int, odd_count: str, first_only: bool):
     """theta of every elementary matrix under one sign convention, and the
     pairs [i, j, k, l] where theta({E_ij, E_kl}) differs from the graded
-    commutator of theta(E_ij) and theta(E_kl): all of them, or the first."""
+    commutator of theta(E_ij) and theta(E_kl): all of them, or the first.
+
+    brackets[i, j, k, l] holds the terms {(a, b): c} of {E_ij, E_kl}, and
+    theta({E_ij, E_kl}) is read as the sum of c theta(E_ab) by linearity.
+    """
     thetas = {(i, j): derivation_operator(x, r, odd_count=odd_count) for i, j, x, _ in elems}
     times = _each_once(lambda a, b: thetas[a] * thetas[b])
+    zero = TensorOperator.zero(dim, r)
     bad = []
-    for (i, j, x, px), (k, l, y, py) in itertools.product(elems, repeat=2):
-        lhs = derivation_operator(superbracket(x, y), r, odd_count=odd_count)
+    for (i, j, _, px), (k, l, _, py) in itertools.product(elems, repeat=2):
+        lhs = sum((thetas[e].scale(c) for e, c in brackets[i, j, k, l].items()), zero)
         first = times((i, j), (k, l))
         second = times((k, l), (i, j))
         if lhs != (first + second if px & py else first - second):
@@ -197,7 +253,8 @@ def suite_actions(m: int, n: int, r: int, seed: int = 0, cap: int | None = None)
     )
 
     elems = list(_elementary_pairs(dim))
-    thetas, bad = _theta_homomorphism(elems, r, "exclusive", first_only=False)
+    brackets = {key: _terms(xy) for key, xy in _bracket_table(elems).items()}
+    thetas, bad = _theta_homomorphism(dim, elems, brackets, r, "exclusive", first_only=False)
     checks.append(
         _record("theta_bracket_homomorphism", not bad, m=m, n=n, r=r, failures=bad[:3])
     )
@@ -215,7 +272,7 @@ def suite_actions(m: int, n: int, r: int, seed: int = 0, cap: int | None = None)
             )
         )
     else:
-        _, bad = _theta_homomorphism(elems, r, "inclusive", first_only=True)
+        _, bad = _theta_homomorphism(dim, elems, brackets, r, "inclusive", first_only=True)
         checks.append(
             _record(
                 "theta_inclusive_sign_fails",

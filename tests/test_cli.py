@@ -141,6 +141,12 @@ PINNED_FAILURES = {
     ("actions", 1, 1, 2): "05c40bf26c0b6c5f63806af82dff7f88db69b80a360448dbf77aefbeea4000a0",
     ("actions", 1, 1, 3): "6aa57d3e44fd974b4079622b915d249517ea5e1988330520e52f9d4fffd58fdf",
     ("actions", 2, 1, 2): "4401a3f1c272c891a1cb75a02631cdf57cdc486a4f82443152e57a4c97d6b301",
+    # configs with two odd indices, recorded before nested brackets and
+    # theta of a bracket were read from the bracket table by bilinearity
+    ("bracket", 1, 2): "ee61de5070b872ca125a74323736f4b52875ee046f637c6f80e761779200c526",
+    ("bracket", 2, 2): "0e38fb6bfd011566e4b97fe085fba1ddcbd439fe53788a8222a5c6c8694d8234",
+    ("actions", 1, 2, 2): "7cebceee97b7c0a5a43449b30f6c317404601cc690db66bc96abb1b8977d47e7",
+    ("actions", 2, 2, 2): "e1a443b71f39df9feb0e5a7aaa81e0aab88798d5326f85adfd5792967d48de03",
 }
 
 

@@ -1,14 +1,23 @@
 """The named verification suites must pass and be reproducible."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superschur import (
     CapExceeded,
+    SuperDim,
+    SuperMatrix,
+    TensorOperator,
+    derivation_operator,
     run_suite,
     suite_actions,
     suite_bracket,
     suite_group,
     suite_schurweyl,
+    superbracket,
 )
 
 
@@ -76,3 +85,64 @@ def test_run_suite_dispatch():
     assert all(c["pass"] for c in checks)
     with pytest.raises(ValueError):
         run_suite("nonsense", 1, 1, 2)
+
+
+# The bracket and actions suites read nested brackets and theta of a bracket
+# from a table of brackets of elementary matrices, by bilinearity.  That is
+# exact only if superbracket is bilinear and derivation_operator linear on
+# combinations of elementary matrices of one parity.
+
+LINEARITY_DIMS = [SuperDim(1, 1), SuperDim(2, 1), SuperDim(1, 2)]
+
+
+@st.composite
+def combinations(draw, dim, parity):
+    """{(i, j): c} with nonzero Fraction c over a nonempty set of the
+    elementary matrices E_ij of one parity."""
+    cells = [
+        (i, j)
+        for i in range(1, dim.size + 1)
+        for j in range(1, dim.size + 1)
+        if dim.parity(i) ^ dim.parity(j) == parity
+    ]
+    chosen = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=len(cells), unique=True))
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+    return {cell: draw(coeff) for cell in chosen}
+
+
+def matrix_of(dim, coeffs):
+    rows = [[Fraction(0)] * dim.size for _ in range(dim.size)]
+    for (i, j), c in coeffs.items():
+        rows[i - 1][j - 1] = c
+    return SuperMatrix(dim, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LINEARITY_DIMS), st.integers(0, 1), st.integers(0, 1), st.data())
+def test_superbracket_is_bilinear_on_elementary_combinations(dim, px, py, data):
+    a = data.draw(combinations(dim, px))
+    b = data.draw(combinations(dim, py))
+    want = SuperMatrix.zero(dim)
+    for e, ca in a.items():
+        for f, cb in b.items():
+            elem_e = SuperMatrix.elementary(dim, *e)
+            elem_f = SuperMatrix.elementary(dim, *f)
+            want = want + superbracket(elem_e, elem_f).scale(ca * cb)
+    assert superbracket(matrix_of(dim, a), matrix_of(dim, b)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(LINEARITY_DIMS),
+    st.integers(0, 1),
+    st.integers(1, 3),
+    st.sampled_from(["exclusive", "inclusive"]),
+    st.data(),
+)
+def test_derivation_operator_is_linear_on_elementary_combinations(dim, parity, r, odd_count, data):
+    c = data.draw(combinations(dim, parity))
+    want = TensorOperator.zero(dim, r)
+    for e, ce in c.items():
+        theta = derivation_operator(SuperMatrix.elementary(dim, *e), r, odd_count=odd_count)
+        want = want + theta.scale(ce)
+    assert derivation_operator(matrix_of(dim, c), r, odd_count=odd_count) == want
