@@ -59,13 +59,11 @@ from .tensor import (
 )
 from .commutant import (
     DEFAULT_CAP,
-    OperatorSpace,
     RowSpace,
     algebra_generated,
     centralizer,
     check_cap,
     double_centralizer_report,
-    span,
 )
 from .suites import (
     SUITE_NAMES,
@@ -124,14 +122,12 @@ __all__ = [
     "transposition_operator",
     "word_index",
     "DEFAULT_CAP",
-    "OperatorSpace",
     "RowSpace",
     "algebra_generated",
     "centralizer",
     "check_cap",
     "double_centralizer_report",
     "rho_theta_equality_report",
-    "span",
     "SUITE_NAMES",
     "run_suite",
     "suite_actions",

@@ -17,8 +17,10 @@ row-echelon form of a subspace is unique, and so is its primitive scaling:
 dimension, membership and equality are exact, and two spaces are equal
 exactly when their rows are.
 
-``algebra_generated`` multiplies the current independent set by the
-generators, as sparse products, until the row space stops growing.
+``algebra_generated`` and ``centralizer`` return the ``RowSpace`` of their
+flattened operators.  ``algebra_generated`` multiplies the current
+independent set by the generators, as sparse products, until the row space
+stops growing.
 
 ``centralizer`` solves [g, X] = 0 for the unknowns X_kl in three steps, each
 exact for any generator set:
@@ -249,45 +251,9 @@ class RowSpace:
         return basis
 
 
-class OperatorSpace:
-    """A rational span of tensor operators with exact membership tests,
-    kept as the row space of the flattened operators."""
-
-    def __init__(self, dim: SuperDim, r: int):
-        self.dim = dim
-        self.r = r
-        side = dim.size ** r
-        self.space = RowSpace(side * side)
-
-    @property
-    def dimension(self) -> int:
-        return self.space.dim
-
-    def add(self, op: TensorOperator) -> bool:
-        if op.dim != self.dim or op.r != self.r:
-            raise DimensionError("operator lives on a different space")
-        return self.space.add(flatten(op))
-
-    def contains(self, op: TensorOperator) -> bool:
-        return self.space.contains(flatten(op))
-
-    def equals(self, other: "OperatorSpace") -> bool:
-        return (
-            self.dim == other.dim
-            and self.r == other.r
-            and self.space.equals(other.space)
-        )
-
-
-def span(dim: SuperDim, r: int, ops) -> OperatorSpace:
-    out = OperatorSpace(dim, r)
-    for op in ops:
-        out.add(op)
-    return out
-
-
-def algebra_generated(dim: SuperDim, r: int, generators) -> OperatorSpace:
-    """The unital associative algebra generated by the given operators.
+def algebra_generated(dim: SuperDim, r: int, generators) -> RowSpace:
+    """The unital associative algebra generated by the given operators, as
+    the row space of its flattened operators.
 
     Closure multiplies the current independent set by the original
     generators only: every product word grows one letter at a time on the
@@ -295,18 +261,21 @@ def algebra_generated(dim: SuperDim, r: int, generators) -> OperatorSpace:
     """
     side = dim.size ** r
     gens = list(generators)
-    result = OperatorSpace(dim, r)
+    result = RowSpace(side * side)
     frontier = []
     for op in [TensorOperator.identity(dim, r)] + gens:
-        if result.add(op):
-            frontier.append(flatten(op))
+        if op.dim != dim or op.r != r:
+            raise DimensionError("operator lives on a different space")
+        vec = flatten(op)
+        if result.add(vec):
+            frontier.append(vec)
     gen_rows = [_rows(g) for g in gens]
     while frontier:
         fresh = []
         for left in frontier:
             for rows in gen_rows:
                 candidate = _product(left, rows, side)
-                if result.space.add(candidate):
+                if result.add(candidate):
                     fresh.append(candidate)
         frontier = fresh
     return result
@@ -332,8 +301,9 @@ def _lowest_lead_last(vectors: list[Vector]) -> list[Vector]:
     return sorted(vectors, key=min, reverse=True)
 
 
-def centralizer(dim: SuperDim, r: int, generators) -> OperatorSpace:
-    """All operators commuting with every one of the given operators.
+def centralizer(dim: SuperDim, r: int, generators) -> RowSpace:
+    """All operators commuting with every one of the given operators, as the
+    row space of their flattened forms.
 
     The centralizer of an algebra equals the centralizer of any set that
     generates it, so callers may pass either a full basis or just the
@@ -407,13 +377,13 @@ def centralizer(dim: SuperDim, r: int, generators) -> OperatorSpace:
                 nonzero.append(eq)
     for eq in _lowest_lead_last(nonzero):
         system.add(eq)
-    out = OperatorSpace(dim, r)
+    out = RowSpace(side * side)
     expanded = [
         {s: c * x for var, c in vec.items() for s, x in orbits[var].items()}
         for vec in system.kernel()
     ]
     for vec in _lowest_lead_last(expanded):
-        out.space.add(vec)
+        out.add(vec)
     return out
 
 
@@ -441,7 +411,7 @@ def double_centralizer_report(m: int, n: int, r: int, cap: int | None = None) ->
     """Check that the signed symmetric-group algebra and the derivation
     algebra centralize each other, and that the tableaux counts match the
     two dimensions and the total word count."""
-    check_cap(m, n, r, cap)
+    side = check_cap(m, n, r, cap)
     dim = SuperDim(m, n)
     perm_gens = symmetric_group_generators(dim, r)
     der_gens = derivation_generators(dim, r)
@@ -450,32 +420,25 @@ def double_centralizer_report(m: int, n: int, r: int, cap: int | None = None) ->
     cent_perm = centralizer(dim, r, perm_gens)
     cent_der = centralizer(dim, r, der_gens)
     # commuting generators give alg(theta) <= cent(tau) and alg(tau) <= cent(theta)
-    side = dim.size ** r
-    taus = [(flatten(g), _rows(g)) for g in perm_gens]
-    thetas = [(flatten(g), _rows(g)) for g in der_gens]
-    commute = all(
-        _product(t, th_rows, side) == _product(th, t_rows, side)
-        for t, t_rows in taus
-        for th, th_rows in thetas
-    )
+    commute = all(t * th == th * t for t in perm_gens for th in der_gens)
     double_ok = (
         commute
-        and cent_perm.dimension == der_algebra.dimension
-        and cent_der.dimension == perm_algebra.dimension
+        and cent_perm.dim == der_algebra.dim
+        and cent_der.dim == perm_algebra.dim
     )
 
     table = dimension_table(m, n, r)
     sum_syt_sq = sum(row["syt"] ** 2 for row in table if row["admissible"])
     sum_ssyt_sq = sum(row["ssyt"] ** 2 for row in table)
     mult_sum = sum(row["syt"] * row["ssyt"] for row in table)
-    dims_ok = perm_algebra.dimension == sum_syt_sq and der_algebra.dimension == sum_ssyt_sq
+    dims_ok = perm_algebra.dim == sum_syt_sq and der_algebra.dim == sum_ssyt_sq
 
     return {
         "m": m,
         "n": n,
         "r": r,
-        "dim_tau": perm_algebra.dimension,
-        "dim_theta": der_algebra.dimension,
+        "dim_tau": perm_algebra.dim,
+        "dim_theta": der_algebra.dim,
         "double_centralizer": bool(double_ok and dims_ok),
         "multiplicity_identity": mult_sum == side,
         "per_shape": [

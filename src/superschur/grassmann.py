@@ -177,20 +177,6 @@ class GrassmannElement:
         """The scalar (degree-zero) part."""
         return Fraction(self._num.get(0, 0), self._den)
 
-    def _select(self, keep) -> "GrassmannElement":
-        num = {m: c for m, c in self._num.items() if keep(m)}
-        return GrassmannElement._reduce(self.num_generators, num, self._den)
-
-    def soul(self) -> "GrassmannElement":
-        """The nilpotent part: everything of degree >= 1."""
-        return self._select(bool)
-
-    def even_part(self) -> "GrassmannElement":
-        return self._select(lambda m: not m.bit_count() & 1)
-
-    def odd_part(self) -> "GrassmannElement":
-        return self._select(lambda m: m.bit_count() & 1)
-
     def parity(self):
         """0 for even, 1 for odd, None for mixed.  Zero counts as even."""
         parities = {m.bit_count() & 1 for m in self._num}

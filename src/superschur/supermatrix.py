@@ -140,11 +140,6 @@ class SuperMatrix:
         return cls._from_rows(dim, rows, grassmann_n)
 
     @classmethod
-    def zero(cls, dim: SuperDim, grassmann_n: int | None = None) -> "SuperMatrix":
-        size = dim.size
-        return cls(dim, [[0] * size for _ in range(size)], grassmann_n)
-
-    @classmethod
     def elementary(cls, dim: SuperDim, i: int, j: int) -> "SuperMatrix":
         """The rational matrix with a single 1 in row i, column j (1-based)."""
         size = dim.size
@@ -153,14 +148,6 @@ class SuperMatrix:
         rows = [[0] * size for _ in range(size)]
         rows[i - 1][j - 1] = 1
         return cls._from_rows(dim, rows)
-
-    def lift(self, grassmann_n: int) -> "SuperMatrix":
-        """Reinterpret a rational matrix inside Lambda_N."""
-        if self.grassmann_n is not None:
-            if self.grassmann_n != grassmann_n:
-                raise DimensionError("matrix already lives over a different ring")
-            return self
-        return SuperMatrix(self.dim, self.entries, grassmann_n)
 
     # --- arithmetic -----------------------------------------------------
 

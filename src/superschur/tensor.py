@@ -84,10 +84,6 @@ def swap_letters(dim: SuperDim, word: Word, i: int, j: int) -> tuple[int, Word]:
 # --- permutations (one-line notation, 1-based) -------------------------------
 
 
-def identity_perm(r: int) -> Perm:
-    return tuple(range(1, r + 1))
-
-
 def compose(first: Perm, then: Perm) -> Perm:
     """Left-to-right composition on places: result(k) = then(first(k))."""
     if len(first) != len(then):
@@ -147,14 +143,6 @@ def cycle_decomposition(sigma: Perm) -> list[tuple[int, int]]:
         for a, b in zip(cycle[-2::-1], cycle[:0:-1]):
             out.append((min(a, b), max(a, b)))
     return out
-
-
-def _check_decomposition(sigma: Perm, pairs) -> None:
-    acc = identity_perm(len(sigma))
-    for i, j in pairs:
-        acc = compose(acc, transposition_perm(len(sigma), i, j))
-    if acc != sigma:
-        raise AssertionError(f"decomposition {pairs} does not rebuild {sigma}")
 
 
 # --- operators ---------------------------------------------------------------
@@ -233,16 +221,6 @@ class TensorOperator:
         cls, dim: SuperDim, r: int, grassmann_n: int | None = None
     ) -> "TensorOperator":
         return cls._from_cols(dim, r, [{} for _ in range(dim.size ** r)], grassmann_n)
-
-    def lift(self, grassmann_n: int) -> "TensorOperator":
-        if self.grassmann_n is not None:
-            if self.grassmann_n != grassmann_n:
-                raise DimensionError("operator already lives over a different ring")
-            return self
-        cols = [
-            {i: as_element(e, grassmann_n) for i, e in col.items()} for col in self.cols
-        ]
-        return TensorOperator._from_cols(self.dim, self.r, cols, grassmann_n)
 
     def _check_compatible(self, other: "TensorOperator"):
         if (
@@ -372,9 +350,7 @@ def permutation_operator(dim: SuperDim, r: int, sigma: Perm) -> TensorOperator:
     """The signed place-permutation operator for sigma (one-line, 1-based)."""
     if len(sigma) != r or sorted(sigma) != list(range(1, r + 1)):
         raise DimensionError(f"{sigma!r} is not a permutation of 1..{r}")
-    pairs = adjacent_decomposition(sigma)
-    _check_decomposition(sigma, pairs)
-    return operator_from_transpositions(dim, r, pairs)
+    return operator_from_transpositions(dim, r, adjacent_decomposition(sigma))
 
 
 # --- one matrix at one position: the derivation and group actions ------------

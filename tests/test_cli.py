@@ -161,6 +161,33 @@ def test_failing_records_are_pinned(key, monkeypatch):
     assert digest == PINNED_FAILURES[key]
 
 
+# sha256 of the schurweyl records when tau is unsigned (every entry replaced
+# by its absolute value), recorded before the generated algebras and
+# centralizers came back as bare row spaces
+PINNED_SCHURWEYL_FAILURES = {
+    (1, 1, 2): "a81f4cb95e8c1d5a58d581b00751ef03710e575fd7ab12a34a4965c8f1302643",
+    (1, 1, 3): "37546883a555be566212366b078c476d5e447076144991b03e8f9cf9516e49ec",
+    (2, 1, 2): "bfc1e413bee1b4a14a9e6b786c654be81dc790d800c9d0e25dbfb1d795ef55ec",
+    (1, 2, 3): "a49c76d069a671b9c49cc571f67f69dccc54c3f1b3fcbcfdd0ca2bc6efb23371",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_SCHURWEYL_FAILURES))
+def test_failing_schurweyl_records_are_pinned(key, monkeypatch):
+    commutant = superschur.commutant
+    signed = commutant.transposition_operator
+
+    def unsigned(dim, r, i, j):
+        op = signed(dim, r, i, j)
+        return superschur.TensorOperator(dim, r, [[abs(e) for e in row] for row in op.matrix])
+
+    monkeypatch.setattr(commutant, "transposition_operator", unsigned)
+    records = superschur.suites.suite_schurweyl(*key)
+    assert records[0]["double_centralizer"] is False
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_SCHURWEYL_FAILURES[key]
+
+
 def spoiled(fn, wrong):
     """fn, but wrong(value) on about a third of its inputs.  The inputs are
     picked by a sha256 of their repr, which is the same in every process

@@ -33,9 +33,16 @@ def elements(num_generators=N, max_coeff=4):
 
 
 def homogeneous(num_generators=N):
-    return elements(num_generators).map(
-        lambda e: (e.even_part(), e.odd_part())
-    ).flatmap(lambda pair: st.sampled_from(pair))
+    def parts(e):
+        return [
+            GrassmannElement(
+                num_generators,
+                {m: c for m, c in e.terms.items() if m.bit_count() % 2 == parity},
+            )
+            for parity in (0, 1)
+        ]
+
+    return elements(num_generators).map(parts).flatmap(st.sampled_from)
 
 
 def test_generators_square_to_zero():
@@ -122,8 +129,9 @@ def test_parity_additive_on_products(a, b):
 
 @given(elements())
 def test_body_plus_soul_decomposition(e):
-    assert as_element(e.body(), N) + e.soul() == e
-    assert e.even_part() + e.odd_part() == e
+    soul = e - e.body()
+    assert soul.body() == 0 and 0 not in soul.terms
+    assert as_element(e.body(), N) + soul == e
 
 
 @settings(max_examples=60)
@@ -249,10 +257,6 @@ def ref_inverse(a, num_generators):
     return {m: c / u for m, c in acc.items()}
 
 
-def ref_select(a, keep):
-    return {m: c for m, c in a.items() if keep(m)}
-
-
 def ref_json(a, num_generators):
     return {
         "n": num_generators,
@@ -308,11 +312,7 @@ def test_integer_form_matches_fraction_reference(triple):
     assert_matches(a - b, ref_add(ra, ref_neg(rb)), n)
     assert_matches(-ab, ref_neg(ref_mul(ra, rb)), n)
     assert_matches(a - a, {}, n)
-    assert_matches(ab.soul(), ref_select(ref_mul(ra, rb), bool), n)
     mixed, r_mixed = ab + c, ref_add(ref_mul(ra, rb), rc)
-    even = ref_select(r_mixed, lambda m: m.bit_count() % 2 == 0)
-    assert_matches(mixed.even_part(), even, n)
-    assert_matches(mixed.odd_part(), ref_select(r_mixed, lambda m: m not in even), n)
     for e, r in ((a, ra), (mixed, r_mixed)):
         if r.get(0):
             assert_matches(e.inverse(), ref_inverse(r, n), n)
@@ -345,7 +345,6 @@ def test_sums_and_products_cancel_common_factors():
         (half + half, {0: Fraction(1), 1: Fraction(3)}),
         (half * 2, {0: Fraction(1), 1: Fraction(3)}),
         (half - Fraction(1, 2), {1: Fraction(3, 2)}),
-        (half.soul(), {1: Fraction(3, 2)}),
         (half * x1 * 4, {1: Fraction(2)}),
     ):
         assert_canonical(e)

@@ -122,7 +122,7 @@ def matrix_of(dim, coeffs):
 def test_superbracket_is_bilinear_on_elementary_combinations(dim, px, py, data):
     a = data.draw(combinations(dim, px))
     b = data.draw(combinations(dim, py))
-    want = SuperMatrix.zero(dim)
+    want = SuperMatrix(dim, [[0] * dim.size for _ in range(dim.size)])
     for e, ca in a.items():
         for f, cb in b.items():
             elem_e = SuperMatrix.elementary(dim, *e)

@@ -160,7 +160,7 @@ def test_derivation_even_matrix_no_signs():
 
 
 def test_derivation_of_zero_matrix():
-    zero = SuperMatrix.zero(D11)
+    zero = SuperMatrix(D11, [[0, 0], [0, 0]])
     assert derivation_operator(zero, 2) == TensorOperator.zero(D11, 2)
 
 
@@ -269,7 +269,7 @@ def test_operator_algebra_basics():
     assert op * TensorOperator.identity(D11, 2) == op
     assert op - op == TensorOperator.zero(D11, 2)
     assert op.scale(2) == op + op
-    lifted = op.lift(2)
+    lifted = TensorOperator(D11, 2, op.matrix, 2)
     assert lifted.grassmann_n == 2
     assert lifted * lifted.scale(1) == TensorOperator.identity(D11, 2, 2) * (
         lifted * lifted
@@ -371,7 +371,8 @@ def test_dense_rows_with_zeros_equal_sparse_build():
     assert TensorOperator._from_cols(dim, r, op.cols) == op
 
     over = TensorOperator(dim, r, rows, 2)
-    assert over == op.lift(2) and hash(over) == hash(op.lift(2))
+    lifted = TensorOperator(dim, r, op.matrix, 2)
+    assert over == lifted and hash(over) == hash(lifted)
     assert TensorOperator(dim, r, over.matrix, 2) == over
     zero_rows = [[GrassmannElement.zero(2)] * 9 for _ in range(9)]
     assert TensorOperator(dim, r, zero_rows, 2) == TensorOperator.zero(dim, r, 2)
