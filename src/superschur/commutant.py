@@ -20,7 +20,11 @@ exactly when their rows are.
 ``algebra_generated`` and ``centralizer`` return the ``RowSpace`` of their
 flattened operators.  ``algebra_generated`` multiplies the current
 independent set by the generators, as sparse products, until the row space
-stops growing.
+stops growing.  Given ``within``, a space the caller knows holds the whole
+algebra, it also stops once its dimension reaches ``within.dim``: the two
+spaces are then equal, and no later product can add to it.  Nothing checks
+that the algebra lies in ``within``; a wrong bound can give a smaller, wrong
+answer.
 
 ``centralizer`` solves [g, X] = 0 for the unknowns X_kl in three steps, each
 exact for any generator set:
@@ -52,13 +56,17 @@ algebra and have the same centralizer.
 cent(theta) = alg(tau) without comparing the spaces.  Once every tau
 generator commutes with every theta generator, alg(theta) lies in cent(tau)
 and alg(tau) in cent(theta); equal dimensions then make both inclusions
-equalities.
+equalities.  So it computes both centralizers and the commute check first,
+and only when the generators commute does it close each algebra
+``within`` the other's centralizer.  When they do not, both closures run to
+the end and report their full dimensions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import CapExceeded, DimensionError
 from .grassmann import exact_rational
@@ -93,15 +101,15 @@ def _sparse(vec, width: int) -> Vector:
     """The nonzero entries of a dense sequence or of a {column: value} map,
     scaled by the lcm of their denominators to ints."""
     if isinstance(vec, dict):
-        if any(not 0 <= c < width for c in vec):
+        if vec and (min(vec) < 0 or max(vec) >= width):
             raise DimensionError("vector column out of range")
         items = vec.items()
     else:
         if len(vec) != width:
             raise DimensionError("vector width mismatch")
         items = enumerate(vec)
-    out = {c: e for c, e in items if e}
-    if all(type(e) is int for e in out.values()):
+    out = dict(filter(itemgetter(1), items))
+    if set(map(type, out.values())) <= {int}:
         return out
     exact = {c: exact_rational(e) for c, e in out.items()}
     scale = lcm(*(e.denominator for e in exact.values()))
@@ -150,11 +158,19 @@ def _rows(op: TensorOperator) -> list[Vector]:
 
 def _product(a: Vector, b_rows: list[Vector], side: int) -> Vector:
     """The flattened product a @ b, with b given by its rows."""
-    out_rows: dict[int, Vector] = {}
+    out: Vector = {}
+    get = out.get
     for idx, x in a.items():
-        i, k = divmod(idx, side)
-        _subtract(out_rows.setdefault(i, {}), -x, b_rows[k])
-    return {i * side + j: e for i, row in out_rows.items() for j, e in row.items()}
+        k = idx % side
+        base = idx - k
+        for j, e in b_rows[k].items():
+            c = base + j
+            y = get(c, 0) + x * e
+            if y:
+                out[c] = y
+            else:
+                del out[c]
+    return out
 
 
 class RowSpace:
@@ -251,17 +267,29 @@ class RowSpace:
         return basis
 
 
-def algebra_generated(dim: SuperDim, r: int, generators) -> RowSpace:
+def algebra_generated(
+    dim: SuperDim, r: int, generators, within: RowSpace | None = None
+) -> RowSpace:
     """The unital associative algebra generated by the given operators, as
     the row space of its flattened operators.
 
     Closure multiplies the current independent set by the original
     generators only: every product word grows one letter at a time on the
     right, so this reaches the full algebra.
+
+    ``within``, when given, must be a space of flattened operators that the
+    caller knows contains the whole algebra; closure stops as soon as the
+    algebra's dimension reaches ``within.dim``, since the two are then
+    equal.  This is not checked: a space that does not contain the algebra
+    gives a wrong answer.  ``double_centralizer_report`` passes a
+    centralizer only after checking that the generators commute.
     """
     side = dim.size ** r
     gens = list(generators)
     result = RowSpace(side * side)
+    if within is not None and within.width != result.width:
+        raise DimensionError("bounding space lives on a different space")
+    limit = None if within is None else within.dim
     frontier = []
     for op in [TensorOperator.identity(dim, r)] + gens:
         if op.dim != dim or op.r != r:
@@ -270,12 +298,14 @@ def algebra_generated(dim: SuperDim, r: int, generators) -> RowSpace:
         if result.add(vec):
             frontier.append(vec)
     gen_rows = [_rows(g) for g in gens]
-    while frontier:
+    while frontier and result.dim != limit:
         fresh = []
         for left in frontier:
             for rows in gen_rows:
                 candidate = _product(left, rows, side)
                 if result.add(candidate):
+                    if result.dim == limit:
+                        return result
                     fresh.append(candidate)
         frontier = fresh
     return result
@@ -415,12 +445,13 @@ def double_centralizer_report(m: int, n: int, r: int, cap: int | None = None) ->
     dim = SuperDim(m, n)
     perm_gens = symmetric_group_generators(dim, r)
     der_gens = derivation_generators(dim, r)
-    perm_algebra = algebra_generated(dim, r, perm_gens)
-    der_algebra = algebra_generated(dim, r, der_gens)
     cent_perm = centralizer(dim, r, perm_gens)
     cent_der = centralizer(dim, r, der_gens)
-    # commuting generators give alg(theta) <= cent(tau) and alg(tau) <= cent(theta)
+    # commuting generators give alg(theta) <= cent(tau) and alg(tau) <= cent(theta),
+    # so each closure may stop once it fills that centralizer
     commute = all(t * th == th * t for t in perm_gens for th in der_gens)
+    perm_algebra = algebra_generated(dim, r, perm_gens, within=cent_der if commute else None)
+    der_algebra = algebra_generated(dim, r, der_gens, within=cent_perm if commute else None)
     double_ok = (
         commute
         and cent_perm.dim == der_algebra.dim

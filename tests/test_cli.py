@@ -122,6 +122,15 @@ PINNED_STDOUT = {
     # recorded before Lambda_N matrix, elimination and tensor entries were
     # each summed by one multiply-accumulate call
     "verify group -m 2 -n 2 -r 3": "1091ff5f3db58eb9de3add418642c85820540d59179fbee4342bcb7649b35eb6",
+    # recorded before each double-centralizer closure stopped once it
+    # reached the dimension of the centralizer holding it
+    "verify schurweyl -m 1 -n 1 -r 4": "d16466c11194902c23fc66677bea02bcc74f8804a97ded73a7f46d7312fd8384",
+    "verify schurweyl -m 2 -n 1 -r 2": "c6d9a9ca7c812d61e709ea2870468535069f940c05296c278240639deeeb944e",
+    "verify schurweyl -m 1 -n 2 -r 2": "218aff39f29521ac96c9a24e7ad649b287396d46dbe0f23c4231e07fe83719a7",
+    "verify schurweyl -m 3 -n 0 -r 2": "1929cad55c4dd0f2e2969b8782955cb0fd49159f7f4500fafe73746ab27ebc1b",
+    "verify schurweyl -m 2 -n 0 -r 3": "26b3d5ced8da1f67e0ade87ee6a3009cf1bae9e81c16d41243d22dce2a1df35a",
+    "verify schurweyl -m 2 -n 2 -r 3": "d58092bb305ca8e47f762117755ebe19a27a0ab3e8731c2625eabcb20ebd8353",
+    "verify schurweyl -m 4 -n 0 -r 3": "dcc80ec981aae43bb78c91c0a9eff18528d1021562ccf74958ec1f22495fa602",
 }
 
 
@@ -172,20 +181,50 @@ PINNED_SCHURWEYL_FAILURES = {
 }
 
 
+def unsigned(build):
+    """build, with every entry of the operator it returns replaced by its
+    absolute value."""
+
+    def patched(*args):
+        op = build(*args)
+        return superschur.TensorOperator(op.dim, op.r, [[abs(e) for e in row] for row in op.matrix])
+
+    return patched
+
+
 @pytest.mark.parametrize("key", sorted(PINNED_SCHURWEYL_FAILURES))
 def test_failing_schurweyl_records_are_pinned(key, monkeypatch):
     commutant = superschur.commutant
-    signed = commutant.transposition_operator
-
-    def unsigned(dim, r, i, j):
-        op = signed(dim, r, i, j)
-        return superschur.TensorOperator(dim, r, [[abs(e) for e in row] for row in op.matrix])
-
-    monkeypatch.setattr(commutant, "transposition_operator", unsigned)
+    monkeypatch.setattr(commutant, "transposition_operator", unsigned(commutant.transposition_operator))
     records = superschur.suites.suite_schurweyl(*key)
     assert records[0]["double_centralizer"] is False
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
     assert digest == PINNED_SCHURWEYL_FAILURES[key]
+
+
+# sha256 of the schurweyl records when theta is unsigned, recorded before the
+# closures stopped at the centralizer's dimension.  Unsigned theta commutes
+# with no tau, and its algebra outgrows cent(tau): a closure bounded by
+# cent(tau) without the commute check would report dim cent(tau) instead.
+PINNED_SCHURWEYL_THETA_FAILURES = {
+    (1, 1, 2): "0ff89c95819180efd72cb062c30909d2a3b154dc87045a41719c4cf6260d8ac0",
+    (1, 1, 3): "094c01c12bd965090dd668fb1c3879a51ecef39e2d6eddecc0df0d2a335eada2",
+    (2, 1, 2): "e64eeda45aee7e7bfd463be426c32ea6a04d80b17ce98809c10faccdf250635d",
+    (1, 2, 3): "55ebde9ea3e1e65c8a9ac02d2d4618f84a2714ed7c2a9e290b4b6c67fa486876",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_SCHURWEYL_THETA_FAILURES))
+def test_failing_schurweyl_records_with_unsigned_theta_are_pinned(key, monkeypatch):
+    commutant = superschur.commutant
+    monkeypatch.setattr(commutant, "derivation_operator", unsigned(commutant.derivation_operator))
+    records = superschur.suites.suite_schurweyl(*key)
+    assert records[0]["double_centralizer"] is False
+    dim, r = superschur.SuperDim(*key[:2]), key[2]
+    cent_tau = commutant.centralizer(dim, r, commutant.symmetric_group_generators(dim, r))
+    assert records[0]["dim_theta"] > cent_tau.dim
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_SCHURWEYL_THETA_FAILURES[key]
 
 
 def spoiled(fn, wrong):

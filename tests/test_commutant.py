@@ -43,6 +43,20 @@ def test_row_space_reduction():
         space.add([1, 0])
 
 
+def test_sparse_vectors_are_checked_and_scaled():
+    space = RowSpace(4)
+    for bad in ({-1: 1}, {4: 1}):
+        with pytest.raises(DimensionError):
+            space.add(bad)
+    assert not space.add({}) and space.dim == 0
+    assert space.add({1: Fraction(1, 2), 3: Fraction(-1, 3)})
+    # stored as the primitive integer row, as if given [0, 3, 0, -2]
+    assert space._rows == {1: {1: 3, 3: -2}}
+    assert all(type(e) is int for e in space._rows[1].values())
+    assert space.add({0: Fraction(2, 3), 2: 0})
+    assert space._rows[0] == {0: 1}
+
+
 def test_row_space_equality_ignores_basis_choice():
     a = RowSpace(3)
     a.add([1, 0, 1])
@@ -94,6 +108,28 @@ def test_algebra_contains_the_identity():
     algebra = algebra_generated(D11, 2, [swap])
     assert algebra.contains(flatten(TensorOperator.identity(D11, 2)))
     assert algebra.dim == 2
+
+
+@pytest.mark.parametrize("m, n, r", [(1, 1, 3), (2, 1, 2), (2, 0, 3)])
+def test_closure_within_the_centralizer_stops_at_it(m, n, r, monkeypatch):
+    dim = SuperDim(m, n)
+    thetas = derivation_generators(dim, r)
+    cent_tau = centralizer(dim, r, symmetric_group_generators(dim, r))
+    calls = [0]
+    add = RowSpace.add
+
+    def counted(self, vec):
+        calls[0] += 1
+        return add(self, vec)
+
+    monkeypatch.setattr(RowSpace, "add", counted)
+    full = algebra_generated(dim, r, thetas)
+    unbounded = calls[0]
+    bounded = algebra_generated(dim, r, thetas, within=cent_tau)
+    assert bounded.equals(full) and bounded.equals(cent_tau)
+    assert calls[0] - unbounded < unbounded
+    with pytest.raises(DimensionError):
+        algebra_generated(dim, r, thetas, within=RowSpace(cent_tau.width + 1))
 
 
 def test_centralizer_of_everything_is_scalars():
