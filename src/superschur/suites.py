@@ -19,6 +19,14 @@ sums are exact rational arithmetic, and every elementary tuple is still
 checked, so the checks stay exhaustive; they equal the dense forms because
 the bracket is bilinear and theta linear on each parity, which
 tests/test_suites.py checks on random rational combinations.
+
+The even-rules check keeps each Lambda_2 point gl_point(a, E_ij) as a
+{(row, col): entry} map of its nonzero entries and multiplies those maps,
+so its left side is still the ordinary commutator of the realized points.
+Its right side gl_point(a b, {E_ij, E_kl}) is read by linearity in the
+matrix, as the sum of t gl_point(a b, E_e) over the terms t E_e of the
+bracket, from a table of gl_point(c, E_e) over the distinct coefficients
+c = a b; tests/test_suites.py checks that gl_point is linear in this way.
 """
 
 from __future__ import annotations
@@ -77,8 +85,8 @@ def _bracket_table(elems) -> dict:
 
 
 def _terms(mat: SuperMatrix) -> dict:
-    """{(a, b): entry} over the nonzero entries of a rational matrix, so the
-    matrix is the sum of entry * E_ab (1-based)."""
+    """{(a, b): entry} over the nonzero entries of a matrix, so the matrix is
+    the sum of entry * E_ab (1-based)."""
     return {
         (a, b): e
         for a, row in enumerate(mat.entries, start=1)
@@ -98,6 +106,26 @@ def _bilinear(*parts) -> dict:
             for f, v in images[e].items():
                 out[f] = out[f] + c * v if f in out else c * v
     return {f: v for f, v in out.items() if v}
+
+
+def _times(v: dict, w: dict) -> dict:
+    """The ordinary product of two matrices given as {(row, col): entry}
+    maps, each term formed left factor first; returned as such a map with no
+    zero entries."""
+    out = {}
+    for (r, s), d in v.items():
+        for (s2, t), e in w.items():
+            if s == s2:
+                out[r, t] = out[r, t] + d * e if (r, t) in out else d * e
+    return {f: x for f, x in out.items() if x}
+
+
+def _difference(v: dict, w: dict) -> dict:
+    """v - w for {key: entry} maps, returned with no zero entries."""
+    out = dict(v)
+    for f, x in w.items():
+        out[f] = out[f] - x if f in out else -x
+    return {f: x for f, x in out.items() if x}
 
 
 def _each_once(form):
@@ -124,6 +152,15 @@ def _record(name: str, ok: bool, **extra) -> dict:
 # --- bracket -----------------------------------------------------------------
 
 
+def _point_coefficients(N: int) -> dict:
+    """{parity: coefficients a} at which the bracket suite realizes the
+    Lambda_N points a (x) E_ij, for E_ij of that parity."""
+    one = GrassmannElement.scalar(N, 1)
+    x1 = GrassmannElement.generator(N, 1)
+    x2 = GrassmannElement.generator(N, 2)
+    return {0: [one, x1 * x2, one + x1 * x2], 1: [x1, x2, x1 + x2]}
+
+
 def suite_bracket(m: int, n: int) -> list[dict]:
     """Exact identities of the rational bracket and the supertrace.
 
@@ -132,7 +169,9 @@ def suite_bracket(m: int, n: int) -> list[dict]:
     Jacobi check reads its three nested brackets per triple from the table:
     {E_ij, {E_kl, E_st}} is the sum of c {E_ij, E_e} over the terms c E_e of
     {E_kl, E_st}, and likewise for the other two, compared as {(a, b): entry}
-    maps.
+    maps.  The even-rules check compares, as such maps, the ordinary
+    commutator of the Lambda_2 points a (x) E_ij and b (x) E_kl with
+    gl_point(a b, {E_ij, E_kl}) read by linearity from gl_point(a b, E_e).
     """
     dim = SuperDim(m, n)
     elems = list(_elementary_pairs(dim))
@@ -145,16 +184,28 @@ def suite_bracket(m: int, n: int) -> list[dict]:
         by_left[i, j][k, l] = by_right[k, l][i, j] = _terms(xy)
 
     # Lambda_2 points a (x) E_ij for coefficients a of the parity of E_ij,
-    # whose ordinary commutators are checked against the even-rules bracket
+    # kept as {(row, col): entry} maps; their ordinary commutators are checked
+    # against the even-rules bracket gl_point(a b, {E_ij, E_kl}), read as the
+    # sum of t gl_point(a b, E_e) over the terms t E_e of the bracket
     N = 2
-    one = GrassmannElement.scalar(N, 1)
-    x1 = GrassmannElement.generator(N, 1)
-    x2 = GrassmannElement.generator(N, 2)
-    coeffs = {0: [one, x1 * x2, one + x1 * x2], 1: [x1, x2, x1 + x2]}
-    points = {(i, j): [gl_point(a, x) for a in coeffs[p]] for i, j, x, p in elems}
+    coeffs = _point_coefficients(N)
+    points = {(i, j): [_terms(gl_point(a, x)) for a in coeffs[p]] for i, j, x, p in elems}
+    # coefficient_pairs[px, py] lists each pair (a, b) read at E_ij of parity
+    # px and E_kl of parity py, with the terms of gl_point(a b, E_e) for each
+    # E_e of parity px ^ py, tabulated once per distinct coefficient a b
+    realized = {0: {}, 1: {}}
+    coefficient_pairs = {}
+    for px, py in itertools.product((0, 1), repeat=2):
+        table = realized[px ^ py]
+        coefficient_pairs[px, py] = []
+        for (ia, a), (ib, b) in itertools.product(enumerate(coeffs[px]), enumerate(coeffs[py])):
+            c = a * b
+            if c not in table:
+                table[c] = {(i, j): _terms(gl_point(c, x)) for i, j, x, p in elems if p == px ^ py}
+            coefficient_pairs[px, py].append((ia, ib, a, b, table[c]))
     matrix = {(i, j): x for i, j, x, _ in elems}
     trace = _each_once(lambda a, b: supertrace(matrix[a] * matrix[b]))
-    products = _each_once(lambda a, b: [[v * w for w in points[b]] for v in points[a]])
+    products = _each_once(lambda a, b: [[_times(v, w) for w in points[b]] for v in points[a]])
 
     bad_anti, bad_sym, bad_str, bad_even = [], [], [], []
     for (i, j, x, px), (k, l, y, py) in pairs:
@@ -167,9 +218,9 @@ def suite_bracket(m: int, n: int) -> list[dict]:
         if supertrace(xy) != 0:
             bad_str.append([i, j, k, l])
         vw, wv = products((i, j), (k, l)), products((k, l), (i, j))
-        for (ia, a), (ib, b) in itertools.product(enumerate(coeffs[px]), enumerate(coeffs[py])):
-            right = gl_point(a * b, xy)
-            if vw[ia][ib] - wv[ib][ia] != (right.scale(-1) if odd else right):
+        for ia, ib, a, b, images in coefficient_pairs[px, py]:
+            right = _bilinear((-1 if odd else 1, by_left[i, j][k, l], images))
+            if _difference(vw[ia][ib], wv[ib][ia]) != right:
                 bad_even.append([i, j, k, l, repr(a), repr(b)])
 
     bad_jacobi = []

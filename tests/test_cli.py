@@ -170,6 +170,36 @@ def test_failing_records_are_pinned(key, monkeypatch):
     assert digest == PINNED_FAILURES[key]
 
 
+# sha256 of the bracket records when the Lambda_2 points drop their row sign
+# (entry (r, s) = coeff * mat[r][s] for every row), recorded before the
+# even-rules check kept its points as sparse maps
+PINNED_EVEN_RULES_FAILURES = {
+    (1, 1): "ebb5fee152bf4e98720fa897267ee0633cdcf46c47bcd62a856a9a019882a3c8",
+    (2, 1): "524cb53381414be75fd6e1fa925e88ebf347dc240a6c1c172e635454a9870c84",
+    (1, 2): "3c76b377281237118b86082a0b5fa4d9ac5f94e74437a67006cdde8cdff97f16",
+    (2, 2): "cd0a17a78d84b5b28531aa1f8549c5e7b995277e2a3a9f85759f337dbe7012b0",
+}
+
+
+def unsigned_point(coeff, mat):
+    """gl_point without the row sign (-1)^{p(coeff) p(r)}."""
+    zero = GrassmannElement.zero(coeff.num_generators)
+    rows = [[coeff * e if e else zero for e in row] for row in mat.entries]
+    return SuperMatrix(mat.dim, rows, coeff.num_generators)
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_EVEN_RULES_FAILURES))
+def test_failing_even_rules_records_are_pinned(key, monkeypatch):
+    suites = superschur.suites
+    monkeypatch.setattr(suites, "gl_point", unsigned_point)
+    records = suites.suite_bracket(*key)
+    assert [record["check"] for record in records if not record["pass"]] == [
+        "even_rules_consistency"
+    ]
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_EVEN_RULES_FAILURES[key]
+
+
 # sha256 of the schurweyl records when tau is unsigned (every entry replaced
 # by its absolute value), recorded before the generated algebras and
 # centralizers came back as bare row spaces

@@ -12,11 +12,13 @@ from superschur import (
     SuperMatrix,
     TensorOperator,
     derivation_operator,
+    gl_point,
     run_suite,
     suite_actions,
     suite_bracket,
     suite_group,
     suite_schurweyl,
+    suites,
     superbracket,
 )
 
@@ -25,7 +27,7 @@ def names(checks):
     return [c["check"] for c in checks]
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2), (2, 0), (0, 2)])
 def test_bracket_suite_passes(m, n):
     checks = suite_bracket(m, n)
     assert names(checks) == [
@@ -90,7 +92,11 @@ def test_run_suite_dispatch():
 # The bracket and actions suites read nested brackets and theta of a bracket
 # from a table of brackets of elementary matrices, by bilinearity.  That is
 # exact only if superbracket is bilinear and derivation_operator linear on
-# combinations of elementary matrices of one parity.
+# combinations of elementary matrices of one parity.  The bracket suite's
+# even-rules check reads gl_point(a b, {E_ij, E_kl}) as the sum of
+# t gl_point(a b, E_e) over the terms t E_e of the bracket, which is exact
+# only if gl_point is linear in its matrix on such combinations, for each
+# coefficient a b the check reads.
 
 LINEARITY_DIMS = [SuperDim(1, 1), SuperDim(2, 1), SuperDim(1, 2)]
 
@@ -129,6 +135,19 @@ def test_superbracket_is_bilinear_on_elementary_combinations(dim, px, py, data):
             elem_f = SuperMatrix.elementary(dim, *f)
             want = want + superbracket(elem_e, elem_f).scale(ca * cb)
     assert superbracket(matrix_of(dim, a), matrix_of(dim, b)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LINEARITY_DIMS), st.integers(0, 1), st.data())
+def test_gl_point_is_linear_on_elementary_combinations(dim, parity, data):
+    t = data.draw(combinations(dim, parity))
+    N = 2
+    coeffs = suites._point_coefficients(N)
+    for c in {a * b for px in (0, 1) for a in coeffs[px] for b in coeffs[px ^ parity]}:
+        want = SuperMatrix(dim, [[0] * dim.size for _ in range(dim.size)], N)
+        for e, te in t.items():
+            want = want + gl_point(c, SuperMatrix.elementary(dim, *e)).scale(te)
+        assert gl_point(c, matrix_of(dim, t)) == want
 
 
 @settings(max_examples=60, deadline=None)
