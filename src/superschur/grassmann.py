@@ -10,12 +10,15 @@ numerator is zero.  The form is unique, so equality compares (N, den,
 numerators).  Sums work on the numerators and normalize once, by a single
 gcd; no Fraction is built on the way.
 
-Every product goes through one kernel, ``_sum_of_products``, which returns
-start + x1*y1 + ... + xk*yk.  It brings all terms to one common denominator,
-the lcm of the start's and of each x._den * y._den, merges every monomial
-pair into one dict of int numerators, drops the zeros and reduces once.  A
-matrix, elimination or tensor entry of k terms is thus one reduced element,
-not 2k - 1 of them; ``x * y`` is the kernel on the single pair (x, y).
+Every product of two elements goes through one kernel, ``_sum_of_products``,
+which returns start + x1*y1 + ... + xk*yk.  It brings all terms to one
+common denominator, the lcm of the start's and of each x._den * y._den,
+merges every monomial pair into one dict of int numerators, drops the zeros
+and reduces once.  A matrix, elimination or tensor entry of k terms is thus
+one reduced element, not 2k - 1 of them; ``x * y`` is the kernel on the
+single pair (x, y).  An int or Fraction times an element, on either side,
+makes no kernel call: it scales the numerators and the denominator and
+reduces once.
 
 Multiplying two monomials merges their masks with the sign (-1)^k, where k
 counts the pairs (i in the left mask, j in the right mask) with i > j, the
@@ -246,6 +249,8 @@ class GrassmannElement:
         return other + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -253,10 +258,21 @@ class GrassmannElement:
 
     def __rmul__(self, other):
         # only scalars reach here, and scalars are central
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        return NotImplemented
+
+    def _scaled(self, s):
+        """s * self for an int or Fraction s: the numerators times s's
+        numerator over den times s's denominator, reduced once."""
+        if not s or not self._num:
+            return GrassmannElement._wrap(self.num_generators, {}, 1)
+        p = s.numerator
+        return GrassmannElement._reduce(
+            self.num_generators,
+            {m: c * p for m, c in self._num.items()},
+            self._den * s.denominator,
+        )
 
     def __pow__(self, exponent: int):
         if exponent < 0:

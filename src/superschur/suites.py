@@ -5,20 +5,23 @@ Each suite returns a list of check records: plain dicts with at least
 comparison is exact; sampled checks take an explicit seed and report it.
 
 A suite forms each elementary object once (E_ij with its parity, each
-bracket {E_ij, E_kl}, each theta(E_ij), each Lambda_2 point, each tau) and
-the checks that need it read it from one table.  A product that a loop over
-ordered pairs reads at (a, b) and again at (b, a) is formed once too.  The
-group suite draws its TRIALS = 5 seeded pairs (g, h) once, and one pass over
-them feeds every sampled check.
+bracket {E_ij, E_kl}, each theta(E_ij), each Lambda_2 point, each signed
+transposition tau(i j)) and the checks that need it read it from one table;
+the actions suite reads every link of both decompositions of each sigma from
+its table of transpositions.  A product that a loop over ordered pairs reads
+at (a, b) and again at (b, a) is formed once too.  The group suite draws its
+TRIALS = 5 seeded pairs (g, h) once, and one pass over them feeds every
+sampled check.
 
 Nested brackets and theta of a bracket are read from the bracket table by
 bilinearity.  {E_ij, E_kl} is a sum c E_e over at most two elementary
 matrices of one parity, so {E_ij, {E_kl, E_st}} is the sum of c {E_ij, E_e}
-over table entries, and theta({E_ij, E_kl}) the sum of c theta(E_e).  Both
-sums are exact rational arithmetic, and every elementary tuple is still
-checked, so the checks stay exhaustive; they equal the dense forms because
-the bracket is bilinear and theta linear on each parity, which
-tests/test_suites.py checks on random rational combinations.
+over table entries, and theta({E_ij, E_kl}) the sum of c theta(E_e), which
+for a single term with c = 1 is theta(E_e) itself.  Both sums are exact
+rational arithmetic, and every elementary tuple is still checked, so the
+checks stay exhaustive; they equal the dense forms because the bracket is
+bilinear and theta linear on each parity, which tests/test_suites.py checks
+on random rational combinations.
 
 The even-rules check keeps each Lambda_2 point gl_point(a, E_ij) as a
 {(row, col): entry} map of its nonzero entries and multiplies those maps,
@@ -27,6 +30,9 @@ Its right side gl_point(a b, {E_ij, E_kl}) is read by linearity in the
 matrix, as the sum of t gl_point(a b, E_e) over the terms t E_e of the
 bracket, from a table of gl_point(c, E_e) over the distinct coefficients
 c = a b; tests/test_suites.py checks that gl_point is linear in this way.
+
+The bracket suite takes no r, and the cap bounds (m+n)^2, its side at r = 2,
+before any of its (m+n)^6 Jacobi triples is formed.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ from .tensor import (
     diagonal_operator,
     operator_from_transpositions,
     point_derivation_operator,
-    transposition_perm,
+    transposition_table,
 )
 
 SUITE_NAMES = ("bracket", "actions", "schurweyl", "group")
@@ -161,7 +167,7 @@ def _point_coefficients(N: int) -> dict:
     return {0: [one, x1 * x2, one + x1 * x2], 1: [x1, x2, x1 + x2]}
 
 
-def suite_bracket(m: int, n: int) -> list[dict]:
+def suite_bracket(m: int, n: int, cap: int | None = None) -> list[dict]:
     """Exact identities of the rational bracket and the supertrace.
 
     Elementary matrices span each homogeneous component, so exhausting
@@ -172,7 +178,11 @@ def suite_bracket(m: int, n: int) -> list[dict]:
     maps.  The even-rules check compares, as such maps, the ordinary
     commutator of the Lambda_2 points a (x) E_ij and b (x) E_kl with
     gl_point(a b, {E_ij, E_kl}) read by linearity from gl_point(a b, E_e).
+
+    The cap bounds (m+n)^2, the side of the word space at r = 2, before the
+    (m+n)^6 Jacobi triples are formed.
     """
+    check_cap(m, n, 2, cap)
     dim = SuperDim(m, n)
     elems = list(_elementary_pairs(dim))
     pairs = list(itertools.product(elems, repeat=2))
@@ -251,14 +261,17 @@ def _theta_homomorphism(dim, elems, brackets, r: int, odd_count: str, first_only
     commutator of theta(E_ij) and theta(E_kl): all of them, or the first.
 
     brackets[i, j, k, l] holds the terms {(a, b): c} of {E_ij, E_kl}, and
-    theta({E_ij, E_kl}) is read as the sum of c theta(E_ab) by linearity.
+    theta({E_ij, E_kl}) is read as the sum of c theta(E_ab) by linearity,
+    each term with c = 1 being theta(E_ab) itself, not a copy.
     """
     thetas = {(i, j): derivation_operator(x, r, odd_count=odd_count) for i, j, x, _ in elems}
     times = _each_once(lambda a, b: thetas[a] * thetas[b])
     zero = TensorOperator.zero(dim, r)
     bad = []
     for (i, j, _, px), (k, l, _, py) in itertools.product(elems, repeat=2):
-        lhs = sum((thetas[e].scale(c) for e, c in brackets[i, j, k, l].items()), zero)
+        terms = brackets[i, j, k, l].items()
+        parts = [thetas[e] if c == 1 else thetas[e].scale(c) for e, c in terms]
+        lhs = sum(parts[1:], parts[0]) if parts else zero
         first = times((i, j), (k, l))
         second = times((k, l), (i, j))
         if lhs != (first + second if px & py else first - second):
@@ -275,11 +288,12 @@ def suite_actions(m: int, n: int, r: int, seed: int = 0, cap: int | None = None)
     checks = []
 
     perms = list(all_perms(r))
+    taus = transposition_table(dim, r)
     operators = {}
     bad = []
     for sigma in perms:
-        via_adjacent = operator_from_transpositions(dim, r, adjacent_decomposition(sigma))
-        via_cycles = operator_from_transpositions(dim, r, cycle_decomposition(sigma))
+        via_adjacent = operator_from_transpositions(dim, r, adjacent_decomposition(sigma), taus)
+        via_cycles = operator_from_transpositions(dim, r, cycle_decomposition(sigma), taus)
         if via_adjacent != via_cycles:
             bad.append(list(sigma))
         operators[sigma] = via_adjacent
@@ -337,7 +351,7 @@ def suite_actions(m: int, n: int, r: int, seed: int = 0, cap: int | None = None)
 
     bad = []
     for pos in range(1, r):
-        tau = operators[transposition_perm(r, pos, pos + 1)]
+        tau = taus[pos, pos + 1]
         for i, j, _, _ in elems:
             th = thetas[i, j]
             if tau * th != th * tau:
@@ -528,7 +542,7 @@ def run_suite(
     cap: int | None = None,
 ) -> list[dict]:
     if name == "bracket":
-        return suite_bracket(m, n)
+        return suite_bracket(m, n, cap=cap)
     if name == "actions":
         return suite_actions(m, n, r, seed=seed, cap=cap)
     if name == "schurweyl":

@@ -5,7 +5,9 @@ operator keeps one sparse column per basis word: column k maps the index of
 each word in the image of the k-th basis word to its nonzero coefficient.
 Products, sums and comparisons touch only those nonzeros, so a product costs
 the nonzero pairs A[i, k] B[k, j] that it multiplies, not side^3; the
-builders below write their columns directly.
+builders below write their columns directly.  Over Q a column of B with at
+most one entry, as every column of a signed permutation operator is, gives
+its product column in one pass with nothing to sum.
 
 Three actions live here:
 
@@ -89,12 +91,6 @@ def compose(first: Perm, then: Perm) -> Perm:
     if len(first) != len(then):
         raise DimensionError("permutations act on different numbers of places")
     return tuple(then[f - 1] for f in first)
-
-
-def transposition_perm(r: int, i: int, j: int) -> Perm:
-    perm = list(range(1, r + 1))
-    perm[i - 1], perm[j - 1] = j, i
-    return tuple(perm)
 
 
 def all_perms(r: int):
@@ -236,7 +232,9 @@ class TensorOperator:
         Each term is formed as a * b, in that order: odd Grassmann entries
         anticommute.  Over Lambda_N the pairs of each output entry are
         collected first and summed by one _sum_of_products call; over Q
-        adding each term in place is faster than collecting them.
+        adding each term in place is faster than collecting them, and a
+        column of B with one entry b at row k gives the column A[:, k] * b
+        directly, an empty one the empty column.
         """
         if not isinstance(other, TensorOperator):
             return NotImplemented
@@ -257,6 +255,11 @@ class TensorOperator:
                 cols.append({i: e for i, e in sums if e})
             return TensorOperator._from_cols(self.dim, self.r, cols, n)
         for b_col in other.cols:
+            if len(b_col) <= 1:
+                # at most one term per output entry, and a product of
+                # nonzero rationals is nonzero: nothing to accumulate or filter
+                cols.append({i: a * b for k, b in b_col.items() for i, a in a_cols[k].items()})
+                continue
             acc = {}
             for k, b in b_col.items():
                 for i, a in a_cols[k].items():
@@ -339,10 +342,23 @@ def transposition_operator(dim: SuperDim, r: int, i: int, j: int) -> TensorOpera
     return TensorOperator._from_cols(dim, r, cols)
 
 
-def operator_from_transpositions(dim: SuperDim, r: int, pairs) -> TensorOperator:
+def transposition_table(dim: SuperDim, r: int) -> dict:
+    """{(i, j): transposition_operator(dim, r, i, j)} over every pair of
+    positions i < j."""
+    return {
+        (i, j): transposition_operator(dim, r, i, j)
+        for i, j in itertools.combinations(range(1, r + 1), 2)
+    }
+
+
+def operator_from_transpositions(dim: SuperDim, r: int, pairs, taus=None) -> TensorOperator:
+    """The left-to-right product of the transposition operators of pairs,
+    from the identity.  Each link is read from taus, a {(i, j): operator}
+    table such as transposition_table returns, when one is given, and built
+    otherwise."""
     acc = TensorOperator.identity(dim, r)
     for i, j in pairs:
-        acc = acc * transposition_operator(dim, r, i, j)
+        acc = acc * (transposition_operator(dim, r, i, j) if taus is None else taus[i, j])
     return acc
 
 

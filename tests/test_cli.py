@@ -170,6 +170,36 @@ def test_failing_records_are_pinned(key, monkeypatch):
     assert digest == PINNED_FAILURES[key]
 
 
+# sha256 of the actions records when swap_letters drops the sign for the odd
+# letters strictly between the swapped places, recorded before the suite read
+# every link of both decompositions from one table of transpositions.  An
+# adjacent swap crosses no letters, so only the cycle decompositions change.
+PINNED_SWAP_FAILURES = {
+    (2, 1, 3): "ea76a14d00e52e5ae15fc1b0f6e2b8412de2aa3573b6e83abc8e896508b0b487",
+    (1, 2, 3): "2a5500b129d5627ffb5987232f92c2961824409bb0b3d3c2052417f8a4638bc7",
+    (1, 1, 4): "7f3611a3a4d7d337b64c177f2b1b9e611771e30bce6ca2e0974ff6454f019cc5",
+}
+
+
+def swap_without_between(dim, word, i, j):
+    """swap_letters without the term for the odd letters between i and j."""
+    pi, pj = dim.parity(word[i - 1]), dim.parity(word[j - 1])
+    swapped = list(word)
+    swapped[i - 1], swapped[j - 1] = swapped[j - 1], swapped[i - 1]
+    return (-1 if pi & pj else 1), tuple(swapped)
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_SWAP_FAILURES))
+def test_failing_swap_records_are_pinned(key, monkeypatch):
+    monkeypatch.setattr(superschur.tensor, "swap_letters", swap_without_between)
+    records = superschur.suites.suite_actions(*key)
+    assert [record["check"] for record in records if not record["pass"]] == [
+        "tau_decomposition_independence"
+    ]
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_SWAP_FAILURES[key]
+
+
 # sha256 of the bracket records when the Lambda_2 points drop their row sign
 # (entry (r, s) = coeff * mat[r][s] for every row), recorded before the
 # even-rules check kept its points as sparse maps
@@ -537,6 +567,24 @@ def test_wire_takes_integers_and_fraction_strings(tmp_path, capsys):
 def test_cap_exit_three(capsys):
     code, _, err = run_cli(["verify", "schurweyl", "-m", "2", "-n", "2", "-r", "4"], capsys)
     assert code == 3 and "cap" in err
+
+
+def test_bracket_cap_exit_three(monkeypatch, capsys):
+    # the cap bounds (m+n)^2, the side at r = 2, before any bracket is formed
+    def never(*args, **kwargs):
+        raise AssertionError("work started past the cap")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(superschur.suites, "_bracket_table", never)
+        for dims in ("-m 5 -n 4", "-m 64 -n 0", "-m 2 -n 1 --cap 8"):
+            code, out, err = run_cli(["verify", "bracket"] + dims.split(), capsys)
+            assert code == 3 and out == ""
+            assert "word space has dimension" in err and "cap" in err
+        patch.setenv("SUPERSCHUR_CAP", "8")
+        code, out, err = run_cli(["verify", "bracket", "-m", "2", "-n", "1"], capsys)
+        assert code == 3 and out == "" and "> cap 8" in err
+    code, _, _ = run_cli(["verify", "bracket", "-m", "2", "-n", "1", "--cap", "9"], capsys)
+    assert code == 0
 
 
 def test_cap_env_override(monkeypatch, capsys):

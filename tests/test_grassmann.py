@@ -454,3 +454,23 @@ def test_sum_of_products_of_no_pairs():
     assert _sum_of_products(3, [], start) == start
     empty = _sum_of_products(3, [])
     assert empty == GrassmannElement.zero(3) and empty._den == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=6).flatmap(lambda n: st.tuples(st.just(n), mixed_elements(n))),
+    st.one_of(
+        st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-6, 4)]),
+        st.integers(min_value=-50, max_value=50),
+        st.fractions(min_value=-20, max_value=20, max_denominator=30),
+    ),
+)
+def test_rational_times_element_matches_the_kernel(case, s):
+    n, e = case
+    kernel = _sum_of_products(n, [(GrassmannElement.scalar(n, s), e)])
+    for product in (s * e, e * s):
+        assert_matches(product, ref_mul(nonzero({0: Fraction(s)}), e.terms), n)
+        assert (product._num, product._den) == (kernel._num, kernel._den)
+    if not s:
+        assert (s * e)._den == 1 and not (s * e)._num
+        assert 0 * e == GrassmannElement.zero(n)

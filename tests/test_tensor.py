@@ -350,6 +350,45 @@ def test_sparse_operator_matches_dense_reference(case, factor):
         assert all(e for col in op.cols for e in col.values())
 
 
+@st.composite
+def column_operators(draw):
+    """Two rational operators on one small space, each a random signed
+    permutation operator (one entry per column) or one whose columns mix
+    empty, one-entry and multi-entry columns."""
+    dim, r = draw(st.sampled_from([(D11, 1), (D21, 1), (D11, 2), (D21, 2)]))
+    side = dim.size ** r
+    nonzero = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-5, 3)])
+
+    def signed_permutation():
+        images = draw(st.permutations(range(side)))
+        return [{i: draw(st.sampled_from([1, -1]))} for i in images]
+
+    def mixed():
+        cols = []
+        for _ in range(side):
+            size = draw(st.sampled_from([0, 1, 1, 2, side]))
+            rows = draw(st.lists(st.integers(0, side - 1), min_size=size, max_size=size, unique=True))
+            cols.append({i: draw(nonzero) for i in rows})
+        return cols
+
+    def operator():
+        cols = signed_permutation() if draw(st.booleans()) else mixed()
+        rows = [[cols[j].get(i, 0) for j in range(side)] for i in range(side)]
+        return TensorOperator(dim, r, rows)
+
+    return operator(), operator()
+
+
+@settings(max_examples=150, deadline=None)
+@given(column_operators())
+def test_product_with_one_entry_columns_matches_dense_reference(case):
+    a, b = case
+    for x, y in ((a, b), (b, a)):
+        got = x * y
+        assert got.matrix == tuple(map(tuple, dense_product(x.matrix, y.matrix, 0)))
+        assert all(e for col in got.cols for e in col.values())
+
+
 def test_sparse_product_keeps_factor_order():
     # x1 x2 = -x2 x1: a product formed as b * a would flip every sign here
     x1, x2 = _x[0], _x[1]
