@@ -80,13 +80,13 @@ DEFAULT_CAP = 64
 Vector = dict
 
 
-def check_cap(m: int, n: int, r: int, cap: int | None) -> int:
+def check_cap(m: int, n: int, r: int, cap: int | None, what: str = "word space") -> int:
+    """(m+n)^r, the dimension of ``what``, once it is known to be at most
+    the cap."""
     side = (m + n) ** r
     limit = DEFAULT_CAP if cap is None else cap
     if side > limit:
-        raise CapExceeded(
-            f"word space has dimension {side} > cap {limit}; raise the cap to proceed"
-        )
+        raise CapExceeded(f"{what} has dimension {side} > cap {limit}; raise the cap to proceed")
     return side
 
 

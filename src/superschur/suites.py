@@ -23,16 +23,17 @@ checks stay exhaustive; they equal the dense forms because the bracket is
 bilinear and theta linear on each parity, which tests/test_suites.py checks
 on random rational combinations.
 
-The even-rules check keeps each Lambda_2 point gl_point(a, E_ij) as a
-{(row, col): entry} map of its nonzero entries and multiplies those maps,
-so its left side is still the ordinary commutator of the realized points.
-Its right side gl_point(a b, {E_ij, E_kl}) is read by linearity in the
-matrix, as the sum of t gl_point(a b, E_e) over the terms t E_e of the
+A SuperMatrix keeps only its nonzero entries, so the bracket table, the
+nested brackets and the even-rules check cost the nonzeros they touch.  The
+even-rules check multiplies the Lambda_2 points gl_point(a, E_ij)
+themselves, so its left side is the ordinary commutator of the realized
+points.  Its right side gl_point(a b, {E_ij, E_kl}) is read by linearity in
+the matrix, as the sum of t gl_point(a b, E_e) over the terms t E_e of the
 bracket, from a table of gl_point(c, E_e) over the distinct coefficients
 c = a b; tests/test_suites.py checks that gl_point is linear in this way.
 
-The bracket suite takes no r, and the cap bounds (m+n)^2, its side at r = 2,
-before any of its (m+n)^6 Jacobi triples is formed.
+The bracket suite takes no r, and the cap bounds (m+n)^2, the dimension of
+gl(m|n), before any of its (m+n)^6 Jacobi triples is formed.
 """
 
 from __future__ import annotations
@@ -90,17 +91,6 @@ def _bracket_table(elems) -> dict:
     }
 
 
-def _terms(mat: SuperMatrix) -> dict:
-    """{(a, b): entry} over the nonzero entries of a matrix, so the matrix is
-    the sum of entry * E_ab (1-based)."""
-    return {
-        (a, b): e
-        for a, row in enumerate(mat.entries, start=1)
-        for b, e in enumerate(row, start=1)
-        if e
-    }
-
-
 def _bilinear(*parts) -> dict:
     """The sum of sign * c * images[e] over each part (sign, coeffs, images)
     and each item (e, c) of coeffs, where each images[e] is a {key: entry}
@@ -112,26 +102,6 @@ def _bilinear(*parts) -> dict:
             for f, v in images[e].items():
                 out[f] = out[f] + c * v if f in out else c * v
     return {f: v for f, v in out.items() if v}
-
-
-def _times(v: dict, w: dict) -> dict:
-    """The ordinary product of two matrices given as {(row, col): entry}
-    maps, each term formed left factor first; returned as such a map with no
-    zero entries."""
-    out = {}
-    for (r, s), d in v.items():
-        for (s2, t), e in w.items():
-            if s == s2:
-                out[r, t] = out[r, t] + d * e if (r, t) in out else d * e
-    return {f: x for f, x in out.items() if x}
-
-
-def _difference(v: dict, w: dict) -> dict:
-    """v - w for {key: entry} maps, returned with no zero entries."""
-    out = dict(v)
-    for f, x in w.items():
-        out[f] = out[f] - x if f in out else -x
-    return {f: x for f, x in out.items() if x}
 
 
 def _each_once(form):
@@ -174,15 +144,15 @@ def suite_bracket(m: int, n: int, cap: int | None = None) -> list[dict]:
     elementary tuples settles every multilinear identity checked here.  The
     Jacobi check reads its three nested brackets per triple from the table:
     {E_ij, {E_kl, E_st}} is the sum of c {E_ij, E_e} over the terms c E_e of
-    {E_kl, E_st}, and likewise for the other two, compared as {(a, b): entry}
-    maps.  The even-rules check compares, as such maps, the ordinary
-    commutator of the Lambda_2 points a (x) E_ij and b (x) E_kl with
-    gl_point(a b, {E_ij, E_kl}) read by linearity from gl_point(a b, E_e).
+    {E_kl, E_st}, and likewise for the other two, compared as maps of
+    terms.  The even-rules check compares the ordinary commutator of the
+    Lambda_2 points a (x) E_ij and b (x) E_kl with gl_point(a b, {E_ij, E_kl})
+    read by linearity from gl_point(a b, E_e).
 
-    The cap bounds (m+n)^2, the side of the word space at r = 2, before the
-    (m+n)^6 Jacobi triples are formed.
+    The cap bounds (m+n)^2, the dimension of gl(m|n), before the (m+n)^6
+    Jacobi triples are formed.
     """
-    check_cap(m, n, 2, cap)
+    check_cap(m, n, 2, cap, what=f"gl({m}|{n})")
     dim = SuperDim(m, n)
     elems = list(_elementary_pairs(dim))
     pairs = list(itertools.product(elems, repeat=2))
@@ -191,15 +161,15 @@ def suite_bracket(m: int, n: int, cap: int | None = None) -> list[dict]:
     by_left = {(i, j): {} for i, j, _, _ in elems}
     by_right = {(i, j): {} for i, j, _, _ in elems}
     for (i, j, k, l), xy in bracket.items():
-        by_left[i, j][k, l] = by_right[k, l][i, j] = _terms(xy)
+        by_left[i, j][k, l] = by_right[k, l][i, j] = xy.terms
 
-    # Lambda_2 points a (x) E_ij for coefficients a of the parity of E_ij,
-    # kept as {(row, col): entry} maps; their ordinary commutators are checked
-    # against the even-rules bracket gl_point(a b, {E_ij, E_kl}), read as the
-    # sum of t gl_point(a b, E_e) over the terms t E_e of the bracket
+    # Lambda_2 points a (x) E_ij for coefficients a of the parity of E_ij;
+    # their ordinary commutators are checked against the even-rules bracket
+    # gl_point(a b, {E_ij, E_kl}), read as the sum of t gl_point(a b, E_e)
+    # over the terms t E_e of the bracket
     N = 2
     coeffs = _point_coefficients(N)
-    points = {(i, j): [_terms(gl_point(a, x)) for a in coeffs[p]] for i, j, x, p in elems}
+    points = {(i, j): [gl_point(a, x) for a in coeffs[p]] for i, j, x, p in elems}
     # coefficient_pairs[px, py] lists each pair (a, b) read at E_ij of parity
     # px and E_kl of parity py, with the terms of gl_point(a b, E_e) for each
     # E_e of parity px ^ py, tabulated once per distinct coefficient a b
@@ -211,11 +181,11 @@ def suite_bracket(m: int, n: int, cap: int | None = None) -> list[dict]:
         for (ia, a), (ib, b) in itertools.product(enumerate(coeffs[px]), enumerate(coeffs[py])):
             c = a * b
             if c not in table:
-                table[c] = {(i, j): _terms(gl_point(c, x)) for i, j, x, p in elems if p == px ^ py}
+                table[c] = {(i, j): gl_point(c, x).terms for i, j, x, p in elems if p == px ^ py}
             coefficient_pairs[px, py].append((ia, ib, a, b, table[c]))
     matrix = {(i, j): x for i, j, x, _ in elems}
     trace = _each_once(lambda a, b: supertrace(matrix[a] * matrix[b]))
-    products = _each_once(lambda a, b: [[_times(v, w) for w in points[b]] for v in points[a]])
+    products = _each_once(lambda a, b: [[v * w for w in points[b]] for v in points[a]])
 
     bad_anti, bad_sym, bad_str, bad_even = [], [], [], []
     for (i, j, x, px), (k, l, y, py) in pairs:
@@ -230,7 +200,7 @@ def suite_bracket(m: int, n: int, cap: int | None = None) -> list[dict]:
         vw, wv = products((i, j), (k, l)), products((k, l), (i, j))
         for ia, ib, a, b, images in coefficient_pairs[px, py]:
             right = _bilinear((-1 if odd else 1, by_left[i, j][k, l], images))
-            if _difference(vw[ia][ib], wv[ib][ia]) != right:
+            if (vw[ia][ib] - wv[ib][ia]).terms != right:
                 bad_even.append([i, j, k, l, repr(a), repr(b)])
 
     bad_jacobi = []
@@ -260,16 +230,16 @@ def _theta_homomorphism(dim, elems, brackets, r: int, odd_count: str, first_only
     pairs [i, j, k, l] where theta({E_ij, E_kl}) differs from the graded
     commutator of theta(E_ij) and theta(E_kl): all of them, or the first.
 
-    brackets[i, j, k, l] holds the terms {(a, b): c} of {E_ij, E_kl}, and
-    theta({E_ij, E_kl}) is read as the sum of c theta(E_ab) by linearity,
-    each term with c = 1 being theta(E_ab) itself, not a copy.
+    brackets[i, j, k, l] is {E_ij, E_kl}, and theta of it is read by
+    linearity as the sum of c theta(E_ab) over its terms c E_ab, each term
+    with c = 1 being theta(E_ab) itself, not a copy.
     """
     thetas = {(i, j): derivation_operator(x, r, odd_count=odd_count) for i, j, x, _ in elems}
     times = _each_once(lambda a, b: thetas[a] * thetas[b])
     zero = TensorOperator.zero(dim, r)
     bad = []
     for (i, j, _, px), (k, l, _, py) in itertools.product(elems, repeat=2):
-        terms = brackets[i, j, k, l].items()
+        terms = brackets[i, j, k, l].terms.items()
         parts = [thetas[e] if c == 1 else thetas[e].scale(c) for e, c in terms]
         lhs = sum(parts[1:], parts[0]) if parts else zero
         first = times((i, j), (k, l))
@@ -318,7 +288,7 @@ def suite_actions(m: int, n: int, r: int, seed: int = 0, cap: int | None = None)
     )
 
     elems = list(_elementary_pairs(dim))
-    brackets = {key: _terms(xy) for key, xy in _bracket_table(elems).items()}
+    brackets = _bracket_table(elems)
     thetas, bad = _theta_homomorphism(dim, elems, brackets, r, "exclusive", first_only=False)
     checks.append(
         _record("theta_bracket_homomorphism", not bad, m=m, n=n, r=r, failures=bad[:3])

@@ -8,6 +8,11 @@ right, which matters once entries anticommute.  Over Lambda_N each product
 entry, and each entry a row operation updates, is one call of the Grassmann
 kernel ``_sum_of_products``, so it is normalized once, not once per term.
 
+A matrix keeps one map of its nonzero entries, keyed by 1-based position, so
+products, sums, brackets and the block parity cost the nonzeros they touch:
+an elementary matrix E_ij, or a Lambda_N point of one, holds a single entry.
+The elimination below works on dense rows, read from the ``entries`` view.
+
 Determinants, inverses, the Berezinian, the LDU factors and the elementary
 factorization all come from one Gauss-Jordan elimination that divides only
 by units.  The even part of Lambda_N is a local ring: an element is a unit
@@ -62,39 +67,39 @@ class SuperDim:
 class SuperMatrix:
     """A square matrix over Q (``grassmann_n is None``) or Lambda_N.
 
-    A rational entry is an int when it is integral and a Fraction otherwise
-    (see exact_rational), so integer matrices multiply in int arithmetic.  A
-    product of Fractions that comes out integral may stay a Fraction; it
-    compares and hashes equal to the int, so equality never sees the form.
+    ``terms`` maps each position (a, b), 1-based as in E_ab, to its nonzero
+    entry, so the matrix is the sum of terms[a, b] * E_ab.  Zeros are never
+    stored, so equal matrices have equal maps; ``entries`` is a dense
+    read-only view.  A rational entry is an int when it is integral and a
+    Fraction otherwise (see exact_rational), so integer matrices multiply in
+    int arithmetic.  A product of Fractions that comes out integral may stay
+    a Fraction; it compares and hashes equal to the int, so equality never
+    sees the form.
     """
 
-    __slots__ = ("dim", "grassmann_n", "entries")
+    __slots__ = ("dim", "grassmann_n", "terms")
 
-    def __init__(self, dim: SuperDim, entries, grassmann_n: int | None = None):
+    def __new__(cls, dim: SuperDim, entries, grassmann_n: int | None = None):
+        """The matrix with the given dense rows of ints, Fractions or (over
+        Lambda_N) Grassmann elements."""
         size = dim.size
         if len(entries) != size or any(len(row) != size for row in entries):
             raise DimensionError(f"entries must be {size}x{size}")
         if grassmann_n is None:
-            rows = tuple(
-                tuple(self._as_rational(e) for e in row) for row in entries
-            )
+            exact = cls._as_rational
         else:
-            rows = tuple(
-                tuple(as_element(e, grassmann_n) for e in row) for row in entries
-            )
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "grassmann_n", grassmann_n)
-        object.__setattr__(self, "entries", rows)
+            exact = lambda e: as_element(e, grassmann_n)
+        rows = [[exact(e) for e in row] for row in entries]
+        return cls._from_terms(dim, _nonzeros(rows), grassmann_n)
 
     @classmethod
-    def _from_rows(cls, dim: SuperDim, rows, grassmann_n: int | None = None) -> "SuperMatrix":
-        """Wrap rows whose entries are already exact, ints or Fractions over
-        Q and elements of Lambda_N otherwise, skipping the coercion of every
-        entry."""
+    def _from_terms(cls, dim: SuperDim, terms, grassmann_n: int | None = None) -> "SuperMatrix":
+        """Wrap a {(a, b): entry} map whose entries are already exact and
+        nonzero: ints or Fractions over Q, elements of Lambda_N otherwise."""
         mat = object.__new__(cls)
         object.__setattr__(mat, "dim", dim)
         object.__setattr__(mat, "grassmann_n", grassmann_n)
-        object.__setattr__(mat, "entries", tuple(tuple(row) for row in rows))
+        object.__setattr__(mat, "terms", terms)
         return mat
 
     def __setattr__(self, name, value):
@@ -120,6 +125,15 @@ class SuperMatrix:
             return 1
         return GrassmannElement.scalar(self.grassmann_n, 1)
 
+    @property
+    def entries(self) -> tuple:
+        """A dense read-only view: the rows, zeros filled in."""
+        size, zero = self.dim.size, self.zero_element
+        rows = [[zero] * size for _ in range(size)]
+        for (a, b), e in self.terms.items():
+            rows[a - 1][b - 1] = e
+        return tuple(tuple(row) for row in rows)
+
     def _check_compatible(self, other: "SuperMatrix"):
         if self.dim != other.dim:
             raise DimensionError("graded dimensions differ")
@@ -130,14 +144,8 @@ class SuperMatrix:
 
     @classmethod
     def identity(cls, dim: SuperDim, grassmann_n: int | None = None) -> "SuperMatrix":
-        if grassmann_n is None:
-            zero, one = 0, 1
-        else:
-            zero = GrassmannElement.zero(grassmann_n)
-            one = GrassmannElement.scalar(grassmann_n, 1)
-        size = dim.size
-        rows = [[one if i == j else zero for j in range(size)] for i in range(size)]
-        return cls._from_rows(dim, rows, grassmann_n)
+        one = 1 if grassmann_n is None else GrassmannElement.scalar(grassmann_n, 1)
+        return cls._from_terms(dim, {(i, i): one for i in range(1, dim.size + 1)}, grassmann_n)
 
     @classmethod
     def elementary(cls, dim: SuperDim, i: int, j: int) -> "SuperMatrix":
@@ -145,46 +153,58 @@ class SuperMatrix:
         size = dim.size
         if not (1 <= i <= size and 1 <= j <= size):
             raise DimensionError(f"position ({i},{j}) not in 1..{size}")
-        rows = [[0] * size for _ in range(size)]
-        rows[i - 1][j - 1] = 1
-        return cls._from_rows(dim, rows)
+        return cls._from_terms(dim, {(i, j): 1})
 
     # --- arithmetic -----------------------------------------------------
 
     def __mul__(self, other):
         """Row-by-column product over the nonzero entries of both factors,
-        each term formed left factor first."""
+        each term formed left factor first.  The factor pairs of each entry
+        are collected first; over Lambda_N one _sum_of_products call sums
+        them."""
         if not isinstance(other, SuperMatrix):
             return NotImplemented
         self._check_compatible(other)
-        rows = _block_product(self.entries, other.entries, self.dim.size, self.zero_element)
-        return SuperMatrix._from_rows(self.dim, rows, self.grassmann_n)
+        by_row = {}  # other's nonzeros (t, y) in each row s
+        for (s, t), y in other.terms.items():
+            by_row.setdefault(s, []).append((t, y))
+        pairs = {}  # the factor pairs (x, y) of each entry (r, t)
+        for (r, s), x in self.terms.items():
+            for t, y in by_row.get(s, ()):
+                pairs.setdefault((r, t), []).append((x, y))
+        n = self.grassmann_n
+        if n is None:
+            sums = ((key, sum(x * y for x, y in p)) for key, p in pairs.items())
+        else:
+            sums = ((key, _sum_of_products(n, p)) for key, p in pairs.items())
+        return SuperMatrix._from_terms(self.dim, {key: e for key, e in sums if e}, n)
+
+    def _combine(self, other: "SuperMatrix", subtract: bool) -> "SuperMatrix":
+        self._check_compatible(other)
+        terms = dict(self.terms)
+        for key, b in other.terms.items():
+            if subtract:
+                b = -b
+            e = terms.pop(key) + b if key in terms else b
+            if e:
+                terms[key] = e
+        return SuperMatrix._from_terms(self.dim, terms, self.grassmann_n)
 
     def __add__(self, other):
         if not isinstance(other, SuperMatrix):
             return NotImplemented
-        self._check_compatible(other)
-        rows = [
-            [a + b if b else a for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)
-        ]
-        return SuperMatrix._from_rows(self.dim, rows, self.grassmann_n)
+        return self._combine(other, subtract=False)
 
     def __sub__(self, other):
         if not isinstance(other, SuperMatrix):
             return NotImplemented
-        self._check_compatible(other)
-        rows = [
-            [a - b if b else a for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)
-        ]
-        return SuperMatrix._from_rows(self.dim, rows, self.grassmann_n)
+        return self._combine(other, subtract=True)
 
     def scale(self, value) -> "SuperMatrix":
         """Multiply every entry by a central scalar (int or Fraction)."""
         factor = exact_rational(value)
-        rows = [[e * factor if e else e for e in row] for row in self.entries]
-        return SuperMatrix._from_rows(self.dim, rows, self.grassmann_n)
+        terms = {key: e * factor for key, e in self.terms.items()} if factor else {}
+        return SuperMatrix._from_terms(self.dim, terms, self.grassmann_n)
 
     def __eq__(self, other):
         if not isinstance(other, SuperMatrix):
@@ -192,11 +212,11 @@ class SuperMatrix:
         return (
             self.dim == other.dim
             and self.grassmann_n == other.grassmann_n
-            and self.entries == other.entries
+            and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.dim, self.grassmann_n, self.entries))
+        return hash((self.dim, self.grassmann_n, frozenset(self.terms.items())))
 
     def __repr__(self):
         # rational entries print as Fractions whatever their stored form
@@ -225,9 +245,8 @@ class SuperMatrix:
         m = self.dim.m
         rational = self.grassmann_n is None
         return all(
-            not e or (0 if rational else e.parity()) == int((i < m) != (j < m))
-            for i, row in enumerate(self.entries)
-            for j, e in enumerate(row)
+            (0 if rational else e.parity()) == int((a > m) != (b > m))
+            for (a, b), e in self.terms.items()
         )
 
     def body_matrix(self) -> list[list]:
@@ -285,7 +304,7 @@ class SuperMatrix:
         if ring == "Q":
             parts = ([rational_parts(e, "entry") for e in row] for row in entries)
             rows = [[p if q == 1 else Fraction(p, q) for p, q in row] for row in parts]
-            return cls._from_rows(dim, rows)
+            return cls._from_terms(dim, _nonzeros(rows))
         if ring == "grassmann":
             gn = data.get("grassmann_n")
             if not is_json_int(gn) or gn < 0:
@@ -305,8 +324,19 @@ class SuperMatrix:
                     else:
                         parsed.append(GrassmannElement.scalar_from_json(gn, e))
                 rows.append(parsed)
-            return cls._from_rows(dim, rows, gn)
+            return cls._from_terms(dim, _nonzeros(rows), gn)
         raise FormatError("'ring' must be 'Q' or 'grassmann'")
+
+
+def _nonzeros(rows, top: int = 0, left: int = 0) -> dict:
+    """{(a, b): entry} over the nonzero entries of dense rows, 1-based, with
+    the rows placed ``top`` rows down and ``left`` columns across."""
+    return {
+        (a, b): e
+        for a, row in enumerate(rows, start=top + 1)
+        for b, e in enumerate(row, start=left + 1)
+        if e
+    }
 
 
 # --- determinants over the even commutative subring ---------------------
@@ -448,9 +478,9 @@ def supertrace(mat: SuperMatrix):
     """Trace of the top-left block minus trace of the bottom-right block."""
     m = mat.dim.m
     acc = mat.zero_element
-    for i in range(mat.dim.size):
-        d = mat.entries[i][i]
-        acc = acc + d if i < m else acc - d
+    for (a, b), e in mat.terms.items():
+        if a == b:
+            acc = acc + e if a <= m else acc - e
     return acc
 
 
@@ -533,23 +563,17 @@ def ldu_factor(mat: SuperMatrix):
     """
     if not mat.is_gl_point():
         raise NotInvertible("LDU factorization needs a GL point")
-    zero, one = mat.zero_element, mat.one_element
-    m, n = mat.dim.m, mat.dim.n
+    m = mat.dim.m
     _, w_inv, winv_z, schur = _schur_parts(mat, with_inverse=True)
     _, y, _, w = mat.blocks()
-    y_winv = _block_product(y, w_inv, n, zero)
-
-    def assemble(top_left, top_right, bottom_left, bottom_right):
-        rows = [a + b for a, b in zip(top_left, top_right)]
-        rows += [a + b for a, b in zip(bottom_left, bottom_right)]
-        return SuperMatrix._from_rows(mat.dim, rows, mat.grassmann_n)
-
-    ident = lambda k: [[one if i == j else zero for j in range(k)] for i in range(k)]
-    zeros = lambda r, c: [[zero] * c for _ in range(r)]
-    upper = assemble(ident(m), y_winv, zeros(n, m), ident(n))
-    blockdiag = assemble(schur, zeros(m, n), zeros(n, m), w)
-    lower = assemble(ident(m), zeros(m, n), winv_z, ident(n))
-    return upper, blockdiag, lower
+    y_winv = _block_product(y, w_inv, mat.dim.n, mat.zero_element)
+    ident = SuperMatrix.identity(mat.dim, mat.grassmann_n).terms
+    factors = (
+        {**ident, **_nonzeros(y_winv, 0, m)},
+        {**_nonzeros(schur), **_nonzeros(w, m, m)},
+        {**ident, **_nonzeros(winv_z, m, 0)},
+    )
+    return tuple(SuperMatrix._from_terms(mat.dim, terms, mat.grassmann_n) for terms in factors)
 
 
 # --- distinguished one-parameter points ------------------------------------
@@ -573,9 +597,8 @@ def transvection(
         value = as_element(value, grassmann_n)
         if not value.is_zero() and value.parity() != want:
             raise ParityError(f"slot ({i},{j}) needs parity {want}")
-    rows = [list(row) for row in SuperMatrix.identity(dim, grassmann_n).entries]
-    rows[i - 1][j - 1] = value
-    return SuperMatrix._from_rows(dim, rows, grassmann_n)
+    terms = SuperMatrix.identity(dim, grassmann_n).terms
+    return SuperMatrix._from_terms(dim, {**terms, (i, j): value} if value else terms, grassmann_n)
 
 
 def dilation(
@@ -595,9 +618,8 @@ def dilation(
             raise ParityError("dilation value must be even")
         if value.body() == 0:
             raise NotInvertible("dilation value must have invertible body")
-    rows = [list(row) for row in SuperMatrix.identity(dim, grassmann_n).entries]
-    rows[i - 1][i - 1] = value
-    return SuperMatrix._from_rows(dim, rows, grassmann_n)
+    terms = {**SuperMatrix.identity(dim, grassmann_n).terms, (i, i): value}
+    return SuperMatrix._from_terms(dim, terms, grassmann_n)
 
 
 # --- the rational Lie superalgebra -----------------------------------------
@@ -612,16 +634,10 @@ def block_parity(mat: SuperMatrix):
     if mat.grassmann_n is not None:
         raise DimensionError("block parity is for rational matrices")
     m = mat.dim.m
-    seen = set()
-    for i, row in enumerate(mat.entries):
-        for j, e in enumerate(row):
-            if e:
-                seen.add(int((i < m) != (j < m)))
-    if not seen:
-        return 0
-    if len(seen) == 1:
-        return seen.pop()
-    return None
+    seen = {(a > m) != (b > m) for a, b in mat.terms}
+    if len(seen) > 1:
+        return None
+    return int(seen.pop()) if seen else 0
 
 
 def superbracket(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
@@ -650,16 +666,14 @@ def gl_point(coeff: GrassmannElement, mat: SuperMatrix) -> SuperMatrix:
     pc = coeff.parity()
     if pm is None or pc is None:
         raise ParityError("gl_point needs homogeneous coefficient and matrix")
-    nonzero = not coeff.is_zero() and any(e != 0 for row in mat.entries for e in row)
-    if nonzero and pm != pc:
+    if coeff and mat.terms and pm != pc:
         raise ParityError("coefficient parity must match the matrix block parity")
-    n = coeff.num_generators
-    zero = GrassmannElement.zero(n)
-    rows = []
-    for r, row in enumerate(mat.entries, start=1):
-        sign = -1 if (pc and mat.dim.parity(r)) else 1
-        rows.append([coeff * (sign * e) if e else zero for e in row])
-    return SuperMatrix._from_rows(mat.dim, rows, n)
+    terms = {}
+    for (r, s), e in mat.terms.items():
+        point = coeff * (-e if pc and mat.dim.parity(r) else e)
+        if point:
+            terms[r, s] = point
+    return SuperMatrix._from_terms(mat.dim, terms, coeff.num_generators)
 
 
 # --- seeded sampling of GL points ------------------------------------------

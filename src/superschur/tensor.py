@@ -384,11 +384,11 @@ def _one_position(x: SuperMatrix, r: int, odd_count: str) -> list[TensorOperator
     dim = x.dim
     size = dim.size
     odd = [dim.parity(a) for a in range(1, size + 1)]
-    # the nonzero (target, entry, entry parity) triples of each column of x
-    x_cols = [
-        [(t, x.entries[t][a], odd[t] ^ odd[a]) for t in range(size) if x.entries[t][a]]
-        for a in range(size)
-    ]
+    # the nonzero (target, entry, entry parity) triples of each column of x,
+    # 0-based
+    x_cols = [[] for _ in range(size)]
+    for (t, a), e in x.terms.items():
+        x_cols[a - 1].append((t - 1, e, odd[t - 1] ^ odd[a - 1]))
     counted = {
         "exclusive": lambda word, k: word[:k],
         "inclusive": lambda word, k: word[: k + 1],

@@ -576,10 +576,14 @@ def test_bracket_cap_exit_three(monkeypatch, capsys):
 
     with monkeypatch.context() as patch:
         patch.setattr(superschur.suites, "_bracket_table", never)
-        for dims in ("-m 5 -n 4", "-m 64 -n 0", "-m 2 -n 1 --cap 8"):
+        for dims, refusal in (
+            ("-m 5 -n 4", "gl(5|4) has dimension 81 > cap 64"),
+            ("-m 64 -n 0", "gl(64|0) has dimension 4096 > cap 64"),
+            ("-m 2 -n 1 --cap 8", "gl(2|1) has dimension 9 > cap 8"),
+        ):
             code, out, err = run_cli(["verify", "bracket"] + dims.split(), capsys)
             assert code == 3 and out == ""
-            assert "word space has dimension" in err and "cap" in err
+            assert refusal in err
         patch.setenv("SUPERSCHUR_CAP", "8")
         code, out, err = run_cli(["verify", "bracket", "-m", "2", "-n", "1"], capsys)
         assert code == 3 and out == "" and "> cap 8" in err

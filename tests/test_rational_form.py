@@ -67,7 +67,7 @@ def entry_types(values) -> set:
 
 
 def matrix_values(mat: SuperMatrix):
-    return [e for row in mat.entries for e in row]
+    return list(mat.terms.values())
 
 
 def operator_values(op: TensorOperator):
@@ -78,7 +78,9 @@ def both_forms(dim: SuperDim, rows):
     """The matrix with int entries, and the same matrix holding each entry as
     a Fraction, the form a product of Fractions can leave behind."""
     as_ints = SuperMatrix(dim, rows)
-    as_fractions = SuperMatrix._from_rows(dim, [[Fraction(e) for e in row] for row in rows])
+    as_fractions = SuperMatrix._from_terms(
+        dim, {key: Fraction(e) for key, e in as_ints.terms.items()}
+    )
     return as_ints, as_fractions
 
 

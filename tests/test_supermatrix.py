@@ -1,5 +1,6 @@
 """Supermatrices over Q and Grassmann algebras: arithmetic, Berezinian, LDU."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -475,25 +476,60 @@ def matrix_pairs(draw):
     return SuperMatrix(dim, draw(rows), n), SuperMatrix(dim, draw(rows), n)
 
 
+def assert_matches_dense(got, rows):
+    """got stores no zero entry, and equals and hashes as the matrix with
+    the dense reference rows."""
+    assert all(got.terms.values())
+    want = SuperMatrix(got.dim, rows, got.grassmann_n)
+    assert got == want and hash(got) == hash(want)
+
+
+def homogeneous_part(mat, parity):
+    """The rational matrix with the entries of the other block parity set to 0."""
+    m = mat.dim.m
+    rows = [
+        [e if ((i < m) != (j < m)) == parity else 0 for j, e in enumerate(row)]
+        for i, row in enumerate(mat.entries)
+    ]
+    return SuperMatrix(mat.dim, rows)
+
+
 @settings(max_examples=150, deadline=None)
 @given(matrix_pairs())
 def test_product_matches_dense_reference(pair):
+    """+, -, *, scale and gl_point against dense references: no stored
+    zeros, even after exact cancellation, and equal matrices hash equal."""
     a, b = pair
-    want = dense_matrix_product(a.entries, b.entries, a.zero_element)
+    size, zero = a.dim.size, a.zero_element
+    ea, eb = a.entries, b.entries
     got = a * b
-    assert got == SuperMatrix(a.dim, want, a.grassmann_n)
+    assert_matches_dense(got, dense_matrix_product(ea, eb, zero))
     if a.grassmann_n is None:
-        assert all(type(e) in (int, Fraction) for row in got.entries for e in row)
-        if all(type(e) is int for m in pair for row in m.entries for e in row):
-            assert all(type(e) is int for row in got.entries for e in row)
+        assert all(type(e) in (int, Fraction) for e in got.terms.values())
+        if all(type(e) is int for m in pair for e in m.terms.values()):
+            assert all(type(e) is int for e in got.terms.values())
     else:
-        assert all(type(e) is GrassmannElement for row in got.entries for e in row)
-    assert a + b == SuperMatrix(
-        a.dim, [[x + y for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)], a.grassmann_n
-    )
-    assert a - b == SuperMatrix(
-        a.dim, [[x - y for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)], a.grassmann_n
-    )
+        assert all(type(e) is GrassmannElement for e in got.terms.values())
+    assert_matches_dense(a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(ea, eb)])
+    assert_matches_dense(a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(ea, eb)])
+    assert_matches_dense(a - a, [[zero] * size for _ in range(size)])
+    assert_matches_dense(a + b - b, ea)
+    for k in (0, -2, Fraction(1, 3)):
+        assert_matches_dense(a.scale(k), [[x * k for x in row] for row in ea])
+    if a.grassmann_n is None:
+        x1, x2, x3 = (GrassmannElement.generator(3, i) for i in (1, 2, 3))
+        coeffs = {
+            0: [GrassmannElement.scalar(3, 2), x1 * x2 - Fraction(3, 2)],
+            1: [x1, x2 + x1 * x2 * x3],
+        }
+        for parity, values in coeffs.items():
+            mat = homogeneous_part(a, parity)
+            for coeff in values + [GrassmannElement.zero(3)]:
+                rows = [
+                    [coeff * (-e if parity and a.dim.parity(r) else e) for e in row]
+                    for r, row in enumerate(mat.entries, start=1)
+                ]
+                assert_matches_dense(gl_point(coeff, mat), rows)
 
 
 def grassmann_entries(num_generators):
@@ -520,3 +556,38 @@ def test_grassmann_product_matches_term_by_term_reference(dim, data):
     want = ref_matrix_product(a.entries, b.entries)
     assert [[e.terms for e in row] for row in got.entries] == want
     assert got == SuperMatrix(dim, [[GrassmannElement(4, t) for t in row] for row in want], 4)
+
+
+def _repr_cases():
+    q_ints = SuperMatrix(D21, [[1, 0, 0], [-3, 2, 0], [0, 0, 7]])
+    q_fractions = SuperMatrix(
+        D21, [[Fraction(1, 2), 0, 0], [Fraction(-6, 3), 1, 0], [0, 0, Fraction(5, 4)]]
+    )
+    x1, x2, x3 = (GrassmannElement.generator(3, i) for i in (1, 2, 3))
+    lam = SuperMatrix(D21, [[2, 0, x1], [0, 1 - x1 * x2 * Fraction(1, 2), 0], [x3, 3 * x2, 1]], 3)
+    return {
+        "Q ints": q_ints,
+        "Q fractions": q_fractions,
+        "Lambda_3": lam,
+        "Q product": q_fractions * q_ints.scale(2),
+        "Lambda_3 product": lam * lam,
+        "Q zero": q_ints - q_ints,
+    }
+
+
+# sha256 of repr, recorded while SuperMatrix stored every entry densely: the
+# pinned group failures pick their inputs by the hash of a repr
+PINNED_REPR = {
+    "Q ints": "2414f3c6b38cc8fdaca7523b096254f04f5e5b3ddaa77a5d76a1f2604b6caa34",
+    "Q fractions": "e42eb75b4724f348111d36501a8a4f0d9dbcd98ba147ca6c04192e5412ff9efa",
+    "Lambda_3": "17946e01a3faf7e0875b2f8451bac5271e03f4dbcc3cc873c7e654b3ce20ec44",
+    "Q product": "bcc342eda0562191d245f139e1f6d38adfe1e2672cb9952a70da705aa3bb4a41",
+    "Lambda_3 product": "904a3dc08a4b123fa61cc1d3bd269ea30cf6d62fb994b370d0f83461af333580",
+    "Q zero": "08148621bdc84cf12f484c1e4f000b1a5901528d1fc02baac0909cba2ebb8aec",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPR))
+def test_repr_is_pinned(name):
+    text = repr(_repr_cases()[name])
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPR[name]
