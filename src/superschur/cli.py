@@ -58,6 +58,8 @@ def _read_matrix(path: str) -> SuperMatrix:
         raise FormatError(f"cannot read {path}: {exc}")
     except ValueError as exc:  # bad JSON or UTF-8, or an integer past the digit limit
         raise FormatError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:  # arrays or objects nested past the interpreter's depth
+        raise FormatError(f"{path} is not valid JSON: nested too deeply")
     return SuperMatrix.from_json(data)
 
 

@@ -144,13 +144,13 @@ def flatten(op: TensorOperator) -> Vector:
     if op.grassmann_n is not None:
         raise DimensionError("row spaces hold rational operators only")
     side = op.side
-    return {i * side + j: exact_rational(e) for j, col in enumerate(op.cols) for i, e in col.items()}
+    return {i * side + j: exact_rational(e) for j, col in op.cols.items() for i, e in col.items()}
 
 
 def _rows(op: TensorOperator) -> list[Vector]:
     """op's rows as sparse maps: rows[i] = {j: a_ij}."""
     rows: list[Vector] = [{} for _ in range(op.side)]
-    for j, col in enumerate(op.cols):
+    for j, col in op.cols.items():
         for i, e in col.items():
             rows[i][j] = exact_rational(e)
     return rows
@@ -346,12 +346,16 @@ def centralizer(dim: SuperDim, r: int, generators) -> RowSpace:
     for g in generators:
         if g.dim != dim or g.r != r:
             raise DimensionError("operator lives on a different space")
-        cols = [{i: exact_rational(e) for i, e in col.items()} for col in g.cols]
-        if all(col.keys() <= {j} for j, col in enumerate(cols)):
-            diagonal.append([col.get(j, 0) for j, col in enumerate(cols)])
-        elif all(len(col) == 1 for col in cols) and len({i for col in cols for i in col}) == side:
+        cols = {j: {i: exact_rational(e) for i, e in col.items()} for j, col in g.cols.items()}
+        if all(col.keys() == {j} for j, col in cols.items()):
+            diagonal.append([cols[j][j] if j in cols else 0 for j in range(side)])
+        elif (
+            len(cols) == side
+            and all(len(col) == 1 for col in cols.values())
+            and len({i for col in cols.values() for i in col}) == side
+        ):
             # g e_k = a_k e_pi(k), kept as (pi(k), a_k)
-            monomial.append([next(iter(col.items())) for col in cols])
+            monomial.append([next(iter(cols[k].items())) for k in range(side)])
         else:
             general.append((cols, _rows(g)))
 
@@ -395,7 +399,7 @@ def centralizer(dim: SuperDim, r: int, generators) -> RowSpace:
         for var, orbit in enumerate(orbits):
             for s, x in orbit.items():
                 k, l = divmod(s, side)
-                for i, e in g_cols[k].items():
+                for i, e in g_cols.get(k, {}).items():
                     eq = equations.setdefault(i * side + l, {})
                     eq[var] = eq.get(var, 0) + e * x
                 for j, e in g_rows[l].items():

@@ -113,17 +113,20 @@ class SuperMatrix:
 
     # --- ring plumbing --------------------------------------------------
 
+    # grassmann_n was checked when the matrix was built, so the ring's zero
+    # and one are wrapped directly, without the checks of GrassmannElement()
+
     @property
     def zero_element(self):
         if self.grassmann_n is None:
             return 0
-        return GrassmannElement.zero(self.grassmann_n)
+        return GrassmannElement._wrap(self.grassmann_n, {}, 1)
 
     @property
     def one_element(self):
         if self.grassmann_n is None:
             return 1
-        return GrassmannElement.scalar(self.grassmann_n, 1)
+        return GrassmannElement._wrap(self.grassmann_n, {0: 1}, 1)
 
     @property
     def entries(self) -> tuple:
@@ -135,7 +138,7 @@ class SuperMatrix:
         return tuple(tuple(row) for row in rows)
 
     def _check_compatible(self, other: "SuperMatrix"):
-        if self.dim != other.dim:
+        if self.dim is not other.dim and self.dim != other.dim:
             raise DimensionError("graded dimensions differ")
         if self.grassmann_n != other.grassmann_n:
             raise DimensionError("matrices live over different rings")
@@ -256,14 +259,7 @@ class SuperMatrix:
 
     def is_gl_point(self) -> bool:
         """Even point whose diagonal-block bodies are invertible over Q."""
-        if not self.is_even_point():
-            return False
-        m = self.dim.m
-        body = self.body_matrix()
-        return all(
-            _gauss_jordan(block, (), 0, 1)[2] is None
-            for block in ([row[:m] for row in body[:m]], [row[m:] for row in body[m:]])
-        )
+        return _gl_blocks(self) is not None
 
     # --- serialization ----------------------------------------------------
 
@@ -516,16 +512,30 @@ def _block_product(a, b, width, zero):
     return rows
 
 
-def _schur_parts(mat: SuperMatrix, with_inverse: bool):
+def _gl_blocks(mat: SuperMatrix):
+    """The blocks (X, Y, Z, W) of mat when it is a GL point, else None."""
+    if not mat.is_even_point():
+        return None
+    blocks = mat.blocks()
+    x, _, _, w = blocks
+    for block in (x, w):
+        if mat.grassmann_n is not None:
+            block = [[e.body() for e in row] for row in block]
+        if _gauss_jordan(block, (), 0, 1)[2] is not None:
+            return None
+    return blocks
+
+
+def _schur_parts(mat: SuperMatrix, blocks, with_inverse: bool):
     """det W, W^-1 (None unless ``with_inverse``), W^-1 Z and X - Y W^-1 Z
-    for an even point [[X, Y], [Z, W]], or None when the body of W is
-    singular.
+    for an even point [[X, Y], [Z, W]] given with its blocks, or None when
+    the body of W is singular.
 
     One elimination of [W | I | Z], or of [W | Z] without the inverse,
     gives det W, W^-1 and W^-1 Z.
     """
     zero, one = mat.zero_element, mat.one_element
-    x, y, z, w = mat.blocks()
+    x, y, z, w = blocks
     m, n = mat.dim.m, mat.dim.n
     k = n if with_inverse else 0  # identity columns carried along
     rhs = [[one if i == j else zero for j in range(k)] + z_row for i, z_row in enumerate(z)]
@@ -545,7 +555,7 @@ def _schur_parts(mat: SuperMatrix, with_inverse: bool):
 def berezinian(mat: SuperMatrix):
     """det(W)^{-1} det(X - Y W^{-1} Z) for a GL point [[X, Y], [Z, W]]; an
     even point is one exactly when W and X - Y W^-1 Z eliminate to the end."""
-    parts = _schur_parts(mat, with_inverse=False) if mat.is_even_point() else None
+    parts = _schur_parts(mat, mat.blocks(), with_inverse=False) if mat.is_even_point() else None
     if parts is not None:
         det_w, _, _, schur = parts
         det_s, _, stuck, _ = _gauss_jordan(schur, (), mat.zero_element, mat.one_element)
@@ -561,13 +571,15 @@ def ldu_factor(mat: SuperMatrix):
     lower = [[I, 0], [W^{-1} Z, I]].  The Schur complement in blockdiag is the
     numerator of the Berezinian.
     """
-    if not mat.is_gl_point():
+    blocks = _gl_blocks(mat)
+    if blocks is None:
         raise NotInvertible("LDU factorization needs a GL point")
     m = mat.dim.m
-    _, w_inv, winv_z, schur = _schur_parts(mat, with_inverse=True)
-    _, y, _, w = mat.blocks()
+    _, w_inv, winv_z, schur = _schur_parts(mat, blocks, with_inverse=True)
+    _, y, _, w = blocks
     y_winv = _block_product(y, w_inv, mat.dim.n, mat.zero_element)
-    ident = SuperMatrix.identity(mat.dim, mat.grassmann_n).terms
+    one = mat.one_element
+    ident = {(i, i): one for i in range(1, mat.dim.size + 1)}
     factors = (
         {**ident, **_nonzeros(y_winv, 0, m)},
         {**_nonzeros(schur), **_nonzeros(w, m, m)},

@@ -1,13 +1,15 @@
 """Signed actions on r-fold tensor powers of a graded vector space.
 
 Basis words are r-tuples of 1-based letters, listed lexicographically.  An
-operator keeps one sparse column per basis word: column k maps the index of
-each word in the image of the k-th basis word to its nonzero coefficient.
-Products, sums and comparisons touch only those nonzeros, so a product costs
-the nonzero pairs A[i, k] B[k, j] that it multiplies, not side^3; the
-builders below write their columns directly.  Over Q a column of B with at
-most one entry, as every column of a signed permutation operator is, gives
-its product column in one pass with nothing to sum.
+operator keeps a map from the index k of each basis word whose image is
+nonzero to its column: the index of each word in that image, mapped to its
+nonzero coefficient.  Empty columns and zero entries are never stored, so
+products, sums and comparisons touch only the nonzeros: a product costs the
+nonzero pairs A[i, k] B[k, j] that it multiplies, not side^3, and theta(E_ij)
+at r = 1, one entry in one column, costs one column.  The builders below
+write their columns directly.  Over Q a column of B with one entry, as every
+column of a signed permutation operator is, gives its product column in one
+pass with nothing to sum.
 
 Three actions live here:
 
@@ -49,6 +51,8 @@ from .supermatrix import SuperDim, SuperMatrix, block_parity
 
 Word = tuple[int, ...]
 Perm = tuple[int, ...]
+
+_EMPTY: dict = {}  # the column an operator does not store
 
 
 # --- words -----------------------------------------------------------------
@@ -146,10 +150,12 @@ def cycle_decomposition(sigma: Perm) -> list[tuple[int, int]]:
 class TensorOperator:
     """Endomorphism of the r-fold tensor power, over Q or Lambda_N.
 
-    ``cols[j]`` maps each row i to the nonzero entry (i, j): over Q an int
-    when it is integral and a Fraction otherwise, as in SuperMatrix; over
-    Lambda_N a GrassmannElement.  Zeros are never stored, so equal operators
-    have equal column maps.
+    ``cols`` maps each column j that holds a nonzero entry to its column:
+    ``cols[j]`` maps each row i to the nonzero entry (i, j), over Q an int
+    when it is integral and a Fraction otherwise, as in SuperMatrix, over
+    Lambda_N a GrassmannElement.  Neither empty columns nor zeros are ever
+    stored, so equal operators have equal maps.  The maps are shared between
+    operators and must not be changed.
     """
 
     __slots__ = ("dim", "r", "grassmann_n", "cols")
@@ -164,19 +170,20 @@ class TensorOperator:
             exact = exact_rational
         else:
             exact = lambda e: as_element(e, grassmann_n)
-        cols = [{} for _ in range(side)]
+        cols = {}
         for i, row in enumerate(rows):
             for j, e in enumerate(row):
                 e = exact(e)
                 if e:
-                    cols[j][i] = e
+                    cols.setdefault(j, {})[i] = e
         _fill(self, dim, r, grassmann_n, cols)
 
     @classmethod
     def _from_cols(
         cls, dim: SuperDim, r: int, cols, grassmann_n: int | None = None
     ) -> "TensorOperator":
-        """Wrap column maps whose entries are already exact and nonzero."""
+        """Wrap a {column: {row: entry}} map of nonempty columns whose
+        entries are already exact and nonzero."""
         op = object.__new__(cls)
         _fill(op, dim, r, grassmann_n, cols)
         return op
@@ -200,7 +207,7 @@ class TensorOperator:
         side = self.side
         zero = self.zero_element
         rows = [[zero] * side for _ in range(side)]
-        for j, col in enumerate(self.cols):
+        for j, col in self.cols.items():
             for i, e in col.items():
                 rows[i][j] = e
         return tuple(tuple(row) for row in rows)
@@ -210,17 +217,17 @@ class TensorOperator:
         cls, dim: SuperDim, r: int, grassmann_n: int | None = None
     ) -> "TensorOperator":
         one = 1 if grassmann_n is None else GrassmannElement.scalar(grassmann_n, 1)
-        return cls._from_cols(dim, r, [{j: one} for j in range(dim.size ** r)], grassmann_n)
+        return cls._from_cols(dim, r, {j: {j: one} for j in range(dim.size ** r)}, grassmann_n)
 
     @classmethod
     def zero(
         cls, dim: SuperDim, r: int, grassmann_n: int | None = None
     ) -> "TensorOperator":
-        return cls._from_cols(dim, r, [{} for _ in range(dim.size ** r)], grassmann_n)
+        return cls._from_cols(dim, r, {}, grassmann_n)
 
     def _check_compatible(self, other: "TensorOperator"):
         if (
-            self.dim != other.dim
+            (self.dim is not other.dim and self.dim != other.dim)
             or self.r != other.r
             or self.grassmann_n != other.grassmann_n
         ):
@@ -230,49 +237,65 @@ class TensorOperator:
         """(AB)[:, j] = sum_k A[:, k] B[k, j], over the nonzeros of both.
 
         Each term is formed as a * b, in that order: odd Grassmann entries
-        anticommute.  Over Lambda_N the pairs of each output entry are
-        collected first and summed by one _sum_of_products call; over Q
-        adding each term in place is faster than collecting them, and a
-        column of B with one entry b at row k gives the column A[:, k] * b
-        directly, an empty one the empty column.
+        anticommute.  Only the stored columns are visited: a column j of B
+        and a column k of A meet only when B[k, j] is stored.  Over Lambda_N
+        the pairs of each output entry are collected first and summed by one
+        _sum_of_products call; over Q adding each term in place is faster
+        than collecting them, and a column of B with one entry b at row k
+        gives the column A[:, k] * b directly.
         """
         if not isinstance(other, TensorOperator):
             return NotImplemented
         self._check_compatible(other)
         a_cols = self.cols
-        cols = []
+        cols = {}
         n = self.grassmann_n
         if n is not None:
-            for b_col in other.cols:
+            for j, b_col in other.cols.items():
                 terms = {}
                 for k, b in b_col.items():
-                    for i, a in a_cols[k].items():
+                    for i, a in a_cols.get(k, _EMPTY).items():
                         if i in terms:
                             terms[i].append((a, b))
                         else:
                             terms[i] = [(a, b)]
                 sums = ((i, _sum_of_products(n, pairs)) for i, pairs in terms.items())
-                cols.append({i: e for i, e in sums if e})
+                col = {i: e for i, e in sums if e}
+                if col:
+                    cols[j] = col
             return TensorOperator._from_cols(self.dim, self.r, cols, n)
-        for b_col in other.cols:
-            if len(b_col) <= 1:
-                # at most one term per output entry, and a product of
-                # nonzero rationals is nonzero: nothing to accumulate or filter
-                cols.append({i: a * b for k, b in b_col.items() for i, a in a_cols[k].items()})
+        for j, b_col in other.cols.items():
+            if len(b_col) == 1:
+                # one term per output entry, and a product of nonzero
+                # rationals is nonzero: nothing to accumulate or filter;
+                # an int 1 leaves A's column as it is, so it is shared
+                for k, b in b_col.items():
+                    a_col = a_cols.get(k)
+                    if a_col is not None:
+                        shared = type(b) is int and b == 1
+                        cols[j] = a_col if shared else {i: a * b for i, a in a_col.items()}
                 continue
             acc = {}
             for k, b in b_col.items():
-                for i, a in a_cols[k].items():
+                for i, a in a_cols.get(k, _EMPTY).items():
                     term = a * b
                     acc[i] = acc[i] + term if i in acc else term
-            cols.append({i: e for i, e in acc.items() if e})
+            col = {i: e for i, e in acc.items() if e}
+            if col:
+                cols[j] = col
         return TensorOperator._from_cols(self.dim, self.r, cols, self.grassmann_n)
 
     def _combine(self, other: "TensorOperator", subtract: bool) -> "TensorOperator":
+        """self + other, or self - other: a column stored on one side only
+        is shared, or negated, as it stands; only the columns both store are
+        merged."""
         self._check_compatible(other)
-        cols = []
-        for a_col, b_col in zip(self.cols, other.cols):
-            out = dict(a_col)
+        cols = dict(self.cols)
+        for j, b_col in other.cols.items():
+            if j not in cols:
+                cols[j] = {i: -b for i, b in b_col.items()} if subtract else b_col
+                continue
+            out = dict(cols[j])
             for i, b in b_col.items():
                 if i not in out:
                     out[i] = -b if subtract else b
@@ -282,7 +305,10 @@ class TensorOperator:
                     out[i] = e
                 else:
                     del out[i]
-            cols.append(out)
+            if out:
+                cols[j] = out
+            else:
+                del cols[j]
         return TensorOperator._from_cols(self.dim, self.r, cols, self.grassmann_n)
 
     def __add__(self, other):
@@ -297,24 +323,25 @@ class TensorOperator:
 
     def scale(self, value) -> "TensorOperator":
         factor = exact_rational(value)
-        cols = [
-            {i: e * factor for i, e in col.items()} if factor else {}
-            for col in self.cols
-        ]
+        cols = (
+            {j: {i: e * factor for i, e in col.items()} for j, col in self.cols.items()}
+            if factor
+            else {}
+        )
         return TensorOperator._from_cols(self.dim, self.r, cols, self.grassmann_n)
 
     def __eq__(self, other):
         if not isinstance(other, TensorOperator):
             return NotImplemented
         return (
-            self.dim == other.dim
+            (self.dim is other.dim or self.dim == other.dim)
             and self.r == other.r
             and self.grassmann_n == other.grassmann_n
             and self.cols == other.cols
         )
 
     def __hash__(self):
-        cols = tuple(frozenset(col.items()) for col in self.cols)
+        cols = frozenset((j, frozenset(col.items())) for j, col in self.cols.items())
         return hash((self.dim, self.r, self.grassmann_n, cols))
 
     def __repr__(self):
@@ -327,7 +354,7 @@ def _fill(op: TensorOperator, dim: SuperDim, r: int, grassmann_n, cols) -> None:
     setattr_(op, "dim", dim)
     setattr_(op, "r", r)
     setattr_(op, "grassmann_n", grassmann_n)
-    setattr_(op, "cols", tuple(cols))
+    setattr_(op, "cols", cols)
 
 
 # --- the symmetric group action ----------------------------------------------
@@ -335,10 +362,10 @@ def _fill(op: TensorOperator, dim: SuperDim, r: int, grassmann_n, cols) -> None:
 
 def transposition_operator(dim: SuperDim, r: int, i: int, j: int) -> TensorOperator:
     """The signed operator swapping tensor positions i < j."""
-    cols = []
-    for word in basis_words(dim, r):
+    cols = {}
+    for col, word in enumerate(basis_words(dim, r)):
         sign, image = swap_letters(dim, word, i, j)
-        cols.append({word_index(dim, image): sign})
+        cols[col] = {word_index(dim, image): sign}
     return TensorOperator._from_cols(dim, r, cols)
 
 
@@ -384,11 +411,11 @@ def _one_position(x: SuperMatrix, r: int, odd_count: str) -> list[TensorOperator
     dim = x.dim
     size = dim.size
     odd = [dim.parity(a) for a in range(1, size + 1)]
-    # the nonzero (target, entry, entry parity) triples of each column of x,
-    # 0-based
-    x_cols = [[] for _ in range(size)]
+    # the nonzero (target, entry, entry parity) triples of each nonzero
+    # column of x, 0-based
+    x_cols = {}
     for (t, a), e in x.terms.items():
-        x_cols[a - 1].append((t - 1, e, odd[t - 1] ^ odd[a - 1]))
+        x_cols.setdefault(a - 1, []).append((t - 1, e, odd[t - 1] ^ odd[a - 1]))
     counted = {
         "exclusive": lambda word, k: word[:k],
         "inclusive": lambda word, k: word[: k + 1],
@@ -398,13 +425,13 @@ def _one_position(x: SuperMatrix, r: int, odd_count: str) -> list[TensorOperator
     pieces = []
     for k in range(r):
         stride = size ** (r - 1 - k)
-        cols = []
+        cols = {}
         for col, word in enumerate(words):
-            o = sum(odd[letter - 1] for letter in counted(word, k)) & 1
             a = word[k] - 1
-            cols.append(
-                {col + (t - a) * stride: -e if p & o else e for t, e, p in x_cols[a]}
-            )
+            if a not in x_cols:
+                continue
+            o = sum(odd[letter - 1] for letter in counted(word, k)) & 1
+            cols[col] = {col + (t - a) * stride: -e if p & o else e for t, e, p in x_cols[a]}
         pieces.append(TensorOperator._from_cols(dim, r, cols, x.grassmann_n))
     return pieces
 
@@ -451,10 +478,11 @@ def point_derivation_operator(
     if ap is None or (not alpha.is_zero() and ap != parity):
         raise ParityError("coefficient parity must match the matrix parity")
     pieces = _one_position(x, r, "suffix")
-    cols = [
-        {i: point for i, e in col.items() if (point := alpha * e)}
-        for col in sum(pieces[1:], pieces[0]).cols
-    ]
+    cols = {}
+    for j, col in sum(pieces[1:], pieces[0]).cols.items():
+        col = {i: point for i, e in col.items() if (point := alpha * e)}
+        if col:
+            cols[j] = col
     return TensorOperator._from_cols(x.dim, r, cols, alpha.num_generators)
 
 

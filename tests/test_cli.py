@@ -131,6 +131,9 @@ PINNED_STDOUT = {
     "verify schurweyl -m 2 -n 0 -r 3": "26b3d5ced8da1f67e0ade87ee6a3009cf1bae9e81c16d41243d22dce2a1df35a",
     "verify schurweyl -m 2 -n 2 -r 3": "d58092bb305ca8e47f762117755ebe19a27a0ab3e8731c2625eabcb20ebd8353",
     "verify schurweyl -m 4 -n 0 -r 3": "dcc80ec981aae43bb78c91c0a9eff18528d1021562ccf74958ec1f22495fa602",
+    # recorded before TensorOperator stored only its nonempty columns
+    "verify actions -m 2 -n 2 -r 2": "d54a2dd1cd018585534aa71b34220ef84594d8db1a548c031967249a7a92b3c2",
+    "verify actions -m 8 -n 0 -r 1": "86a777895ce1b63425d56d60a7288fd4fc910d518896e70fe59f315517f7084e",
 }
 
 
@@ -500,6 +503,31 @@ def test_wire_refuses_floats_and_bools(tmp_path, capsys, text):
     path.write_text(text)
     code, out, err = run_cli(["berezinian", str(path)], capsys)
     assert code == 2 and out == "" and err.startswith("superschur: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("[" * 100000, id="100000-deep-array"),
+        pytest.param(
+            '{"m": 1, "n": 0, "ring": "Q", "entries": [[' + "[" * 5000 + "]" * 5000 + "]]}",
+            id="5000-deep-entry",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["berezinian", "factor"])
+@pytest.mark.parametrize("source", ["stdin", "file"])
+def test_deeply_nested_json_is_a_format_error(tmp_path, monkeypatch, capsys, text, command, source):
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        path = "-"
+    else:
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("superschur: ") and "nested too deeply" in err
+    assert err.count("\n") == 1
 
 
 def rational_payloads(coeff):

@@ -71,7 +71,7 @@ def matrix_values(mat: SuperMatrix):
 
 
 def operator_values(op: TensorOperator):
-    return [e for col in op.cols for e in col.values()]
+    return [e for col in op.cols.values() for e in col.values()]
 
 
 def both_forms(dim: SuperDim, rows):
@@ -139,7 +139,7 @@ def test_int_and_fraction_forms_agree(data, k, parity, r):
 
     op = TensorOperator(dim, 1, a_rows)
     op_frac = TensorOperator._from_cols(
-        dim, 1, [{i: Fraction(e) for i, e in col.items()} for col in op.cols]
+        dim, 1, {j: {i: Fraction(e) for i, e in col.items()} for j, col in op.cols.items()}
     )
     assert_same(op, op_frac, operator_values)
     assert_same(op * op, op_frac * op_frac, operator_values)

@@ -56,6 +56,27 @@ def oracle_sign(dim, word, sigma):
     return (-1) ** exponent, image
 
 
+def assert_stored_canonically(op):
+    """op stores no empty column and no zero entry, and equals, with the
+    same hash, the operator rebuilt from its dense view."""
+    side = op.side
+    assert all(0 <= j < side and col for j, col in op.cols.items())
+    assert all(0 <= i < side and e for col in op.cols.values() for i, e in col.items())
+    rebuilt = TensorOperator(op.dim, op.r, op.matrix, op.grassmann_n)
+    assert rebuilt == op and hash(rebuilt) == hash(op)
+
+
+def assert_results_stored_canonically(x, y):
+    """Every product, sum and difference of x and y, and x - x and scale(0),
+    is stored canonically; the factors, whose columns results may share,
+    are left as they were."""
+    before = (x.matrix, y.matrix)
+    for op in (x * y, x + y, x - y, y - x, x - x, x.scale(0), y.scale(0)):
+        assert_stored_canonically(op)
+    assert x - x == x.scale(0) == TensorOperator.zero(x.dim, x.r, x.grassmann_n)
+    assert (x.matrix, y.matrix) == before
+
+
 def single_column(op, word):
     col = op.cols[word_index(op.dim, word)]
     hits = [(idx, c) for idx, c in col.items() if c]
@@ -347,7 +368,7 @@ def test_sparse_operator_matches_dense_reference(case, factor):
     assert a.scale(factor).matrix == tuple(tuple(e * factor for e in row) for row in da)
     assert (a == b) == (da == db)
     for op in (a * b, a + b, a - b, a.scale(factor)):
-        assert all(e for col in op.cols for e in col.values())
+        assert_stored_canonically(op)
 
 
 @st.composite
@@ -386,7 +407,7 @@ def test_product_with_one_entry_columns_matches_dense_reference(case):
     for x, y in ((a, b), (b, a)):
         got = x * y
         assert got.matrix == tuple(map(tuple, dense_product(x.matrix, y.matrix, 0)))
-        assert all(e for col in got.cols for e in col.values())
+        assert_results_stored_canonically(x, y)
 
 
 def test_sparse_product_keeps_factor_order():
@@ -406,7 +427,8 @@ def test_dense_rows_with_zeros_equal_sparse_build():
     rebuilt = TensorOperator(dim, r, rows)
     assert rebuilt == op and hash(rebuilt) == hash(op)
     assert rebuilt.matrix == op.matrix
-    assert all(len(col) == 1 for col in rebuilt.cols)
+    assert sorted(rebuilt.cols) == list(range(9))
+    assert all(len(col) == 1 for col in rebuilt.cols.values())
     assert TensorOperator._from_cols(dim, r, op.cols) == op
 
     over = TensorOperator(dim, r, rows, 2)
@@ -415,7 +437,7 @@ def test_dense_rows_with_zeros_equal_sparse_build():
     assert TensorOperator(dim, r, over.matrix, 2) == over
     zero_rows = [[GrassmannElement.zero(2)] * 9 for _ in range(9)]
     assert TensorOperator(dim, r, zero_rows, 2) == TensorOperator.zero(dim, r, 2)
-    assert TensorOperator.zero(dim, r, 2).cols == ({},) * 9
+    assert TensorOperator.zero(dim, r, 2).cols == {}
 
 
 def test_equal_operators_hash_equal():
@@ -538,6 +560,15 @@ def test_point_derivation_matches_dense_definition(dim, r):
         )
 
 
+def test_point_derivation_with_zero_coefficient_is_zero():
+    zero = GrassmannElement.zero(4)
+    for dim, r in ((D11, 2), (D21, 2), (D12, 1)):
+        for x in (SuperMatrix.elementary(dim, 1, 1), SuperMatrix.elementary(dim, 1, dim.size)):
+            got = point_derivation_operator(x, zero, r)
+            assert got == TensorOperator.zero(dim, r, 4)
+            assert got.cols == {}
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([(D11, 1), (D11, 2), (D21, 1)]), st.data())
 def test_grassmann_operator_product_matches_term_by_term_reference(case, data):
@@ -553,4 +584,4 @@ def test_grassmann_operator_product_matches_term_by_term_reference(case, data):
     a, b = TensorOperator(dim, r, data.draw(rows), 4), TensorOperator(dim, r, data.draw(rows), 4)
     got = a * b
     assert [[e.terms for e in row] for row in got.matrix] == ref_matrix_product(a.matrix, b.matrix)
-    assert all(e for col in got.cols for e in col.values())
+    assert_results_stored_canonically(a, b)
