@@ -1,6 +1,11 @@
 """Command-line front end: dimension tables, verification suites, and
 GL-point arithmetic on JSON supermatrices.
 
+Each command loads only the modules it runs.  This module imports what the
+parser and the GL-point commands ``berezinian`` and ``factor`` need:
+errors, grassmann and supermatrix.  ``verify`` imports the suites, and
+``tableaux`` the tableaux module, when the command runs.
+
 Exit codes: 0 success, 1 mathematical failure (with a witness on stdout or a
 message on stderr), 2 usage or parse error, 3 size cap exceeded.  JSON output
 is deterministic for fixed arguments and seed: keys are sorted and sampled
@@ -15,18 +20,18 @@ import json
 import os
 import sys
 
-from .commutant import DEFAULT_CAP, check_cap
 from .errors import (
+    DEFAULT_CAP,
+    SUITE_NAMES,
     CapExceeded,
     DimensionError,
     FormatError,
     NotInvertible,
     ParityError,
+    check_cap,
 )
 from .grassmann import MAX_GENERATORS, GrassmannElement, check_generators
 from .supermatrix import SuperMatrix, berezinian, ldu_factor, supertrace
-from .suites import SUITE_NAMES, run_suite
-from .tableaux import dimension_table, enumerate_ssyt, render_filling, symbol_name
 
 PROG = "superschur"
 
@@ -42,9 +47,12 @@ def resolve_cap(flag_value: int | None) -> int:
     if env is None:
         return DEFAULT_CAP
     try:
-        return int(env)
+        cap = int(env)
     except ValueError:
         raise FormatError(f"SUPERSCHUR_CAP must be an integer, got {env!r}")
+    if cap < 1:
+        raise FormatError(f"SUPERSCHUR_CAP must be at least 1, got {env!r}")
+    return cap
 
 
 def _read_matrix(path: str) -> SuperMatrix:
@@ -75,6 +83,8 @@ def _render_shape(shape: list[int]) -> str:
 
 
 def cmd_tableaux(args) -> int:
+    from .tableaux import dimension_table, enumerate_ssyt, render_filling, symbol_name
+
     cap = resolve_cap(args.cap)
     check_cap(args.m, args.n, args.r, cap)
     table = dimension_table(args.m, args.n, args.r)
@@ -130,6 +140,8 @@ def cmd_tableaux(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .suites import run_suite
+
     cap = resolve_cap(args.cap)
     check_generators(args.grassmann_n)
     if args.suite == "group" and args.grassmann_n < 2:

@@ -68,26 +68,14 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 
-from .errors import CapExceeded, DimensionError
+from .errors import DimensionError, check_cap
 from .grassmann import exact_rational
 from .supermatrix import SuperDim, SuperMatrix
 from .tableaux import dimension_table
 from .tensor import TensorOperator, transposition_operator, derivation_operator
 
-DEFAULT_CAP = 64
-
 # A sparse vector: {column: nonzero int or Fraction}.
 Vector = dict
-
-
-def check_cap(m: int, n: int, r: int, cap: int | None, what: str = "word space") -> int:
-    """(m+n)^r, the dimension of ``what``, once it is known to be at most
-    the cap."""
-    side = (m + n) ** r
-    limit = DEFAULT_CAP if cap is None else cap
-    if side > limit:
-        raise CapExceeded(f"{what} has dimension {side} > cap {limit}; raise the cap to proceed")
-    return side
 
 
 def _ratio(a, b):

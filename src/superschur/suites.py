@@ -42,8 +42,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from .commutant import algebra_generated, check_cap, double_centralizer_report
-from .errors import DimensionError
+from .commutant import algebra_generated, double_centralizer_report
+from .errors import SUITE_NAMES, DimensionError, check_cap
 from .grassmann import GrassmannElement
 from .supermatrix import (
     SuperDim,
@@ -71,8 +71,6 @@ from .tensor import (
     point_derivation_operator,
     transposition_table,
 )
-
-SUITE_NAMES = ("bracket", "actions", "schurweyl", "group")
 
 
 def _elementary_pairs(dim: SuperDim):

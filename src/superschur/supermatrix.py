@@ -27,7 +27,6 @@ singular; only even_det goes on from there, by expanding along that column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, FormatError, NotInvertible, ParityError
@@ -42,16 +41,34 @@ from .grassmann import (
 )
 
 
-@dataclass(frozen=True)
 class SuperDim:
-    """The graded dimension (m|n): m even basis directions, n odd ones."""
+    """The graded dimension (m|n): m even basis directions, n odd ones.
 
-    m: int
-    n: int
+    An immutable value: it equals only another SuperDim with the same m and
+    n, and hashes as the pair (m, n).
+    """
 
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0 or self.m + self.n < 1:
+    __slots__ = ("m", "n")
+
+    def __init__(self, m: int, n: int):
+        if m < 0 or n < 0 or m + n < 1:
             raise DimensionError("need m, n >= 0 with m + n >= 1")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SuperDim is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not SuperDim:
+            return NotImplemented
+        return self.m == other.m and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.m, self.n))
+
+    def __repr__(self):
+        return f"SuperDim(m={self.m!r}, n={self.n!r})"
 
     @property
     def size(self) -> int:

@@ -6,7 +6,10 @@ checks catch both without running a benchmark pass.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import superschur
 
@@ -39,9 +42,19 @@ def test_every_import_is_used():
 
 
 def test_all_lists_exactly_the_imported_names():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    assert set(superschur.__all__) == imported_names(tree) | {"__version__"}
+    # each exported name is the object its submodule defines, whether or not
+    # it has been read before
+    names = [name for name in superschur.__all__ if name != "__version__"]
     assert len(superschur.__all__) == len(set(superschur.__all__))
+    assert names == list(superschur._SOURCES)
+    for name in names:
+        module = importlib.import_module(f"superschur.{superschur._SOURCES[name]}")
+        assert getattr(superschur, name) is getattr(module, name), name
+    with pytest.raises(AttributeError):
+        superschur.no_such_name
+    from superschur import tensor
+
+    assert tensor is importlib.import_module("superschur.tensor")
 
 
 def test_names_the_benchmark_reads_exist(monkeypatch):

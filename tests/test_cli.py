@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import superschur
+import superschur.suites
 from superschur import CapExceeded, FormatError, GrassmannElement, SuperDim, SuperMatrix
 from superschur.cli import main
 
@@ -626,9 +626,11 @@ def test_cap_env_override(monkeypatch, capsys):
     monkeypatch.setenv("SUPERSCHUR_CAP", "500")
     code, _, _ = run_cli(["tableaux", "-m", "1", "-n", "1", "-r", "8"], capsys)
     assert code == 0
-    monkeypatch.setenv("SUPERSCHUR_CAP", "junk")
-    code, _, err = run_cli(["tableaux", "-m", "1", "-n", "1", "-r", "2"], capsys)
-    assert code == 2 and "SUPERSCHUR_CAP" in err
+    for junk in ("junk", "0", "-5"):
+        monkeypatch.setenv("SUPERSCHUR_CAP", junk)
+        code, out, err = run_cli(["tableaux", "-m", "1", "-n", "1", "-r", "2"], capsys)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert "SUPERSCHUR_CAP" in err and repr(junk) in err
 
 
 def test_cap_flag_beats_env(monkeypatch, capsys):
@@ -641,7 +643,7 @@ def test_generator_count_cap_exit_three(tmp_path, monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("work started past the generator cap")
 
-    monkeypatch.setattr(superschur.cli, "run_suite", never)
+    monkeypatch.setattr(superschur.suites, "run_suite", never)
     monkeypatch.setattr(superschur.cli, "berezinian", never)
     big = 10**6
     for suite in ("group", "bracket"):
@@ -683,34 +685,52 @@ def test_group_suite_needs_grassmann_generators(capsys):
     assert code == 2 and "grassmann" in err.lower()
 
 
-def test_installed_entry_point():
-    # the fresh interpreter imports the same superschur package as this one,
-    # installed or not
-    package_root = str(Path(superschur.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "superschur.cli", "tableaux", "-m", "1", "-n", "1", "-r", "2"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0
-    assert "sum syt*ssyt = 4" in proc.stdout
-
-
-def fresh_interpreter(argv):
-    """Run the CLI in a new interpreter on the same superschur package."""
+def fresh_python(args):
+    """Run a new interpreter that imports the same superschur package as
+    this one, installed or not."""
     package_root = str(Path(superschur.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "superschur.cli", *argv],
-        input="",
-        capture_output=True,
-        text=True,
-        env=env,
+        [sys.executable, *args], input="", capture_output=True, text=True, env=env
     )
+
+
+def fresh_interpreter(argv):
+    """Run the CLI in a new interpreter on the same superschur package."""
+    return fresh_python(["-m", "superschur.cli", *argv])
+
+
+def test_installed_entry_point():
+    proc = fresh_interpreter(["tableaux", "-m", "1", "-n", "1", "-r", "2"])
+    assert proc.returncode == 0
+    assert "sum syt*ssyt = 4" in proc.stdout
+
+
+# Run in a fresh interpreter: which of the heavy modules each step has loaded
+STARTUP_PROBE = """
+import json, sys
+import superschur.cli
+
+WATCHED = ("superschur.suites", "superschur.commutant", "superschur.tensor",
+           "superschur.tableaux", "dataclasses", "inspect")
+loaded = lambda: [name for name in WATCHED if name in sys.modules]
+steps = [loaded()]
+for argv in (["berezinian", sys.argv[1]], ["factor", sys.argv[1]],
+             ["verify", "schurweyl", "-m", "1", "-n", "1", "-r", "2"]):
+    assert superschur.cli.main(argv) == 0
+    steps.append(loaded())
+print(json.dumps(steps))
+"""
+
+
+def test_gl_point_commands_load_only_what_they_run(tmp_path):
+    proc = fresh_python(["-c", STARTUP_PROBE, gl_point_file(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    suites = ["superschur.suites", "superschur.commutant", "superschur.tensor", "superschur.tableaux"]
+    # after the import, berezinian and factor; then verify loads the suites
+    assert steps == [[], [], [], suites]
 
 
 def test_one_process_runs_many_commands_like_fresh_ones(tmp_path, monkeypatch, capsys):
@@ -741,6 +761,40 @@ def test_one_process_runs_many_commands_like_fresh_ones(tmp_path, monkeypatch, c
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         codes.append(code)
     assert codes == [0, 0, 2, 0, 2, 2, 3, 0, 0, 0]
+
+
+# sha256 of `berezinian FILE` and `factor FILE` stdout, recorded before the
+# package and the CLI imported their modules on first use: the GL-point
+# commands are the ones whose import path changed most
+PINNED_GL_COMMANDS = {
+    "rational (2|1)": (
+        lambda: pinned_point(2, 1, None, seed=11),
+        "45ede3530a7de009b27b65bace4edaf949d04b199ed6acaaf0fde741b4d74a42",
+        "468ea88d10fa21a050d9540ab9afbbca82a9fe0a849d5495c97fb1737f36a279",
+    ),
+    "(1|1) over Lambda_4": (
+        lambda: pinned_point(1, 1, 4, seed=12),
+        "fef40b2b287f678cada7cc30fc60a8655ba6044ea45c2092d72d26d01453d27c",
+        "14725c260b0743859bc8a0f30b5bd808ebf928544c1f197bbc3cd2418d8b49f7",
+    ),
+    "(3|2) product over Lambda_8": (
+        lambda: pinned_point(3, 2, 8, seed=13) * pinned_point(3, 2, 8, seed=14),
+        "f195c2880b988f1b67effe998f2ba6210a02586b312b38d8afa79af6a7ffc585",
+        "25cd16625a990aca80a595a34fcfd74da9685f02cb80ee6899e85b26c2778132",
+    ),
+}
+
+
+@pytest.mark.parametrize("point", sorted(PINNED_GL_COMMANDS))
+def test_gl_command_stdout_is_pinned(point, tmp_path, capsys):
+    build, *pins = PINNED_GL_COMMANDS[point]
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(build().to_json()))
+    for command, pinned in zip(("berezinian", "factor"), pins):
+        code, out, err = run_cli([command, str(path)], capsys)
+        assert (code, err) == (0, "") and hashlib.sha256(out.encode()).hexdigest() == pinned, command
+        fresh = fresh_interpreter([command, str(path)])
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err), command
 
 
 # --- fuzzing the wire format ---------------------------------------------------

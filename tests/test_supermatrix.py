@@ -80,6 +80,25 @@ def test_parity_of_positions():
         D21.parity(4)
 
 
+def test_superdim_is_a_frozen_value():
+    # SuperDim keys matrices and operators, so equality, hashing and repr
+    # are part of its contract
+    assert SuperDim(2, 1) == D21 and not SuperDim(2, 1) != D21
+    assert SuperDim(2, 1) != SuperDim(1, 2) and SuperDim(1, 1) != D21
+    assert not SuperDim(2, 1) == (2, 1)
+    assert SuperDim(2, 1) != (2, 1)
+    assert hash(SuperDim(2, 1)) == hash((2, 1))
+    assert len({SuperDim(2, 1), D21, SuperDim(1, 2)}) == 2
+    assert repr(SuperDim(2, 1)) == "SuperDim(m=2, n=1)"
+    assert (D21.m, D21.n, D21.size) == (2, 1, 3)
+    with pytest.raises(AttributeError):
+        D21.m = 3
+    assert D21.m == 2
+    for m, n in ((0, 0), (-1, 2)):
+        with pytest.raises(DimensionError, match=r"^need m, n >= 0 with m \+ n >= 1$"):
+            SuperDim(m, n)
+
+
 def test_supertrace_signs():
     mat = SuperMatrix(D11, [[3, 5], [7, 2]])
     assert supertrace(mat) == 1
