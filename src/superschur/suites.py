@@ -237,8 +237,11 @@ def _theta_homomorphism(dim, elems, brackets, r: int, odd_count: str, first_only
     zero = TensorOperator.zero(dim, r)
     bad = []
     for (i, j, _, px), (k, l, _, py) in itertools.product(elems, repeat=2):
-        terms = brackets[i, j, k, l].terms.items()
-        parts = [thetas[e] if c == 1 else thetas[e].scale(c) for e, c in terms]
+        parts = [
+            thetas[a + 1, b + 1] if c == 1 else thetas[a + 1, b + 1].scale(c)
+            for b, col in brackets[i, j, k, l].cols.items()
+            for a, c in col.items()
+        ]
         lhs = sum(parts[1:], parts[0]) if parts else zero
         first = times((i, j), (k, l))
         second = times((k, l), (i, j))

@@ -8,7 +8,10 @@ right, which matters once entries anticommute.  Over Lambda_N each product
 entry, and each entry a row operation updates, is one call of the Grassmann
 kernel ``_sum_of_products``, so it is normalized once, not once per term.
 
-A matrix keeps one map of its nonzero entries, keyed by 1-based position, so
+A matrix is the tensor operator of degree r = 1 (rho(g) = g and theta(x) = x
+there), and it is stored as one: SuperMatrix and tensor.TensorOperator share
+the base class _Sparse, its layout and its product, sum, scale, equality and
+hash.  The layout keeps only the nonzero entries, by 0-based column, so
 products, sums, brackets and the block parity cost the nonzeros they touch:
 an elementary matrix E_ij, or a Lambda_N point of one, holds a single entry.
 The elimination below works on dense rows, read from the ``entries`` view.
@@ -39,6 +42,8 @@ from .grassmann import (
     is_json_int,
     rational_parts,
 )
+
+_EMPTY: dict = {}  # the column an operator does not store
 
 
 class SuperDim:
@@ -81,56 +86,62 @@ class SuperDim:
         return 0 if index <= self.m else 1
 
 
-class SuperMatrix:
-    """A square matrix over Q (``grassmann_n is None``) or Lambda_N.
+class _Sparse:
+    """A square matrix over Q (``grassmann_n is None``) or Lambda_N, acting
+    on the r-fold tensor power of a (m|n) space: the layout and arithmetic
+    that SuperMatrix (r = 1) and tensor.TensorOperator share.
 
-    ``terms`` maps each position (a, b), 1-based as in E_ab, to its nonzero
-    entry, so the matrix is the sum of terms[a, b] * E_ab.  Zeros are never
-    stored, so equal matrices have equal maps; ``entries`` is a dense
-    read-only view.  A rational entry is an int when it is integral and a
-    Fraction otherwise (see exact_rational), so integer matrices multiply in
-    int arithmetic.  A product of Fractions that comes out integral may stay
-    a Fraction; it compares and hashes equal to the int, so equality never
-    sees the form.
+    ``cols`` maps each column j that holds a nonzero entry to its column:
+    ``cols[j]`` maps each row i to the nonzero entry (i, j), both 0-based.
+    Neither empty columns nor zeros are ever stored, so equal operands have
+    equal maps.  The maps are shared between operands and must not be
+    changed.  A rational entry is an int when it is integral and a Fraction
+    otherwise (see exact_rational), so integer operands multiply in int
+    arithmetic.  A product of Fractions that comes out integral may stay a
+    Fraction; it compares and hashes equal to the int, so equality never
+    sees the form.  Each class meets only itself: ``*``, ``+`` and ``-`` with
+    any other operand raise TypeError, and ``==`` is False.
     """
 
-    __slots__ = ("dim", "grassmann_n", "terms")
+    __slots__ = ("dim", "r", "grassmann_n", "cols")
 
-    def __new__(cls, dim: SuperDim, entries, grassmann_n: int | None = None):
-        """The matrix with the given dense rows of ints, Fractions or (over
+    def __new__(cls, dim: SuperDim, r: int, rows, grassmann_n: int | None = None):
+        """The operand with the given dense rows of ints, Fractions or (over
         Lambda_N) Grassmann elements."""
-        size = dim.size
-        if len(entries) != size or any(len(row) != size for row in entries):
-            raise DimensionError(f"entries must be {size}x{size}")
-        if grassmann_n is None:
-            exact = cls._as_rational
-        else:
-            exact = lambda e: as_element(e, grassmann_n)
-        rows = [[exact(e) for e in row] for row in entries]
-        return cls._from_terms(dim, _nonzeros(rows), grassmann_n)
+        side = dim.size ** r
+        if len(rows) != side or any(len(row) != side for row in rows):
+            raise DimensionError(f"rows must be {side}x{side}")
+        exact = _rational if grassmann_n is None else lambda e: as_element(e, grassmann_n)
+        cols = _columns([exact(e) for e in row] for row in rows)
+        return cls._from_cols(dim, r, cols, grassmann_n)
 
     @classmethod
-    def _from_terms(cls, dim: SuperDim, terms, grassmann_n: int | None = None) -> "SuperMatrix":
-        """Wrap a {(a, b): entry} map whose entries are already exact and
-        nonzero: ints or Fractions over Q, elements of Lambda_N otherwise."""
-        mat = object.__new__(cls)
-        object.__setattr__(mat, "dim", dim)
-        object.__setattr__(mat, "grassmann_n", grassmann_n)
-        object.__setattr__(mat, "terms", terms)
-        return mat
+    def _from_cols(cls, dim: SuperDim, r: int, cols, grassmann_n: int | None = None):
+        """Wrap a {column: {row: entry}} map of nonempty columns whose
+        entries are already exact and nonzero."""
+        op = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(op, "dim", dim)
+        setattr_(op, "r", r)
+        setattr_(op, "grassmann_n", grassmann_n)
+        setattr_(op, "cols", cols)
+        return op
 
     def __setattr__(self, name, value):
-        raise AttributeError("SuperMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @staticmethod
-    def _as_rational(e):
-        if isinstance(e, GrassmannElement):
-            raise DimensionError("rational matrix cannot hold Grassmann entries")
-        return exact_rational(e)
+    @classmethod
+    def identity(cls, dim: SuperDim, r: int, grassmann_n: int | None = None):
+        one = 1 if grassmann_n is None else GrassmannElement.scalar(grassmann_n, 1)
+        return cls._from_cols(dim, r, {j: {j: one} for j in range(dim.size ** r)}, grassmann_n)
 
     # --- ring plumbing --------------------------------------------------
 
-    # grassmann_n was checked when the matrix was built, so the ring's zero
+    @property
+    def side(self) -> int:
+        return self.dim.size ** self.r
+
+    # grassmann_n was checked when the operand was built, so the ring's zero
     # and one are wrapped directly, without the checks of GrassmannElement()
 
     @property
@@ -148,24 +159,165 @@ class SuperMatrix:
     @property
     def entries(self) -> tuple:
         """A dense read-only view: the rows, zeros filled in."""
-        size, zero = self.dim.size, self.zero_element
-        rows = [[zero] * size for _ in range(size)]
-        for (a, b), e in self.terms.items():
-            rows[a - 1][b - 1] = e
+        side, zero = self.side, self.zero_element
+        rows = [[zero] * side for _ in range(side)]
+        for j, col in self.cols.items():
+            for i, e in col.items():
+                rows[i][j] = e
         return tuple(tuple(row) for row in rows)
 
-    def _check_compatible(self, other: "SuperMatrix"):
-        if self.dim is not other.dim and self.dim != other.dim:
-            raise DimensionError("graded dimensions differ")
-        if self.grassmann_n != other.grassmann_n:
-            raise DimensionError("matrices live over different rings")
+    def _same_space(self, other) -> bool:
+        """Whether other is of this class; raises DimensionError when it is
+        but acts on another space or over another ring."""
+        if other.__class__ is not self.__class__:
+            return False
+        if (
+            (self.dim is not other.dim and self.dim != other.dim)
+            or self.r != other.r
+            or self.grassmann_n != other.grassmann_n
+        ):
+            raise DimensionError("operands live on different spaces or rings")
+        return True
 
-    # --- constructors ---------------------------------------------------
+    # --- arithmetic -----------------------------------------------------
+
+    def __mul__(self, other):
+        """(AB)[:, j] = sum_k A[:, k] B[k, j], over the nonzeros of both.
+
+        Each term is formed as a * b, in that order: odd Grassmann entries
+        anticommute.  Only the stored columns are visited: a column j of B
+        and a column k of A meet only when B[k, j] is stored.  Over Lambda_N
+        the pairs of each output entry are collected first and summed by one
+        _sum_of_products call; over Q adding each term in place is faster
+        than collecting them, and a column of B with one entry b at row k
+        gives the column A[:, k] * b directly: a product of nonzero
+        rationals is nonzero, and an int 1 leaves A's column as it is, so
+        it is shared.
+        """
+        if not self._same_space(other):
+            return NotImplemented
+        a_cols = self.cols
+        cols = {}
+        n = self.grassmann_n
+        for j, b_col in other.cols.items():
+            if n is not None:
+                terms = {}
+                for k, b in b_col.items():
+                    for i, a in a_cols.get(k, _EMPTY).items():
+                        if i in terms:
+                            terms[i].append((a, b))
+                        else:
+                            terms[i] = [(a, b)]
+                col = {i: e for i, pairs in terms.items() if (e := _sum_of_products(n, pairs))}
+            elif len(b_col) == 1:
+                [(k, b)] = b_col.items()
+                col = a_cols.get(k, _EMPTY)
+                if not (type(b) is int and b == 1):
+                    col = {i: a * b for i, a in col.items()}
+            else:
+                acc = {}
+                for k, b in b_col.items():
+                    for i, a in a_cols.get(k, _EMPTY).items():
+                        term = a * b
+                        acc[i] = acc[i] + term if i in acc else term
+                col = {i: e for i, e in acc.items() if e}
+            if col:
+                cols[j] = col
+        return self._from_cols(self.dim, self.r, cols, n)
+
+    def _combine(self, other, subtract: bool):
+        """self + other, or self - other: a column stored on one side only
+        is shared, or negated, as it stands; only the columns both store are
+        merged."""
+        if not self._same_space(other):
+            return NotImplemented
+        cols = dict(self.cols)
+        for j, b_col in other.cols.items():
+            if j not in cols:
+                cols[j] = {i: -b for i, b in b_col.items()} if subtract else b_col
+                continue
+            out = dict(cols[j])
+            for i, b in b_col.items():
+                if i not in out:
+                    out[i] = -b if subtract else b
+                    continue
+                e = out[i] - b if subtract else out[i] + b
+                if e:
+                    out[i] = e
+                else:
+                    del out[i]
+            if out:
+                cols[j] = out
+            else:
+                del cols[j]
+        return self._from_cols(self.dim, self.r, cols, self.grassmann_n)
+
+    def __add__(self, other):
+        return self._combine(other, subtract=False)
+
+    def __sub__(self, other):
+        return self._combine(other, subtract=True)
+
+    def scale(self, value):
+        """Multiply every entry by a central scalar (int or Fraction)."""
+        factor = exact_rational(value)
+        cols = (
+            {j: {i: e * factor for i, e in col.items()} for j, col in self.cols.items()}
+            if factor
+            else {}
+        )
+        return self._from_cols(self.dim, self.r, cols, self.grassmann_n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.dim is other.dim or self.dim == other.dim)
+            and self.r == other.r
+            and self.grassmann_n == other.grassmann_n
+            and self.cols == other.cols
+        )
+
+    def __hash__(self):
+        cols = frozenset((j, frozenset(col.items())) for j, col in self.cols.items())
+        return hash((self.dim, self.r, self.grassmann_n, cols))
+
+
+def _rational(e):
+    if isinstance(e, GrassmannElement):
+        raise DimensionError("rational matrix cannot hold Grassmann entries")
+    return exact_rational(e)
+
+
+def _columns(rows, cols=None, top: int = 0, left: int = 0) -> dict:
+    """Add the nonzero entries of dense rows, placed ``top`` rows down and
+    ``left`` columns across, to a {column: {row: entry}} map: ``cols``, or
+    a new one."""
+    cols = {} if cols is None else cols
+    for i, row in enumerate(rows, start=top):
+        for j, e in enumerate(row, start=left):
+            if e:
+                cols.setdefault(j, {})[i] = e
+    return cols
+
+
+class SuperMatrix(_Sparse):
+    """A square matrix over Q (``grassmann_n is None``) or Lambda_N: the
+    operator of degree r = 1, stored in _Sparse's layout, so ``cols[b]``
+    holds column b + 1 of the matrix.  ``terms`` reads it keyed 1-based as
+    in E_ab, and ``entries`` as dense rows.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, dim: SuperDim, entries, grassmann_n: int | None = None):
+        return _Sparse.__new__(cls, dim, 1, entries, grassmann_n)
+
+    __mul__ = _Sparse.__mul__  # its own name, which benchmarks/tracing.py wraps
 
     @classmethod
     def identity(cls, dim: SuperDim, grassmann_n: int | None = None) -> "SuperMatrix":
-        one = 1 if grassmann_n is None else GrassmannElement.scalar(grassmann_n, 1)
-        return cls._from_terms(dim, {(i, i): one for i in range(1, dim.size + 1)}, grassmann_n)
+        return super().identity(dim, 1, grassmann_n)
 
     @classmethod
     def elementary(cls, dim: SuperDim, i: int, j: int) -> "SuperMatrix":
@@ -173,70 +325,13 @@ class SuperMatrix:
         size = dim.size
         if not (1 <= i <= size and 1 <= j <= size):
             raise DimensionError(f"position ({i},{j}) not in 1..{size}")
-        return cls._from_terms(dim, {(i, j): 1})
+        return cls._from_cols(dim, 1, {j - 1: {i - 1: 1}})
 
-    # --- arithmetic -----------------------------------------------------
-
-    def __mul__(self, other):
-        """Row-by-column product over the nonzero entries of both factors,
-        each term formed left factor first.  The factor pairs of each entry
-        are collected first; over Lambda_N one _sum_of_products call sums
-        them."""
-        if not isinstance(other, SuperMatrix):
-            return NotImplemented
-        self._check_compatible(other)
-        by_row = {}  # other's nonzeros (t, y) in each row s
-        for (s, t), y in other.terms.items():
-            by_row.setdefault(s, []).append((t, y))
-        pairs = {}  # the factor pairs (x, y) of each entry (r, t)
-        for (r, s), x in self.terms.items():
-            for t, y in by_row.get(s, ()):
-                pairs.setdefault((r, t), []).append((x, y))
-        n = self.grassmann_n
-        if n is None:
-            sums = ((key, sum(x * y for x, y in p)) for key, p in pairs.items())
-        else:
-            sums = ((key, _sum_of_products(n, p)) for key, p in pairs.items())
-        return SuperMatrix._from_terms(self.dim, {key: e for key, e in sums if e}, n)
-
-    def _combine(self, other: "SuperMatrix", subtract: bool) -> "SuperMatrix":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for key, b in other.terms.items():
-            if subtract:
-                b = -b
-            e = terms.pop(key) + b if key in terms else b
-            if e:
-                terms[key] = e
-        return SuperMatrix._from_terms(self.dim, terms, self.grassmann_n)
-
-    def __add__(self, other):
-        if not isinstance(other, SuperMatrix):
-            return NotImplemented
-        return self._combine(other, subtract=False)
-
-    def __sub__(self, other):
-        if not isinstance(other, SuperMatrix):
-            return NotImplemented
-        return self._combine(other, subtract=True)
-
-    def scale(self, value) -> "SuperMatrix":
-        """Multiply every entry by a central scalar (int or Fraction)."""
-        factor = exact_rational(value)
-        terms = {key: e * factor for key, e in self.terms.items()} if factor else {}
-        return SuperMatrix._from_terms(self.dim, terms, self.grassmann_n)
-
-    def __eq__(self, other):
-        if not isinstance(other, SuperMatrix):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.grassmann_n == other.grassmann_n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.grassmann_n, frozenset(self.terms.items())))
+    @property
+    def terms(self) -> dict:
+        """A new {(a, b): entry} map of the nonzero entries, keyed 1-based:
+        the matrix is the sum of terms[a, b] * E_ab."""
+        return {(i + 1, j + 1): e for j, col in self.cols.items() for i, e in col.items()}
 
     def __repr__(self):
         # rational entries print as Fractions whatever their stored form
@@ -265,8 +360,9 @@ class SuperMatrix:
         m = self.dim.m
         rational = self.grassmann_n is None
         return all(
-            (0 if rational else e.parity()) == int((a > m) != (b > m))
-            for (a, b), e in self.terms.items()
+            (0 if rational else e.parity()) == int((i < m) != (j < m))
+            for j, col in self.cols.items()
+            for i, e in col.items()
         )
 
     def body_matrix(self) -> list[list]:
@@ -317,7 +413,7 @@ class SuperMatrix:
         if ring == "Q":
             parts = ([rational_parts(e, "entry") for e in row] for row in entries)
             rows = [[p if q == 1 else Fraction(p, q) for p, q in row] for row in parts]
-            return cls._from_terms(dim, _nonzeros(rows))
+            return cls._from_cols(dim, 1, _columns(rows))
         if ring == "grassmann":
             gn = data.get("grassmann_n")
             if not is_json_int(gn) or gn < 0:
@@ -337,19 +433,8 @@ class SuperMatrix:
                     else:
                         parsed.append(GrassmannElement.scalar_from_json(gn, e))
                 rows.append(parsed)
-            return cls._from_terms(dim, _nonzeros(rows), gn)
+            return cls._from_cols(dim, 1, _columns(rows), gn)
         raise FormatError("'ring' must be 'Q' or 'grassmann'")
-
-
-def _nonzeros(rows, top: int = 0, left: int = 0) -> dict:
-    """{(a, b): entry} over the nonzero entries of dense rows, 1-based, with
-    the rows placed ``top`` rows down and ``left`` columns across."""
-    return {
-        (a, b): e
-        for a, row in enumerate(rows, start=top + 1)
-        for b, e in enumerate(row, start=left + 1)
-        if e
-    }
 
 
 # --- determinants over the even commutative subring ---------------------
@@ -491,9 +576,10 @@ def supertrace(mat: SuperMatrix):
     """Trace of the top-left block minus trace of the bottom-right block."""
     m = mat.dim.m
     acc = mat.zero_element
-    for (a, b), e in mat.terms.items():
-        if a == b:
-            acc = acc + e if a <= m else acc - e
+    for j, col in mat.cols.items():
+        e = col.get(j)
+        if e is not None:
+            acc = acc + e if j < m else acc - e
     return acc
 
 
@@ -596,13 +682,14 @@ def ldu_factor(mat: SuperMatrix):
     _, y, _, w = blocks
     y_winv = _block_product(y, w_inv, mat.dim.n, mat.zero_element)
     one = mat.one_element
-    ident = {(i, i): one for i in range(1, mat.dim.size + 1)}
+    # two identities: _columns adds each block into the map it is given
+    upper, lower = ({j: {j: one} for j in range(mat.dim.size)} for _ in range(2))
     factors = (
-        {**ident, **_nonzeros(y_winv, 0, m)},
-        {**_nonzeros(schur), **_nonzeros(w, m, m)},
-        {**ident, **_nonzeros(winv_z, m, 0)},
+        _columns(y_winv, upper, 0, m),
+        _columns(w, _columns(schur), m, m),
+        _columns(winv_z, lower, m, 0),
     )
-    return tuple(SuperMatrix._from_terms(mat.dim, terms, mat.grassmann_n) for terms in factors)
+    return tuple(SuperMatrix._from_cols(mat.dim, 1, cols, mat.grassmann_n) for cols in factors)
 
 
 # --- distinguished one-parameter points ------------------------------------
@@ -626,8 +713,10 @@ def transvection(
         value = as_element(value, grassmann_n)
         if not value.is_zero() and value.parity() != want:
             raise ParityError(f"slot ({i},{j}) needs parity {want}")
-    terms = SuperMatrix.identity(dim, grassmann_n).terms
-    return SuperMatrix._from_terms(dim, {**terms, (i, j): value} if value else terms, grassmann_n)
+    cols = SuperMatrix.identity(dim, grassmann_n).cols
+    if value:
+        cols = {**cols, j - 1: {**cols[j - 1], i - 1: value}}
+    return SuperMatrix._from_cols(dim, 1, cols, grassmann_n)
 
 
 def dilation(
@@ -647,8 +736,8 @@ def dilation(
             raise ParityError("dilation value must be even")
         if value.body() == 0:
             raise NotInvertible("dilation value must have invertible body")
-    terms = {**SuperMatrix.identity(dim, grassmann_n).terms, (i, i): value}
-    return SuperMatrix._from_terms(dim, terms, grassmann_n)
+    cols = {**SuperMatrix.identity(dim, grassmann_n).cols, i - 1: {i - 1: value}}
+    return SuperMatrix._from_cols(dim, 1, cols, grassmann_n)
 
 
 # --- the rational Lie superalgebra -----------------------------------------
@@ -663,7 +752,7 @@ def block_parity(mat: SuperMatrix):
     if mat.grassmann_n is not None:
         raise DimensionError("block parity is for rational matrices")
     m = mat.dim.m
-    seen = {(a > m) != (b > m) for a, b in mat.terms}
+    seen = {(i < m) != (j < m) for j, col in mat.cols.items() for i in col}
     if len(seen) > 1:
         return None
     return int(seen.pop()) if seen else 0
@@ -695,14 +784,15 @@ def gl_point(coeff: GrassmannElement, mat: SuperMatrix) -> SuperMatrix:
     pc = coeff.parity()
     if pm is None or pc is None:
         raise ParityError("gl_point needs homogeneous coefficient and matrix")
-    if coeff and mat.terms and pm != pc:
+    if coeff and mat.cols and pm != pc:
         raise ParityError("coefficient parity must match the matrix block parity")
-    terms = {}
-    for (r, s), e in mat.terms.items():
-        point = coeff * (-e if pc and mat.dim.parity(r) else e)
-        if point:
-            terms[r, s] = point
-    return SuperMatrix._from_terms(mat.dim, terms, coeff.num_generators)
+    m = mat.dim.m
+    cols = {}
+    for j, col in mat.cols.items():
+        col = {i: point for i, e in col.items() if (point := coeff * (-e if pc and i >= m else e))}
+        if col:
+            cols[j] = col
+    return SuperMatrix._from_cols(mat.dim, 1, cols, coeff.num_generators)
 
 
 # --- seeded sampling of GL points ------------------------------------------

@@ -1,15 +1,16 @@
 """Signed actions on r-fold tensor powers of a graded vector space.
 
 Basis words are r-tuples of 1-based letters, listed lexicographically.  An
-operator keeps a map from the index k of each basis word whose image is
-nonzero to its column: the index of each word in that image, mapped to its
-nonzero coefficient.  Empty columns and zero entries are never stored, so
-products, sums and comparisons touch only the nonzeros: a product costs the
-nonzero pairs A[i, k] B[k, j] that it multiplies, not side^3, and theta(E_ij)
-at r = 1, one entry in one column, costs one column.  The builders below
-write their columns directly.  Over Q a column of B with one entry, as every
-column of a signed permutation operator is, gives its product column in one
-pass with nothing to sum.
+operator is stored as a SuperMatrix is, the matrix being the operator of
+degree 1 (both share supermatrix._Sparse): a map from the index k of each
+basis word whose image is nonzero to its column, the index of each word in
+that image mapped to its nonzero coefficient.  Empty columns and zero
+entries are never stored, so products, sums and comparisons touch only the
+nonzeros: a product costs the nonzero pairs A[i, k] B[k, j] that it
+multiplies, not side^3, and theta(E_ij) at r = 1, the map of E_ij itself,
+costs one column.  The builders below write their columns directly.  Over Q
+a column of B with one entry, as every column of a signed permutation
+operator is, gives its product column in one pass with nothing to sum.
 
 Three actions live here:
 
@@ -46,13 +47,11 @@ import itertools
 import operator
 
 from .errors import DimensionError, ParityError
-from .grassmann import GrassmannElement, _sum_of_products, as_element, exact_rational
-from .supermatrix import SuperDim, SuperMatrix, block_parity
+from .grassmann import GrassmannElement
+from .supermatrix import SuperDim, SuperMatrix, _Sparse, block_parity
 
 Word = tuple[int, ...]
 Perm = tuple[int, ...]
-
-_EMPTY: dict = {}  # the column an operator does not store
 
 
 # --- words -----------------------------------------------------------------
@@ -147,77 +146,24 @@ def cycle_decomposition(sigma: Perm) -> list[tuple[int, int]]:
 
 # --- operators ---------------------------------------------------------------
 
-class TensorOperator:
+class TensorOperator(_Sparse):
     """Endomorphism of the r-fold tensor power, over Q or Lambda_N.
 
-    ``cols`` maps each column j that holds a nonzero entry to its column:
-    ``cols[j]`` maps each row i to the nonzero entry (i, j), over Q an int
-    when it is integral and a Fraction otherwise, as in SuperMatrix, over
-    Lambda_N a GrassmannElement.  Neither empty columns nor zeros are ever
-    stored, so equal operators have equal maps.  The maps are shared between
-    operators and must not be changed.
+    Stored in the layout SuperMatrix uses (supermatrix._Sparse): ``cols``
+    maps each column j that holds a nonzero entry to its column, a map from
+    each row i to the nonzero entry (i, j).  At r = 1 an operator and the
+    matrix it acts by store the same map.  ``matrix`` is the dense view.
     """
 
-    __slots__ = ("dim", "r", "grassmann_n", "cols")
+    __slots__ = ()
 
-    def __init__(self, dim: SuperDim, r: int, rows, grassmann_n: int | None = None):
-        """The operator with the given dense rows of ints, Fractions or
-        (over Lambda_N) Grassmann elements."""
-        side = dim.size ** r
-        if len(rows) != side or any(len(row) != side for row in rows):
-            raise DimensionError(f"operator matrix must be {side}x{side}")
-        if grassmann_n is None:
-            exact = exact_rational
-        else:
-            exact = lambda e: as_element(e, grassmann_n)
-        cols = {}
-        for i, row in enumerate(rows):
-            for j, e in enumerate(row):
-                e = exact(e)
-                if e:
-                    cols.setdefault(j, {})[i] = e
-        _fill(self, dim, r, grassmann_n, cols)
-
-    @classmethod
-    def _from_cols(
-        cls, dim: SuperDim, r: int, cols, grassmann_n: int | None = None
-    ) -> "TensorOperator":
-        """Wrap a {column: {row: entry}} map of nonempty columns whose
-        entries are already exact and nonzero."""
-        op = object.__new__(cls)
-        _fill(op, dim, r, grassmann_n, cols)
-        return op
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorOperator is immutable")
-
-    @property
-    def side(self) -> int:
-        return self.dim.size ** self.r
-
-    @property
-    def zero_element(self):
-        if self.grassmann_n is None:
-            return 0
-        return GrassmannElement.zero(self.grassmann_n)
-
-    @property
-    def matrix(self) -> tuple:
-        """A dense read-only view: the rows, zeros filled in."""
-        side = self.side
-        zero = self.zero_element
-        rows = [[zero] * side for _ in range(side)]
-        for j, col in self.cols.items():
-            for i, e in col.items():
-                rows[i][j] = e
-        return tuple(tuple(row) for row in rows)
-
-    @classmethod
-    def identity(
-        cls, dim: SuperDim, r: int, grassmann_n: int | None = None
-    ) -> "TensorOperator":
-        one = 1 if grassmann_n is None else GrassmannElement.scalar(grassmann_n, 1)
-        return cls._from_cols(dim, r, {j: {j: one} for j in range(dim.size ** r)}, grassmann_n)
+    # bound in this class too, so benchmarks/tracing.py can wrap the
+    # operator product and equality apart from the matrix ones; a class
+    # that sets __eq__ must set __hash__ as well
+    __mul__ = _Sparse.__mul__
+    __eq__ = _Sparse.__eq__
+    __hash__ = _Sparse.__hash__
+    matrix = _Sparse.entries
 
     @classmethod
     def zero(
@@ -225,136 +171,9 @@ class TensorOperator:
     ) -> "TensorOperator":
         return cls._from_cols(dim, r, {}, grassmann_n)
 
-    def _check_compatible(self, other: "TensorOperator"):
-        if (
-            (self.dim is not other.dim and self.dim != other.dim)
-            or self.r != other.r
-            or self.grassmann_n != other.grassmann_n
-        ):
-            raise DimensionError("operators live on different spaces")
-
-    def __mul__(self, other):
-        """(AB)[:, j] = sum_k A[:, k] B[k, j], over the nonzeros of both.
-
-        Each term is formed as a * b, in that order: odd Grassmann entries
-        anticommute.  Only the stored columns are visited: a column j of B
-        and a column k of A meet only when B[k, j] is stored.  Over Lambda_N
-        the pairs of each output entry are collected first and summed by one
-        _sum_of_products call; over Q adding each term in place is faster
-        than collecting them, and a column of B with one entry b at row k
-        gives the column A[:, k] * b directly.
-        """
-        if not isinstance(other, TensorOperator):
-            return NotImplemented
-        self._check_compatible(other)
-        a_cols = self.cols
-        cols = {}
-        n = self.grassmann_n
-        if n is not None:
-            for j, b_col in other.cols.items():
-                terms = {}
-                for k, b in b_col.items():
-                    for i, a in a_cols.get(k, _EMPTY).items():
-                        if i in terms:
-                            terms[i].append((a, b))
-                        else:
-                            terms[i] = [(a, b)]
-                sums = ((i, _sum_of_products(n, pairs)) for i, pairs in terms.items())
-                col = {i: e for i, e in sums if e}
-                if col:
-                    cols[j] = col
-            return TensorOperator._from_cols(self.dim, self.r, cols, n)
-        for j, b_col in other.cols.items():
-            if len(b_col) == 1:
-                # one term per output entry, and a product of nonzero
-                # rationals is nonzero: nothing to accumulate or filter;
-                # an int 1 leaves A's column as it is, so it is shared
-                for k, b in b_col.items():
-                    a_col = a_cols.get(k)
-                    if a_col is not None:
-                        shared = type(b) is int and b == 1
-                        cols[j] = a_col if shared else {i: a * b for i, a in a_col.items()}
-                continue
-            acc = {}
-            for k, b in b_col.items():
-                for i, a in a_cols.get(k, _EMPTY).items():
-                    term = a * b
-                    acc[i] = acc[i] + term if i in acc else term
-            col = {i: e for i, e in acc.items() if e}
-            if col:
-                cols[j] = col
-        return TensorOperator._from_cols(self.dim, self.r, cols, self.grassmann_n)
-
-    def _combine(self, other: "TensorOperator", subtract: bool) -> "TensorOperator":
-        """self + other, or self - other: a column stored on one side only
-        is shared, or negated, as it stands; only the columns both store are
-        merged."""
-        self._check_compatible(other)
-        cols = dict(self.cols)
-        for j, b_col in other.cols.items():
-            if j not in cols:
-                cols[j] = {i: -b for i, b in b_col.items()} if subtract else b_col
-                continue
-            out = dict(cols[j])
-            for i, b in b_col.items():
-                if i not in out:
-                    out[i] = -b if subtract else b
-                    continue
-                e = out[i] - b if subtract else out[i] + b
-                if e:
-                    out[i] = e
-                else:
-                    del out[i]
-            if out:
-                cols[j] = out
-            else:
-                del cols[j]
-        return TensorOperator._from_cols(self.dim, self.r, cols, self.grassmann_n)
-
-    def __add__(self, other):
-        if not isinstance(other, TensorOperator):
-            return NotImplemented
-        return self._combine(other, subtract=False)
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorOperator):
-            return NotImplemented
-        return self._combine(other, subtract=True)
-
-    def scale(self, value) -> "TensorOperator":
-        factor = exact_rational(value)
-        cols = (
-            {j: {i: e * factor for i, e in col.items()} for j, col in self.cols.items()}
-            if factor
-            else {}
-        )
-        return TensorOperator._from_cols(self.dim, self.r, cols, self.grassmann_n)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorOperator):
-            return NotImplemented
-        return (
-            (self.dim is other.dim or self.dim == other.dim)
-            and self.r == other.r
-            and self.grassmann_n == other.grassmann_n
-            and self.cols == other.cols
-        )
-
-    def __hash__(self):
-        cols = frozenset((j, frozenset(col.items())) for j, col in self.cols.items())
-        return hash((self.dim, self.r, self.grassmann_n, cols))
-
     def __repr__(self):
         ring = "Q" if self.grassmann_n is None else f"Lambda_{self.grassmann_n}"
         return f"TensorOperator(({self.dim.m}|{self.dim.n})^r={self.r} over {ring})"
-
-
-def _fill(op: TensorOperator, dim: SuperDim, r: int, grassmann_n, cols) -> None:
-    setattr_ = object.__setattr__
-    setattr_(op, "dim", dim)
-    setattr_(op, "r", r)
-    setattr_(op, "grassmann_n", grassmann_n)
-    setattr_(op, "cols", cols)
 
 
 # --- the symmetric group action ----------------------------------------------
@@ -411,11 +230,6 @@ def _one_position(x: SuperMatrix, r: int, odd_count: str) -> list[TensorOperator
     dim = x.dim
     size = dim.size
     odd = [dim.parity(a) for a in range(1, size + 1)]
-    # the nonzero (target, entry, entry parity) triples of each nonzero
-    # column of x, 0-based
-    x_cols = {}
-    for (t, a), e in x.terms.items():
-        x_cols.setdefault(a - 1, []).append((t - 1, e, odd[t - 1] ^ odd[a - 1]))
     counted = {
         "exclusive": lambda word, k: word[:k],
         "inclusive": lambda word, k: word[: k + 1],
@@ -428,10 +242,14 @@ def _one_position(x: SuperMatrix, r: int, odd_count: str) -> list[TensorOperator
         cols = {}
         for col, word in enumerate(words):
             a = word[k] - 1
-            if a not in x_cols:
+            x_col = x.cols.get(a)
+            if x_col is None:
                 continue
             o = sum(odd[letter - 1] for letter in counted(word, k)) & 1
-            cols[col] = {col + (t - a) * stride: -e if p & o else e for t, e, p in x_cols[a]}
+            pa = odd[a]
+            cols[col] = {
+                col + (t - a) * stride: -e if o and odd[t] != pa else e for t, e in x_col.items()
+            }
         pieces.append(TensorOperator._from_cols(dim, r, cols, x.grassmann_n))
     return pieces
 

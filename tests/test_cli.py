@@ -134,6 +134,10 @@ PINNED_STDOUT = {
     # recorded before TensorOperator stored only its nonempty columns
     "verify actions -m 2 -n 2 -r 2": "d54a2dd1cd018585534aa71b34220ef84594d8db1a548c031967249a7a92b3c2",
     "verify actions -m 8 -n 0 -r 1": "86a777895ce1b63425d56d60a7288fd4fc910d518896e70fe59f315517f7084e",
+    # side-16 configs with odd indices, recorded before SuperMatrix took the
+    # TensorOperator layout and product kernel
+    "verify actions -m 8 -n 8 -r 1": "900a2972a2e4cb65326595dd4f200ba1edf9c9b4a215546e8f07d3190ee9cc8b",
+    "verify group -m 8 -n 8 -r 1": "ced3d9bbf7ed8a1f695170b19be723b0478bb644b5b00169510bc495c20abbe2",
 }
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superschur import (
+    DimensionError,
     GrassmannElement,
     SuperDim,
     SuperMatrix,
@@ -53,6 +54,16 @@ def test_constructors_refuse_floats_bools_and_strings(name, value):
         CONSTRUCTORS[name](value)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda e: SuperMatrix(D10, [[e]]), lambda e: TensorOperator(D10, 1, [[e]])],
+    ids=["SuperMatrix", "TensorOperator"],
+)
+def test_rational_operand_refuses_grassmann_entries(build):
+    with pytest.raises(DimensionError, match="cannot hold Grassmann entries"):
+        build(GrassmannElement.generator(1, 1))
+
+
 def test_exact_rational_keeps_one_form():
     half = Fraction(1, 2)
     assert exact_rational(half) is half
@@ -66,22 +77,22 @@ def entry_types(values) -> set:
     return {type(e) for e in values}
 
 
-def matrix_values(mat: SuperMatrix):
-    return list(mat.terms.values())
+def stored_values(x):
+    """The stored entries of a SuperMatrix or a TensorOperator."""
+    return [e for col in x.cols.values() for e in col.values()]
 
 
-def operator_values(op: TensorOperator):
-    return [e for col in op.cols.values() for e in col.values()]
+def as_fractions(x):
+    """x with each stored entry held as a Fraction, the form a product of
+    Fractions can leave behind."""
+    cols = {j: {i: Fraction(e) for i, e in col.items()} for j, col in x.cols.items()}
+    return x._from_cols(x.dim, x.r, cols)
 
 
 def both_forms(dim: SuperDim, rows):
-    """The matrix with int entries, and the same matrix holding each entry as
-    a Fraction, the form a product of Fractions can leave behind."""
+    """The matrix with int entries, and the same matrix as Fractions."""
     as_ints = SuperMatrix(dim, rows)
-    as_fractions = SuperMatrix._from_terms(
-        dim, {key: Fraction(e) for key, e in as_ints.terms.items()}
-    )
-    return as_ints, as_fractions
+    return as_ints, as_fractions(as_ints)
 
 
 def homogeneous(dim: SuperDim, rows, parity: int):
@@ -102,11 +113,11 @@ def integer_matrices(draw):
     return dim, draw(rows), draw(rows)
 
 
-def assert_same(int_form, fraction_form, values):
+def assert_same(int_form, fraction_form):
     assert int_form == fraction_form
     assert hash(int_form) == hash(fraction_form)
-    assert entry_types(values(int_form)) <= {int}
-    assert entry_types(values(fraction_form)) <= {int, Fraction}
+    assert entry_types(stored_values(int_form)) <= {int}
+    assert entry_types(stored_values(fraction_form)) <= {int, Fraction}
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,31 +126,29 @@ def test_int_and_fraction_forms_agree(data, k, parity, r):
     dim, a_rows, b_rows = data
     a, a_frac = both_forms(dim, a_rows)
     b, b_frac = both_forms(dim, b_rows)
-    assert_same(a, a_frac, matrix_values)
+    assert_same(a, a_frac)
     assert SuperMatrix(dim, [[Fraction(e) for e in row] for row in a_rows]).entries == a.entries
-    assert_same(a * b, a_frac * b_frac, matrix_values)
-    assert_same(a + b, a_frac + b_frac, matrix_values)
-    assert_same(a - b, a_frac - b_frac, matrix_values)
-    assert_same(a.scale(k), a_frac.scale(Fraction(k)), matrix_values)
-    assert entry_types(matrix_values(a.scale(Fraction(1, 2)))) <= {int, Fraction}
+    assert_same(a * b, a_frac * b_frac)
+    assert_same(a + b, a_frac + b_frac)
+    assert_same(a - b, a_frac - b_frac)
+    assert_same(a.scale(k), a_frac.scale(Fraction(k)))
+    assert entry_types(stored_values(a.scale(Fraction(1, 2)))) <= {int, Fraction}
 
     x, x_frac = both_forms(dim, homogeneous(dim, a_rows, parity))
     y, y_frac = both_forms(dim, homogeneous(dim, b_rows, 1 - parity))
-    assert_same(superbracket(x, y), superbracket(x_frac, y_frac), matrix_values)
+    assert_same(superbracket(x, y), superbracket(x_frac, y_frac))
     theta_x, theta_y = derivation_operator(x, r), derivation_operator(y, r)
     theta_x_frac, theta_y_frac = derivation_operator(x_frac, r), derivation_operator(y_frac, r)
-    assert_same(theta_x, theta_x_frac, operator_values)
-    assert_same(theta_x * theta_y, theta_x_frac * theta_y_frac, operator_values)
-    assert_same(theta_x - theta_y, theta_x_frac - theta_y_frac, operator_values)
-    assert_same(theta_x.scale(k), theta_x_frac.scale(Fraction(k)), operator_values)
+    assert_same(theta_x, theta_x_frac)
+    assert_same(theta_x * theta_y, theta_x_frac * theta_y_frac)
+    assert_same(theta_x - theta_y, theta_x_frac - theta_y_frac)
+    assert_same(theta_x.scale(k), theta_x_frac.scale(Fraction(k)))
     if r > 1:
         tau = transposition_operator(dim, r, 1, 2)
-        assert entry_types(operator_values(tau)) == {int}
-        assert_same(tau * theta_x, tau * theta_x_frac, operator_values)
+        assert entry_types(stored_values(tau)) == {int}
+        assert_same(tau * theta_x, tau * theta_x_frac)
 
     op = TensorOperator(dim, 1, a_rows)
-    op_frac = TensorOperator._from_cols(
-        dim, 1, {j: {i: Fraction(e) for i, e in col.items()} for j, col in op.cols.items()}
-    )
-    assert_same(op, op_frac, operator_values)
-    assert_same(op * op, op_frac * op_frac, operator_values)
+    op_frac = as_fractions(op)
+    assert_same(op, op_frac)
+    assert_same(op * op, op_frac * op_frac)

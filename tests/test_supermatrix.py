@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superschur import (
@@ -496,11 +496,20 @@ def matrix_pairs(draw):
 
 
 def assert_matches_dense(got, rows):
-    """got stores no zero entry, and equals and hashes as the matrix with
-    the dense reference rows."""
-    assert all(got.terms.values())
+    """got stores no empty column and no zero entry, and equals and hashes
+    as the matrix with the dense reference rows."""
+    assert all(col and all(col.values()) for col in got.cols.values())
     want = SuperMatrix(got.dim, rows, got.grassmann_n)
     assert got == want and hash(got) == hash(want)
+
+
+def vanishing_pair():
+    """Lambda_3 matrices whose columns hold one entry each, chosen so that
+    most products of those entries vanish: x1 x1 = x1 x2 x1 = 0."""
+    x1, x2 = GrassmannElement.generator(3, 1), GrassmannElement.generator(3, 2)
+    a = SuperMatrix(D11, [[x1, x2], [x1 * x2, 0]], 3)
+    b = SuperMatrix(D11, [[x1, 0], [0, x1]], 3)
+    return a, b
 
 
 def homogeneous_part(mat, parity):
@@ -515,6 +524,9 @@ def homogeneous_part(mat, parity):
 
 @settings(max_examples=150, deadline=None)
 @given(matrix_pairs())
+@example(vanishing_pair())
+@example(vanishing_pair()[::-1])
+@example((vanishing_pair()[1],) * 2)
 def test_product_matches_dense_reference(pair):
     """+, -, *, scale and gl_point against dense references: no stored
     zeros, even after exact cancellation, and equal matrices hash equal."""

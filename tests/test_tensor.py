@@ -582,6 +582,47 @@ def test_grassmann_operator_product_matches_term_by_term_reference(case, data):
     entry = st.one_of(st.just(0), st.just(0), element)
     rows = st.lists(st.lists(entry, min_size=side, max_size=side), min_size=side, max_size=side)
     a, b = TensorOperator(dim, r, data.draw(rows), 4), TensorOperator(dim, r, data.draw(rows), 4)
+    assert_grassmann_product_matches(a, b)
+
+
+def assert_grassmann_product_matches(a, b):
     got = a * b
     assert [[e.terms for e in row] for row in got.matrix] == ref_matrix_product(a.matrix, b.matrix)
     assert_results_stored_canonically(a, b)
+
+
+def test_grassmann_products_of_vanishing_one_entry_columns():
+    # x1 x1 = x1 x2 x1 = 0: most columns of these products vanish, and none
+    # of them may be stored, nor any zero entry
+    x1, x2 = (GrassmannElement.generator(4, i) for i in (1, 2))
+    zero = GrassmannElement.zero(4)
+    a = TensorOperator(D11, 1, [[x1, x2], [x1 * x2, zero]], 4)
+    b = TensorOperator(D11, 1, [[x1, zero], [zero, x1]], 4)
+    c = TensorOperator(D11, 2, [[x1 * x2 if i == j else zero for j in range(4)] for i in range(4)], 4)
+    d = TensorOperator(D11, 2, [[x1 if i == 3 - j else zero for j in range(4)] for i in range(4)], 4)
+    for x, y in ((a, b), (b, a), (b, b), (c, d), (d, c), (d, d)):
+        assert_grassmann_product_matches(x, y)
+    assert (b * b).cols == {} and (c * d).cols == {} and (d * c).cols == {}
+
+
+def test_matrices_and_operators_never_mix():
+    x = SuperMatrix.identity(D11)
+    op = TensorOperator.identity(D11, 1)
+    assert x.cols == op.cols
+    for left, right in ((x, op), (op, x)):
+        for form in (lambda: left * right, lambda: left + right, lambda: left - right):
+            with pytest.raises(TypeError):
+                form()
+        assert left != right and not left == right
+
+
+def test_degree_one_operators_store_the_matrix_map():
+    for dim in (D21, D12):
+        for i, j in itertools.product(range(1, dim.size + 1), repeat=2):
+            x = SuperMatrix.elementary(dim, i, j)
+            assert derivation_operator(x, 1).cols == x.cols == {j - 1: {i - 1: 1}}
+    rng = random.Random(7)
+    for dim in (D11, D21, D12, D22):
+        for _ in range(3):
+            g = random_gl_point(rng, dim, 4)
+            assert diagonal_operator(g, 1).cols == g.cols
