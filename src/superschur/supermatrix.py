@@ -14,7 +14,9 @@ the base class _Sparse, its layout and its product, sum, scale, equality and
 hash.  The layout keeps only the nonzero entries, by 0-based column, so
 products, sums, brackets and the block parity cost the nonzeros they touch:
 an elementary matrix E_ij, or a Lambda_N point of one, holds a single entry.
-The elimination below works on dense rows, read from the ``entries`` view.
+Only the elimination below reads dense rows, from the ``entries`` view: the
+Schur complement and the LDU factors are built from blocks held in place
+in the full matrix, by the shared product and sum.
 
 Determinants, inverses, the Berezinian, the LDU factors and the elementary
 factorization all come from one Gauss-Jordan elimination that divides only
@@ -289,11 +291,10 @@ def _rational(e):
     return exact_rational(e)
 
 
-def _columns(rows, cols=None, top: int = 0, left: int = 0) -> dict:
-    """Add the nonzero entries of dense rows, placed ``top`` rows down and
-    ``left`` columns across, to a {column: {row: entry}} map: ``cols``, or
-    a new one."""
-    cols = {} if cols is None else cols
+def _columns(rows, top: int = 0, left: int = 0) -> dict:
+    """The {column: {row: entry}} map of the nonzero entries of dense rows,
+    placed ``top`` rows down and ``left`` columns across."""
+    cols = {}
     for i, row in enumerate(rows, start=top):
         for j, e in enumerate(row, start=left):
             if e:
@@ -344,16 +345,6 @@ class SuperMatrix(_Sparse):
 
     # --- block structure --------------------------------------------------
 
-    def blocks(self):
-        """(X, Y, Z, W): top-left m x m, top-right m x n, bottom-left, bottom-right."""
-        m = self.dim.m
-        e = self.entries
-        x = [list(row[:m]) for row in e[:m]]
-        y = [list(row[m:]) for row in e[:m]]
-        z = [list(row[:m]) for row in e[m:]]
-        w = [list(row[m:]) for row in e[m:]]
-        return x, y, z, w
-
     def is_even_point(self) -> bool:
         """Diagonal blocks even, off-diagonal blocks odd (entrywise); a
         nonzero rational is even and zero has either parity."""
@@ -372,7 +363,12 @@ class SuperMatrix(_Sparse):
 
     def is_gl_point(self) -> bool:
         """Even point whose diagonal-block bodies are invertible over Q."""
-        return _gl_blocks(self) is not None
+        m = self.dim.m
+        return (
+            self.is_even_point()
+            and _invertible_body(self, 0, m)
+            and _invertible_body(self, m, self.dim.n)
+        )
 
     # --- serialization ----------------------------------------------------
 
@@ -450,11 +446,6 @@ def _inverse(e):
     return e.inverse() if isinstance(e, GrassmannElement) else 1 / Fraction(e)
 
 
-def _generators(zero):
-    """N for the ring Lambda_N that ``zero`` lives in; None over Q."""
-    return zero.num_generators if isinstance(zero, GrassmannElement) else None
-
-
 def _gauss_jordan(rows, rhs, zero, one):
     """Reduce [rows | rhs] towards [I | rows^-1 rhs], dividing only by units.
 
@@ -476,7 +467,7 @@ def _gauss_jordan(rows, rhs, zero, one):
     for row, extra in zip(work, rhs):
         row.extend(extra)
     width = len(work[0]) if work else 0
-    n = _generators(zero)
+    n = zero.num_generators if isinstance(zero, GrassmannElement) else None
     if n is not None:
         work = [[as_element(e, n) for e in row] for row in work]
     det = one
@@ -583,85 +574,69 @@ def supertrace(mat: SuperMatrix):
     return acc
 
 
-def _block_product(a, b, width, zero):
-    """a * b for blocks given as lists of rows, b with ``width`` columns,
-    over the nonzero entries of both, each term formed left factor first.
-    Over Lambda_N the terms of each entry are collected first and summed by
-    one _sum_of_products call; over Q adding each term in place is faster
-    than collecting them."""
-    n = _generators(zero)
-    rows = []
-    for a_row in a:
-        out = [zero] * width
-        if n is None:
-            for x, b_row in zip(a_row, b):
-                if x:
-                    for j, y in enumerate(b_row):
-                        if y:
-                            out[j] = out[j] + x * y
-        else:
-            terms = {}
-            for x, b_row in zip(a_row, b):
-                if x:
-                    for j, y in enumerate(b_row):
-                        if y:
-                            if j in terms:
-                                terms[j].append((x, y))
-                            else:
-                                terms[j] = [(x, y)]
-            for j, pairs in terms.items():
-                out[j] = _sum_of_products(n, pairs)
-        rows.append(out)
-    return rows
+def _invertible_body(mat: SuperMatrix, lo: int, size: int) -> bool:
+    """Whether the diagonal block of mat on the 0-based indices lo..lo+size-1
+    has a body invertible over Q."""
+    rational = mat.grassmann_n is None
+    body = [[0] * size for _ in range(size)]
+    for j in range(lo, lo + size):
+        for i, e in mat.cols.get(j, _EMPTY).items():
+            if lo <= i < lo + size:
+                body[i - lo][j - lo] = e if rational else e.body()
+    return _gauss_jordan(body, (), 0, 1)[2] is None
 
 
-def _gl_blocks(mat: SuperMatrix):
-    """The blocks (X, Y, Z, W) of mat when it is a GL point, else None."""
-    if not mat.is_even_point():
-        return None
-    blocks = mat.blocks()
-    x, _, _, w = blocks
-    for block in (x, w):
-        if mat.grassmann_n is not None:
-            block = [[e.body() for e in row] for row in block]
-        if _gauss_jordan(block, (), 0, 1)[2] is not None:
-            return None
-    return blocks
+def _block(mat: SuperMatrix, bottom: bool, right: bool) -> SuperMatrix:
+    """X, Y, Z or W of mat = [[X, Y], [Z, W]], held where it sits in mat."""
+    m = mat.dim.m
+    cols = {}
+    for j, col in mat.cols.items():
+        if (j >= m) == right:
+            kept = {i: e for i, e in col.items() if (i >= m) == bottom}
+            if kept:
+                cols[j] = kept
+    return SuperMatrix._from_cols(mat.dim, 1, cols, mat.grassmann_n)
 
 
-def _schur_parts(mat: SuperMatrix, blocks, with_inverse: bool):
-    """det W, W^-1 (None unless ``with_inverse``), W^-1 Z and X - Y W^-1 Z
-    for an even point [[X, Y], [Z, W]] given with its blocks, or None when
-    the body of W is singular.
+def _schur_parts(mat: SuperMatrix, with_inverse: bool):
+    """det W and the matrices Y, W^-1 (None unless ``with_inverse``), W^-1 Z
+    and S = X - Y W^-1 Z of an even point [[X, Y], [Z, W]], each holding its
+    block where Y, W, Z and X sit; None when the body of W is singular.
 
-    One elimination of [W | I | Z], or of [W | Z] without the inverse,
-    gives det W, W^-1 and W^-1 Z.
+    One elimination of the dense rows [W | I | Z], or [W | Z] without the
+    inverse, gives det W, W^-1 and W^-1 Z; S is formed by the shared sparse
+    product and difference.
     """
     zero, one = mat.zero_element, mat.one_element
-    x, y, z, w = blocks
     m, n = mat.dim.m, mat.dim.n
     k = n if with_inverse else 0  # identity columns carried along
-    rhs = [[one if i == j else zero for j in range(k)] + z_row for i, z_row in enumerate(z)]
-    det_w, work, stuck, _ = _gauss_jordan(w, rhs, zero, one)
+    bottom = mat.entries[m:]
+    rhs = [
+        [one if i == j else zero for j in range(k)] + list(row[:m])
+        for i, row in enumerate(bottom)
+    ]
+    det_w, work, stuck, _ = _gauss_jordan([row[m:] for row in bottom], rhs, zero, one)
     if stuck is not None:
         return None
-    w_inv = [row[n : n + k] for row in work] if with_inverse else None
-    winv_z = [row[n + k :] for row in work]
-    y_winv_z = _block_product(y, winv_z, m, zero)
-    schur = [
-        [a - b if b else a for a, b in zip(x_row, p_row)]
-        for x_row, p_row in zip(x, y_winv_z)
-    ]
-    return det_w, w_inv, winv_z, schur
+
+    def placed(rows, left):
+        return SuperMatrix._from_cols(mat.dim, 1, _columns(rows, m, left), mat.grassmann_n)
+
+    w_inv = placed([row[n : n + k] for row in work], m) if with_inverse else None
+    winv_z = placed([row[n + k :] for row in work], 0)
+    y = _block(mat, bottom=False, right=True)
+    return det_w, y, w_inv, winv_z, _block(mat, bottom=False, right=False) - y * winv_z
 
 
 def berezinian(mat: SuperMatrix):
     """det(W)^{-1} det(X - Y W^{-1} Z) for a GL point [[X, Y], [Z, W]]; an
     even point is one exactly when W and X - Y W^-1 Z eliminate to the end."""
-    parts = _schur_parts(mat, mat.blocks(), with_inverse=False) if mat.is_even_point() else None
+    parts = _schur_parts(mat, with_inverse=False) if mat.is_even_point() else None
     if parts is not None:
-        det_w, _, _, schur = parts
-        det_s, _, stuck, _ = _gauss_jordan(schur, (), mat.zero_element, mat.one_element)
+        det_w, _, _, _, schur = parts
+        m = mat.dim.m
+        corner = [row[:m] for row in schur.entries[:m]]
+        det_s, _, stuck, _ = _gauss_jordan(corner, (), mat.zero_element, mat.one_element)
         if stuck is None:
             return _inverse(det_w) * det_s
     raise NotInvertible("Berezinian needs a GL point")
@@ -671,25 +646,19 @@ def ldu_factor(mat: SuperMatrix):
     """Write a GL point as upper * blockdiag * lower.
 
     upper = [[I, Y W^{-1}], [0, I]], blockdiag = [[X - Y W^{-1} Z, 0], [0, W]],
-    lower = [[I, 0], [W^{-1} Z, I]].  The Schur complement in blockdiag is the
-    numerator of the Berezinian.
+    lower = [[I, 0], [W^{-1} Z, I]], formed from _schur_parts' placed blocks
+    by the shared sparse product and sum.  The Schur complement in blockdiag
+    is the numerator of the Berezinian.  W's body is tested by the
+    elimination _schur_parts runs anyway, so only X's body is tested apart;
+    the Schur complement's body is X's, so the points refused here are
+    exactly those berezinian refuses.
     """
-    blocks = _gl_blocks(mat)
-    if blocks is None:
+    parts = _schur_parts(mat, with_inverse=True) if mat.is_even_point() else None
+    if parts is None or not _invertible_body(mat, 0, mat.dim.m):
         raise NotInvertible("LDU factorization needs a GL point")
-    m = mat.dim.m
-    _, w_inv, winv_z, schur = _schur_parts(mat, blocks, with_inverse=True)
-    _, y, _, w = blocks
-    y_winv = _block_product(y, w_inv, mat.dim.n, mat.zero_element)
-    one = mat.one_element
-    # two identities: _columns adds each block into the map it is given
-    upper, lower = ({j: {j: one} for j in range(mat.dim.size)} for _ in range(2))
-    factors = (
-        _columns(y_winv, upper, 0, m),
-        _columns(w, _columns(schur), m, m),
-        _columns(winv_z, lower, m, 0),
-    )
-    return tuple(SuperMatrix._from_cols(mat.dim, 1, cols, mat.grassmann_n) for cols in factors)
+    _, y, w_inv, winv_z, schur = parts
+    ident = SuperMatrix.identity(mat.dim, mat.grassmann_n)
+    return ident + y * w_inv, schur + _block(mat, bottom=True, right=True), ident + winv_z
 
 
 # --- distinguished one-parameter points ------------------------------------

@@ -31,6 +31,7 @@ from superschur import (
     supertrace,
     transvection,
 )
+from superschur import supermatrix
 from superschur.grassmann import MAX_GENERATORS
 from superschur.supermatrix import _nth_mask, _random_element
 
@@ -393,6 +394,67 @@ def test_ldu_reconstructs_random_points():
         g = random_gl_point(rng, D21, 4)
         upper, blockdiag, lower = ldu_factor(g)
         assert upper * blockdiag * lower == g
+
+
+def _ldu_points():
+    """Seeded Lambda_4 GL points with both blocks, or only one, and rational
+    GL points, one of whose W needs a row swap."""
+    rng = random.Random(25)
+    for dim in (D21, SuperDim(1, 2), SuperDim(2, 0), SuperDim(0, 2)):
+        for _ in range(3):
+            yield random_gl_point(rng, dim, 4)
+    yield SuperMatrix(D21, [[2, 1, 0], [Fraction(1, 3), -1, 0], [0, 0, 5]])
+    yield SuperMatrix(SuperDim(1, 2), [[Fraction(-1, 2), 0, 0], [0, 0, 1], [0, 3, 4]])
+
+
+def _block_rows(mat, bottom, right):
+    m = mat.dim.m
+    rows = mat.entries[m:] if bottom else mat.entries[:m]
+    return [list(row[m:] if right else row[:m]) for row in rows]
+
+
+def test_ldu_factors_have_the_block_shapes():
+    for g in _ldu_points():
+        m, n = g.dim.m, g.dim.n
+        zero, one = g.zero_element, g.one_element
+
+        def ident(size):
+            return [[one if i == j else zero for j in range(size)] for i in range(size)]
+
+        def zeros(rows, cols):
+            return [[zero] * cols for _ in range(rows)]
+
+        upper, blockdiag, lower = ldu_factor(g)
+        for unipotent in (upper, lower):
+            assert _block_rows(unipotent, False, False) == ident(m)
+            assert _block_rows(unipotent, True, True) == ident(n)
+        assert _block_rows(upper, True, False) == zeros(n, m)
+        assert _block_rows(lower, False, True) == zeros(m, n)
+        assert _block_rows(blockdiag, False, True) == zeros(m, n)
+        assert _block_rows(blockdiag, True, False) == zeros(n, m)
+        w = _block_rows(g, True, True)
+        assert _block_rows(blockdiag, True, True) == w
+        det_w = even_det(w, zero, one)
+        inv_det_w = det_w.inverse() if g.grassmann_n is not None else 1 / Fraction(det_w)
+        det_s = even_det(_block_rows(blockdiag, False, False), zero, one)
+        assert berezinian(g) == det_s * inv_det_w
+        assert upper * blockdiag * lower == g
+
+
+def test_ldu_factor_eliminates_twice(monkeypatch):
+    """Once on X's rational body and once on [W | I | Z]: W's elimination
+    is also the test of W's body."""
+    calls = []
+    eliminate = supermatrix._gauss_jordan
+
+    def counted(rows, rhs, zero, one):
+        calls.append((len(rows), len(rhs[0]) if rhs else 0, isinstance(zero, GrassmannElement)))
+        return eliminate(rows, rhs, zero, one)
+
+    g = random_gl_point(random.Random(5), D21, 4)
+    monkeypatch.setattr(supermatrix, "_gauss_jordan", counted)
+    ldu_factor(g)
+    assert sorted(calls) == [(1, 1 + 2, True), (2, 0, False)]
 
 
 @settings(max_examples=30)
