@@ -20,7 +20,10 @@ from superschur import (
     suite_schurweyl,
     suites,
     superbracket,
+    tensor,
 )
+
+from test_cli import swap_without_between
 
 
 def names(checks):
@@ -62,6 +65,58 @@ def test_actions_suite_skips_inclusive_without_odd_letters():
 def test_actions_suite_respects_cap():
     with pytest.raises(CapExceeded):
         suite_actions(2, 2, 4)
+
+
+def failed_relations(dim, r, taus):
+    return [name for name, lhs, rhs in suites._coxeter_relations(dim, r, taus) if lhs != rhs]
+
+
+@pytest.mark.parametrize(
+    "m,n,r",
+    [(1, 1, r) for r in range(1, 6)]
+    + [(2, 1, 3), (1, 2, 3), (2, 2, 3), (2, 0, 4), (0, 2, 4), (1, 0, 6)],
+)
+def test_coxeter_relations_give_the_records_of_the_loops(m, n, r):
+    dim = SuperDim(m, n)
+    taus = tensor.transposition_table(dim, r)
+    assert failed_relations(dim, r, taus) == []
+    assert suite_actions(m, n, r, seed=7)[:2] == suites._tau_loops(dim, m, n, r, taus, 7)
+
+
+@pytest.mark.parametrize("m,n,r", [(1, 1, 3), (2, 1, 3), (1, 2, 3), (1, 1, 4)])
+def test_coxeter_relations_catch_swap_without_between(m, n, r, monkeypatch):
+    monkeypatch.setattr(tensor, "swap_letters", swap_without_between)
+    dim = SuperDim(m, n)
+    failed = failed_relations(dim, r, tensor.transposition_table(dim, r))
+    assert failed and {name[0] for name in failed} == {"conjugate"}
+
+
+@pytest.mark.parametrize("m,n,r", [(1, 1, 3), (2, 1, 3), (1, 0, 3), (2, 0, 4), (1, 1, 5)])
+def test_negated_adjacent_transposition_breaks_the_braid(m, n, r):
+    dim = SuperDim(m, n)
+    taus = tensor.transposition_table(dim, r)
+    taus[1, 2] = taus[1, 2].scale(-1)
+    assert failed_relations(dim, r, taus) == [("braid", 1)]
+
+
+@pytest.mark.parametrize("m,n", [(1, 0), (0, 1)])
+def test_side_one_actions_build_no_permutation_operator(m, n, monkeypatch):
+    calls = []
+
+    def counted(name):
+        # raise at the first call: the r! loops would list 20! permutations
+        # and form 2 * 20! products
+        def call(*args):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+
+        return call
+
+    for name in ("all_perms", "operator_from_transpositions"):
+        monkeypatch.setattr(suites, name, counted(name))
+    checks = suite_actions(m, n, 20)
+    assert all(c["pass"] for c in checks)
+    assert calls == []
 
 
 def test_schurweyl_suite_shape():

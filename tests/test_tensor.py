@@ -144,15 +144,29 @@ def test_decompositions_agree(r):
         )
 
 
-def test_decompositions_compose_to_sigma():
-    for sigma in all_perms(4):
-        for pairs in (adjacent_decomposition(sigma), cycle_decomposition(sigma)):
-            acc = tuple(range(1, 5))
-            for i, j in pairs:
-                t = list(range(1, 5))
-                t[i - 1], t[j - 1] = t[j - 1], t[i - 1]
-                acc = compose(acc, tuple(t))
-            assert acc == sigma
+def assert_decompositions_compose_to(sigma):
+    r = len(sigma)
+    for pairs in (adjacent_decomposition(sigma), cycle_decomposition(sigma)):
+        acc = tuple(range(1, r + 1))
+        for i, j in pairs:
+            t = list(range(1, r + 1))
+            t[i - 1], t[j - 1] = t[j - 1], t[i - 1]
+            acc = compose(acc, tuple(t))
+        assert acc == sigma
+
+
+# the actions suite's Coxeter-relation proof of its two tau records rests on
+# this fact about permutations alone
+@pytest.mark.parametrize("r", range(1, 8))
+def test_decompositions_compose_to_sigma(r):
+    for sigma in all_perms(r):
+        assert_decompositions_compose_to(sigma)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20).flatmap(lambda r: st.permutations(range(1, r + 1))))
+def test_decompositions_compose_to_drawn_sigma(sigma):
+    assert_decompositions_compose_to(tuple(sigma))
 
 
 def test_right_action_composition():
