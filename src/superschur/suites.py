@@ -20,10 +20,37 @@ bilinearity.  {E_ij, E_kl} is a sum c E_e over at most two elementary
 matrices of one parity, so {E_ij, {E_kl, E_st}} is the sum of c {E_ij, E_e}
 over table entries, and theta({E_ij, E_kl}) the sum of c theta(E_e), which
 for a single term with c = 1 is theta(E_e) itself.  Both sums are exact
-rational arithmetic, and every elementary tuple is still checked, so the
-checks stay exhaustive; they equal the dense forms because the bracket is
+rational arithmetic; they equal the dense forms because the bracket is
 bilinear and theta linear on each parity, which tests/test_suites.py checks
 on random rational combinations.
+
+The loops over pairs and triples of elementary matrices are settled once per
+orbit of S_m x S_n, the relabelings s of the even letters among themselves
+and of the odd letters among themselves.  Such an s keeps every parity, and
+so every sign rule: with P_s the unsigned permutation matrix that relabels
+each letter (of a word, at r > 1), the true bracket has {sx, sy} = s{x, y},
+and each identity checked at s of a tuple is the one at the tuple,
+conjugated by P_s.  A check first confirms that its table of elementary
+objects is equivariant, the entry at s(key) being P_s (entry at key) P_s^-1,
+for one transposition and one long cycle of each parity class, which
+generate the group, so it holds for the whole group.  Then it evaluates its
+identity at one tuple per orbit, the tuple whose letters of each parity
+first appear in increasing order from the first of their class.  Relabeling
+a tuple relabels both sides of the identity at it, so when every
+representative holds, every tuple does.  The theta and even-rules checks
+take one pair per orbit of unordered pairs, in both orders, so the two
+products of a pair are formed once.  The Jacobi check needs nothing but
+the equivariant bracket table, each side being a polynomial in its entries;
+the even-rules check also confirms its Lambda_2 points and the images
+gl_point(c, E_e); the actions suite confirms theta(E_ij) and forms brackets
+only at the representatives, superbracket being under test in the bracket
+suite.  The proof assumes one property of the exact sparse kernel
+(supermatrix._Sparse): its product commutes with a simultaneous relabeling
+of rows and columns, that is with conjugation by an unsigned permutation
+matrix, as an exact product does.  When the group is trivial (m, n <= 1), or
+an equivariance check or a representative fails, the loops over every tuple
+run and list the failures in loop order.  The antisymmetry and supertrace
+checks run over every pair: there superbracket and supertrace are under test.
 
 A SuperMatrix keeps only its nonzero entries, so the bracket table, the
 nested brackets and the even-rules check cost the nonzeros they touch.  The
@@ -82,13 +109,25 @@ def _elementary_pairs(dim: SuperDim):
             yield i, j, SuperMatrix.elementary(dim, i, j), dim.parity(i) ^ dim.parity(j)
 
 
+class _Brackets(dict):
+    """{(i, j, k, l): {E_ij, E_kl}}, each bracket formed through the
+    module-level superbracket when it is first read, from matrix[i, j] =
+    E_ij."""
+
+    def __init__(self, matrix: dict):
+        super().__init__()
+        self.matrix = matrix
+
+    def __missing__(self, key):
+        i, j, k, l = key
+        self[key] = value = superbracket(self.matrix[i, j], self.matrix[k, l])
+        return value
+
+
 def _bracket_table(elems) -> dict:
-    """{(i, j, k, l): {E_ij, E_kl}} over every ordered pair of elementary
-    matrices, formed through the module-level superbracket."""
-    return {
-        (i, j, k, l): superbracket(x, y)
-        for (i, j, x, _), (k, l, y, _) in itertools.product(elems, repeat=2)
-    }
+    """The brackets of the elementary matrices in elems, each formed when
+    first read."""
+    return _Brackets({(i, j): x for i, j, x, _ in elems})
 
 
 def _bilinear(*parts) -> dict:
@@ -125,6 +164,96 @@ def _record(name: str, ok: bool, **extra) -> dict:
     return out
 
 
+# --- relabeling letters by S_m x S_n -------------------------------------------
+
+
+def _letter_generators(dim: SuperDim) -> list[tuple[int, ...]]:
+    """Generators of S_m x S_n, the relabelings of the even letters among
+    themselves and the odd letters among themselves, each given as the
+    0-based images of the letters 0..m+n-1: per parity class of two or more
+    letters the transposition of its first two, and from three letters its
+    long cycle too.  Empty when the group is trivial."""
+    size = dim.size
+    gens = []
+    for lo, hi in ((0, dim.m), (dim.m, size)):
+        if hi - lo >= 2:
+            swap = list(range(size))
+            swap[lo], swap[lo + 1] = lo + 1, lo
+            gens.append(tuple(swap))
+        if hi - lo >= 3:
+            gens.append((*range(lo), *range(lo + 1, hi), lo, *range(hi, size)))
+    return gens
+
+
+def _representatives(dim: SuperDim, k: int) -> list[tuple[int, ...]]:
+    """One k-tuple of 1-based letters per S_m x S_n orbit: the tuples whose
+    even letters first appear in the order 1, 2, ... and whose odd letters in
+    the order m+1, m+2, ..., which is the least tuple of each orbit.  Built a
+    position at a time, each position taking a letter already used or the
+    next unused one of either parity."""
+    m, n = dim.m, dim.n
+    # the prefixes built so far, grouped by how many even and odd letters
+    # they use
+    level = {(0, 0): [()]}
+    for _ in range(k):
+        grown = {}
+        for (evens, odds), prefixes in level.items():
+            for a in range(1, min(evens + 1, m) + 1):
+                grown.setdefault((max(evens, a), odds), []).extend([p + (a,) for p in prefixes])
+            for b in range(1, min(odds + 1, n) + 1):
+                grown.setdefault((evens, max(odds, b)), []).extend([p + (m + b,) for p in prefixes])
+        level = grown
+    return [p for prefixes in level.values() for p in prefixes]
+
+
+def _least_relabeling(m: int, key: tuple) -> tuple:
+    """The representative of key's orbit: its letters renumbered in order of
+    first appearance within each parity class."""
+    evens, odds = {}, {}
+    return tuple(
+        evens.setdefault(a, len(evens) + 1) if a <= m else odds.setdefault(a, m + len(odds) + 1)
+        for a in key
+    )
+
+
+def _pair_representatives(dim: SuperDim) -> list[tuple[tuple, tuple]]:
+    """One pair ((i, j), (k, l)) per S_m x S_n orbit of unordered pairs
+    {E_ij, E_kl}: each representative (i, j, k, l) not above that of the
+    swapped (k, l, i, j).  Such a pair in both orders meets every orbit of
+    ordered pairs."""
+    return [
+        (key[:2], key[2:])
+        for key in _representatives(dim, 4)
+        if key <= _least_relabeling(dim.m, (*key[2:], *key[:2]))
+    ]
+
+
+def _word_permutation(s, r: int) -> list[int]:
+    """The index permutation of degree-r words that relabels every letter
+    by s (0-based images), words indexed as tensor.word_index numbers them."""
+    size = len(s)
+    perm = list(s)
+    for _ in range(r - 1):
+        perm = [p * size + t for p in perm for t in s]
+    return perm
+
+
+def _equivariant(table: dict, s, perm) -> bool:
+    """Whether table[s . key] is table[key] relabeled by perm for every key,
+    where s (0-based images) relabels each letter of the 1-based key and
+    perm sends each basis index of the _Sparse entries to its image: entry
+    (i, j) of the one is entry (perm[i], perm[j]) of the other, which is
+    P table[key] P^-1 for the unsigned permutation matrix P of perm.  The
+    table holds every key that s relabels a key to."""
+    letter = (0, *(t + 1 for t in s))
+    for key, value in table.items():
+        image = table[tuple(map(letter.__getitem__, key))].cols
+        relabeled = {perm[j]: {perm[i]: e for i, e in col.items()} for j, col in value.cols.items()}
+        if relabeled != image:
+            return False
+    return True
+
+
 # --- bracket -----------------------------------------------------------------
 
 
@@ -137,17 +266,112 @@ def _point_coefficients(N: int) -> dict:
     return {0: [one, x1 * x2, one + x1 * x2], 1: [x1, x2, x1 + x2]}
 
 
+def _jacobi_holds(by_left, by_right, i, j, k, l, s, t, sign) -> bool:
+    """Whether {E_ij, {E_kl, E_st}} = {{E_ij, E_kl}, E_st} + sign {E_kl,
+    {E_ij, E_st}}, with sign = (-1)^{p(E_ij) p(E_kl)}, each nested bracket
+    read from the bracket table by bilinearity and compared as maps of
+    terms."""
+    of_x, of_y = by_left[i, j], by_left[k, l]
+    lhs = _bilinear((1, of_y[s, t], of_x))
+    return lhs == _bilinear((1, of_x[k, l], by_right[s, t]), (sign, of_x[s, t], of_y))
+
+
+def _jacobi_failures(elems, by_left, by_right) -> list:
+    """[i, j, k, l, s, t] at every triple of elementary matrices where the
+    Jacobi identity fails, in loop order."""
+    bad = []
+    for (i, j, _, px), (k, l, _, py), (s, t, _, _) in itertools.product(elems, repeat=3):
+        if not _jacobi_holds(by_left, by_right, i, j, k, l, s, t, -1 if px & py else 1):
+            bad.append([i, j, k, l, s, t])
+    return bad
+
+
+def _even_rules_misses(key, sign, vw, wv, coefficient_pairs, by_left) -> list:
+    """[i, j, k, l, repr(a), repr(b)] for each coefficient pair (a, b) where
+    the ordinary commutator of the points a (x) E_ij and b (x) E_kl differs
+    from gl_point(a b, {E_ij, E_kl}), read as the sum of t gl_point(a b, E_e)
+    over the terms t E_e of the bracket, sign being (-1)^{p(E_ij) p(E_kl)}.
+    vw[ia][ib] and wv[ib][ia] are the products of the ia-th point at E_ij
+    and the ib-th at E_kl, in the two orders."""
+    i, j, k, l = key
+    bad = []
+    for ia, ib, a, b, images in coefficient_pairs:
+        right = _bilinear((sign, by_left[i, j][k, l], images))
+        if (vw[ia][ib] - wv[ib][ia]).terms != right:
+            bad.append([i, j, k, l, repr(a), repr(b)])
+    return bad
+
+
+def _products(points, a, b) -> list:
+    """[[v * w for each point w at b] for each point v at a]."""
+    return [[v * w for w in points[b]] for v in points[a]]
+
+
+def _even_rules_failures(pairs, points, coefficient_pairs, by_left) -> list:
+    """_even_rules_misses at every ordered pair of elementary matrices, in
+    loop order, each product of two points formed once."""
+    products = _each_once(lambda a, b: _products(points, a, b))
+    bad = []
+    for (i, j, _, px), (k, l, _, py) in pairs:
+        vw, wv = products((i, j), (k, l)), products((k, l), (i, j))
+        sign = -1 if px & py else 1
+        bad += _even_rules_misses((i, j, k, l), sign, vw, wv, coefficient_pairs[px, py], by_left)
+    return bad
+
+
+def _jacobi_holds_by_orbit(dim, parity, by_left, by_right) -> bool:
+    """Whether the Jacobi identity holds at the representative of every
+    S_m x S_n orbit of triples, parity[i, j] being the parity of E_ij.  With
+    an equivariant bracket table this decides it at every triple: each side
+    is a polynomial in table entries, so relabeling the triple relabels both
+    sides."""
+    return all(
+        _jacobi_holds(
+            by_left, by_right, *key, -1 if parity[key[:2]] & parity[key[2:4]] else 1
+        )
+        for key in _representatives(dim, 6)
+    )
+
+
+def _even_rules_hold_by_orbit(dim, gens, parity, points, realized, coefficient_pairs, by_left):
+    """Whether every Lambda_2 point and every image gl_point(c, E_e) is
+    equivariant under the generators gens, and the even-rules identity holds
+    at one pair of each S_m x S_n orbit of unordered pairs {E_ij, E_kl}, in
+    both orders, each product of two points formed once.  With an
+    equivariant bracket table this decides it at every pair: relabeling a
+    pair then relabels both sides of the identity at it."""
+    count = len(points[1, 1])  # points per E_ij, the same for either parity
+    tables = [{e: row[t] for e, row in points.items()} for t in range(count)]
+    tables += [table for part in realized.values() for table in part.values()]
+    if not all(_equivariant(table, s, s) for s in gens for table in tables):
+        return False
+    for x, y in _pair_representatives(dim):
+        px, py = parity[x], parity[y]
+        sign = -1 if px & py else 1
+        vw = _products(points, x, y)
+        wv = vw if x == y else _products(points, y, x)
+        if _even_rules_misses((*x, *y), sign, vw, wv, coefficient_pairs[px, py], by_left):
+            return False
+        if _even_rules_misses((*y, *x), sign, wv, vw, coefficient_pairs[py, px], by_left):
+            return False
+    return True
+
+
 def suite_bracket(m: int, n: int, cap: int | None = None) -> list[dict]:
     """Exact identities of the rational bracket and the supertrace.
 
-    Elementary matrices span each homogeneous component, so exhausting
-    elementary tuples settles every multilinear identity checked here.  The
-    Jacobi check reads its three nested brackets per triple from the table:
+    Elementary matrices span each homogeneous component, so settling a
+    multilinear identity at every elementary tuple settles it.  The
+    antisymmetry and supertrace checks run over every pair.  The Jacobi
+    check reads its three nested brackets per triple from the table:
     {E_ij, {E_kl, E_st}} is the sum of c {E_ij, E_e} over the terms c E_e of
     {E_kl, E_st}, and likewise for the other two, compared as maps of
     terms.  The even-rules check compares the ordinary commutator of the
     Lambda_2 points a (x) E_ij and b (x) E_kl with gl_point(a b, {E_ij, E_kl})
-    read by linearity from gl_point(a b, E_e).
+    read by linearity from gl_point(a b, E_e).  Both are decided once per
+    S_m x S_n orbit when the table, the points and the images are found
+    equivariant (see the module docstring); otherwise, or when one fails,
+    the loops over every tuple run and list the failures.
 
     The cap bounds (m+n)^2, the dimension of gl(m|n), before the (m+n)^6
     Jacobi triples are formed.
@@ -157,11 +381,6 @@ def suite_bracket(m: int, n: int, cap: int | None = None) -> list[dict]:
     elems = list(_elementary_pairs(dim))
     pairs = list(itertools.product(elems, repeat=2))
     bracket = _bracket_table(elems)
-    # by_left[i, j][k, l] and by_right[k, l][i, j] are the terms of {E_ij, E_kl}
-    by_left = {(i, j): {} for i, j, _, _ in elems}
-    by_right = {(i, j): {} for i, j, _, _ in elems}
-    for (i, j, k, l), xy in bracket.items():
-        by_left[i, j][k, l] = by_right[k, l][i, j] = xy.terms
 
     # Lambda_2 points a (x) E_ij for coefficients a of the parity of E_ij;
     # their ordinary commutators are checked against the even-rules bracket
@@ -172,23 +391,24 @@ def suite_bracket(m: int, n: int, cap: int | None = None) -> list[dict]:
     points = {(i, j): [gl_point(a, x) for a in coeffs[p]] for i, j, x, p in elems}
     # coefficient_pairs[px, py] lists each pair (a, b) read at E_ij of parity
     # px and E_kl of parity py, with the terms of gl_point(a b, E_e) for each
-    # E_e of parity px ^ py, tabulated once per distinct coefficient a b
+    # E_e of parity px ^ py, realized once per distinct coefficient a b
     realized = {0: {}, 1: {}}
+    images = {0: {}, 1: {}}
     coefficient_pairs = {}
     for px, py in itertools.product((0, 1), repeat=2):
-        table = realized[px ^ py]
+        table, terms = realized[px ^ py], images[px ^ py]
         coefficient_pairs[px, py] = []
         for (ia, a), (ib, b) in itertools.product(enumerate(coeffs[px]), enumerate(coeffs[py])):
             c = a * b
             if c not in table:
-                table[c] = {(i, j): gl_point(c, x).terms for i, j, x, p in elems if p == px ^ py}
-            coefficient_pairs[px, py].append((ia, ib, a, b, table[c]))
+                table[c] = {(i, j): gl_point(c, x) for i, j, x, p in elems if p == px ^ py}
+                terms[c] = {e: point.terms for e, point in table[c].items()}
+            coefficient_pairs[px, py].append((ia, ib, a, b, terms[c]))
     matrix = {(i, j): x for i, j, x, _ in elems}
     trace = _each_once(lambda a, b: supertrace(matrix[a] * matrix[b]))
-    products = _each_once(lambda a, b: [[v * w for w in points[b]] for v in points[a]])
 
-    bad_anti, bad_sym, bad_str, bad_even = [], [], [], []
-    for (i, j, x, px), (k, l, y, py) in pairs:
+    bad_anti, bad_sym, bad_str = [], [], []
+    for (i, j, _, px), (k, l, _, py) in pairs:
         odd = px & py
         xy = bracket[i, j, k, l]
         if xy != bracket[k, l, i, j].scale(1 if odd else -1):
@@ -197,19 +417,28 @@ def suite_bracket(m: int, n: int, cap: int | None = None) -> list[dict]:
             bad_sym.append([i, j, k, l])
         if supertrace(xy) != 0:
             bad_str.append([i, j, k, l])
-        vw, wv = products((i, j), (k, l)), products((k, l), (i, j))
-        for ia, ib, a, b, images in coefficient_pairs[px, py]:
-            right = _bilinear((-1 if odd else 1, by_left[i, j][k, l], images))
-            if (vw[ia][ib] - wv[ib][ia]).terms != right:
-                bad_even.append([i, j, k, l, repr(a), repr(b)])
 
-    bad_jacobi = []
-    for (i, j, _, px), (k, l, _, py), (s, t, _, _) in itertools.product(elems, repeat=3):
-        of_x, of_y = by_left[i, j], by_left[k, l]
-        lhs = _bilinear((1, of_y[s, t], of_x))
-        rhs = _bilinear((1, of_x[k, l], by_right[s, t]), (-1 if px & py else 1, of_x[s, t], of_y))
-        if lhs != rhs:
-            bad_jacobi.append([i, j, k, l, s, t])
+    # by_left[i, j][k, l] and by_right[k, l][i, j] are the terms of {E_ij, E_kl}
+    by_left = {(i, j): {} for i, j, _, _ in elems}
+    by_right = {(i, j): {} for i, j, _, _ in elems}
+    for (i, j, k, l), xy in bracket.items():
+        by_left[i, j][k, l] = by_right[k, l][i, j] = xy.terms
+
+    # with a trivial group, or a table that is not equivariant, the loops over
+    # every tuple decide the two checks
+    gens = _letter_generators(dim)
+    symmetric = bool(gens) and all(_equivariant(bracket, s, s) for s in gens)
+    parity = {(i, j): p for i, j, _, p in elems}
+    if symmetric and _jacobi_holds_by_orbit(dim, parity, by_left, by_right):
+        bad_jacobi = []
+    else:
+        bad_jacobi = _jacobi_failures(elems, by_left, by_right)
+    if symmetric and _even_rules_hold_by_orbit(
+        dim, gens, parity, points, realized, coefficient_pairs, by_left
+    ):
+        bad_even = []
+    else:
+        bad_even = _even_rules_failures(pairs, points, coefficient_pairs, by_left)
 
     return [
         _record("bracket_antisymmetry", not bad_anti, m=m, n=n, failures=bad_anti[:3]),
@@ -225,33 +454,61 @@ def suite_bracket(m: int, n: int, cap: int | None = None) -> list[dict]:
 # --- actions -----------------------------------------------------------------
 
 
-def _theta_homomorphism(dim, elems, brackets, r: int, odd_count: str, first_only: bool):
-    """theta of every elementary matrix under one sign convention, and the
-    pairs [i, j, k, l] where theta({E_ij, E_kl}) differs from the graded
-    commutator of theta(E_ij) and theta(E_kl): all of them, or the first.
+def _theta_holds(thetas, bracket, first, second, odd, zero) -> bool:
+    """Whether theta({E_ij, E_kl}) = theta(E_ij) theta(E_kl) -+
+    theta(E_kl) theta(E_ij), given the two products first and second and
+    odd = p(E_ij) p(E_kl).
 
-    brackets[i, j, k, l] is {E_ij, E_kl}, and theta of it is read by
-    linearity as the sum of c theta(E_ab) over its terms c E_ab, each term
-    with c = 1 being theta(E_ab) itself, not a copy.
+    bracket is {E_ij, E_kl}, and theta of it is read by linearity as the sum
+    of c theta(E_ab) over its terms c E_ab, each term with c = 1 being
+    theta(E_ab) itself, not a copy.
     """
-    thetas = {(i, j): derivation_operator(x, r, odd_count=odd_count) for i, j, x, _ in elems}
+    parts = [
+        thetas[a + 1, b + 1] if c == 1 else thetas[a + 1, b + 1].scale(c)
+        for b, col in bracket.cols.items()
+        for a, c in col.items()
+    ]
+    lhs = sum(parts[1:], parts[0]) if parts else zero
+    return lhs == (first + second if odd else first - second)
+
+
+def _theta_failures(elems, thetas, brackets, zero, first_only: bool) -> list:
+    """The pairs [i, j, k, l], in loop order, where theta is not a bracket
+    homomorphism: all of them, or the first."""
     times = _each_once(lambda a, b: thetas[a] * thetas[b])
-    zero = TensorOperator.zero(dim, r)
     bad = []
     for (i, j, _, px), (k, l, _, py) in itertools.product(elems, repeat=2):
-        parts = [
-            thetas[a + 1, b + 1] if c == 1 else thetas[a + 1, b + 1].scale(c)
-            for b, col in brackets[i, j, k, l].cols.items()
-            for a, c in col.items()
-        ]
-        lhs = sum(parts[1:], parts[0]) if parts else zero
-        first = times((i, j), (k, l))
-        second = times((k, l), (i, j))
-        if lhs != (first + second if px & py else first - second):
+        first, second = times((i, j), (k, l)), times((k, l), (i, j))
+        if not _theta_holds(thetas, brackets[i, j, k, l], first, second, px & py, zero):
             bad.append([i, j, k, l])
             if first_only:
                 break
-    return thetas, bad
+    return bad
+
+
+def _theta_holds_by_orbit(dim, r: int, elems, thetas, brackets, zero) -> bool:
+    """Whether theta is a bracket homomorphism, decided once per S_m x S_n
+    orbit (see the module docstring): P_s theta(E_ij) P_s^-1 =
+    theta(E_s(i)s(j)) at every (i, j) and generator s, and the identity at
+    one pair of each orbit of unordered pairs, in both orders, whose
+    brackets alone are formed.  False when the group is trivial or a check
+    fails."""
+    gens = _letter_generators(dim)
+    if not gens:
+        return False
+    if not all(_equivariant(thetas, s, _word_permutation(s, r)) for s in gens):
+        return False
+    parity = {(i, j): p for i, j, _, p in elems}
+    for x, y in _pair_representatives(dim):
+        odd = parity[x] & parity[y]
+        first = thetas[x] * thetas[y]
+        second = first if x == y else thetas[y] * thetas[x]
+        if not (
+            _theta_holds(thetas, brackets[(*x, *y)], first, second, odd, zero)
+            and _theta_holds(thetas, brackets[(*y, *x)], second, first, odd, zero)
+        ):
+            return False
+    return True
 
 
 def _coxeter_relations(dim, r: int, taus):
@@ -323,6 +580,12 @@ def suite_actions(m: int, n: int, r: int, seed: int = 0, cap: int | None = None)
     100 pairs the loops would sample, though every pair is covered.  When a
     relation fails, _tau_loops runs over all r! permutations and lists the
     failures.
+
+    theta_bracket_homomorphism is decided once per S_m x S_n orbit of pairs
+    by _theta_holds_by_orbit, and only when that fails, or the group is
+    trivial, does _theta_failures run over all (m+n)^4 pairs and list the
+    failures.  The inclusive control searches the pairs in order for its
+    first failure, forming the brackets it reads as it goes.
     """
     check_cap(m, n, r, cap)
     dim = SuperDim(m, n)
@@ -338,7 +601,12 @@ def suite_actions(m: int, n: int, r: int, seed: int = 0, cap: int | None = None)
 
     elems = list(_elementary_pairs(dim))
     brackets = _bracket_table(elems)
-    thetas, bad = _theta_homomorphism(dim, elems, brackets, r, "exclusive", first_only=False)
+    zero = TensorOperator.zero(dim, r)
+    thetas = {(i, j): derivation_operator(x, r, odd_count="exclusive") for i, j, x, _ in elems}
+    if _theta_holds_by_orbit(dim, r, elems, thetas, brackets, zero):
+        bad = []
+    else:
+        bad = _theta_failures(elems, thetas, brackets, zero, first_only=False)
     checks.append(
         _record("theta_bracket_homomorphism", not bad, m=m, n=n, r=r, failures=bad[:3])
     )
@@ -356,7 +624,10 @@ def suite_actions(m: int, n: int, r: int, seed: int = 0, cap: int | None = None)
             )
         )
     else:
-        _, bad = _theta_homomorphism(dim, elems, brackets, r, "inclusive", first_only=True)
+        inclusive = {
+            (i, j): derivation_operator(x, r, odd_count="inclusive") for i, j, x, _ in elems
+        }
+        bad = _theta_failures(elems, inclusive, brackets, zero, first_only=True)
         checks.append(
             _record(
                 "theta_inclusive_sign_fails",

@@ -64,11 +64,12 @@ def basis_words(dim: SuperDim, r: int) -> list[Word]:
 
 
 def word_index(dim: SuperDim, word: Word) -> int:
+    size = dim.size
     idx = 0
     for letter in word:
-        if not 1 <= letter <= dim.size:
-            raise DimensionError(f"letter {letter} not in 1..{dim.size}")
-        idx = idx * dim.size + (letter - 1)
+        if not 1 <= letter <= size:
+            raise DimensionError(f"letter {letter} not in 1..{size}")
+        idx = idx * size + (letter - 1)
     return idx
 
 

@@ -1,5 +1,6 @@
 """The named verification suites must pass and be reproducible."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -220,3 +221,150 @@ def test_derivation_operator_is_linear_on_elementary_combinations(dim, parity, r
         theta = derivation_operator(SuperMatrix.elementary(dim, *e), r, odd_count=odd_count)
         want = want + theta.scale(ce)
     assert derivation_operator(matrix_of(dim, c), r, odd_count=odd_count) == want
+
+
+# The bracket and actions suites settle their loops over pairs and triples
+# once per S_m x S_n orbit: each table of elementary objects is checked
+# equivariant under _letter_generators, and each identity is evaluated at the
+# orbit representatives.  The argument needs the generators to generate the
+# whole group and the representatives to meet every orbit exactly once.
+
+SMALL_DIMS = [SuperDim(m, n) for m in range(4) for n in range(4) if 1 <= m + n <= 4]
+
+
+def relabelings(dim):
+    """Every relabeling in S_m x S_n, as 1-based letter images."""
+    m, n = dim.m, dim.n
+    return [
+        (0, *evens, *odds)
+        for evens in itertools.permutations(range(1, m + 1))
+        for odds in itertools.permutations(range(m + 1, m + n + 1))
+    ]
+
+
+def generated(dim):
+    """The closure of _letter_generators under composition, with the
+    identity, as 1-based letter images."""
+    gens = [(0, *(t + 1 for t in s)) for s in suites._letter_generators(dim)]
+    group = {tuple(range(dim.size + 1))}
+    frontier = list(group)
+    while frontier:
+        g = frontier.pop()
+        for s in gens:
+            h = tuple(s[a] for a in g)
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    return group
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_DIMS), st.sampled_from([4, 6]))
+def test_representatives_meet_every_orbit_once(dim, k):
+    group = relabelings(dim)
+    assert generated(dim) == set(group)
+    least = {
+        min(tuple(g[a] for a in word) for g in group)
+        for word in itertools.product(range(1, dim.size + 1), repeat=k)
+    }
+    reps = suites._representatives(dim, k)
+    assert len(reps) == len(set(reps)) and set(reps) == least
+    if k == 4:
+        pairs = suites._pair_representatives(dim)
+        both = {(*x, *y) for x, y in pairs} | {(*y, *x) for x, y in pairs}
+        assert {min(tuple(g[a] for a in key) for g in group) for key in both} == least
+
+
+def test_trivial_group_has_no_generators():
+    for m, n in [(1, 1), (1, 0), (0, 1)]:
+        assert suites._letter_generators(SuperDim(m, n)) == []
+
+
+ORBIT_DIMS = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 0), (0, 3), (3, 1)]
+
+
+@pytest.mark.parametrize("m,n", ORBIT_DIMS)
+def test_orbit_records_equal_the_full_loops(m, n, monkeypatch):
+    by_orbit = [suite_bracket(m, n)] + [suite_actions(m, n, r) for r in (2, 3)]
+    # with no generators every check runs its loop over every tuple
+    monkeypatch.setattr(suites, "_letter_generators", lambda dim: [])
+    full = [suite_bracket(m, n)] + [suite_actions(m, n, r) for r in (2, 3)]
+    assert by_orbit == full
+
+
+def full_loops_raise(monkeypatch):
+    """Make every loop over all tuples raise, save the inclusive control's
+    search for its first failure."""
+
+    def never(name, allow_first_only=False):
+        original = getattr(suites, name)
+
+        def call(*args, **kwargs):
+            if allow_first_only and kwargs.get("first_only"):
+                return original(*args, **kwargs)
+            raise AssertionError(f"{name} ran its full loop")
+
+        return call
+
+    monkeypatch.setattr(suites, "_theta_failures", never("_theta_failures", True))
+    for name in ("_jacobi_failures", "_even_rules_failures"):
+        monkeypatch.setattr(suites, name, never(name))
+
+
+def test_passing_runs_take_no_full_loop(monkeypatch):
+    full_loops_raise(monkeypatch)
+    assert all(c["pass"] for c in suite_bracket(2, 2))
+    assert all(c["pass"] for c in suite_actions(2, 2, 2))
+
+
+def counting(monkeypatch, name):
+    """Wrap suites.<name> to record each call's first_only flag (False when
+    the helper takes none): a False entry is a loop over every tuple."""
+    calls = []
+    original = getattr(suites, name)
+
+    def call(*args, **kwargs):
+        calls.append(kwargs.get("first_only", False))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(suites, name, call)
+    return calls
+
+
+def test_theta_scaled_at_one_index_fails_equivariance(monkeypatch):
+    # theta(E_52) doubled on (3|3) r=1 breaks the identity at no
+    # representative: the equivariance check is what catches it, and the
+    # full loop lists the failures
+    target = SuperMatrix.elementary(SuperDim(3, 3), 5, 2)
+
+    def spoiled(x, r, odd_count="exclusive"):
+        theta = derivation_operator(x, r, odd_count=odd_count)
+        return theta.scale(2) if x == target else theta
+
+    monkeypatch.setattr(suites, "derivation_operator", spoiled)
+    dim = SuperDim(3, 3)
+    thetas = {(i, j): spoiled(x, 1) for i, j, x, _ in suites._elementary_pairs(dim)}
+    gens = suites._letter_generators(dim)
+    assert not all(suites._equivariant(thetas, s, s) for s in gens)
+    calls = counting(monkeypatch, "_theta_failures")
+    record = next(c for c in suite_actions(3, 3, 1) if c["check"] == "theta_bracket_homomorphism")
+    assert not record["pass"] and record["failures"]
+    assert False in calls
+
+
+def test_gl_point_changed_at_one_index_fails_equivariance(monkeypatch):
+    target = SuperMatrix.elementary(SuperDim(2, 2), 3, 1)
+
+    def spoiled(coeff, mat):
+        point = gl_point(coeff, mat)
+        return point.scale(2) if mat == target else point
+
+    monkeypatch.setattr(suites, "gl_point", spoiled)
+    dim = SuperDim(2, 2)
+    x1 = suites._point_coefficients(2)[1][0]
+    odd = {(i, j): spoiled(x1, x) for i, j, x, p in suites._elementary_pairs(dim) if p}
+    assert not all(suites._equivariant(odd, s, s) for s in suites._letter_generators(dim))
+    calls = counting(monkeypatch, "_even_rules_failures")
+    records = suite_bracket(2, 2)
+    assert [c["check"] for c in records if not c["pass"]] == ["even_rules_consistency"]
+    assert calls == [False]
