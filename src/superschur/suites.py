@@ -15,13 +15,16 @@ failures.  A product that a loop over ordered pairs reads at (a, b) and again
 at (b, a) is formed once too.  The group suite draws its TRIALS = 5 seeded
 pairs (g, h) once, and one pass over them feeds every sampled check.
 
-Nested brackets and theta of a bracket are read from the bracket table by
-bilinearity.  {E_ij, E_kl} is a sum c E_e over at most two elementary
-matrices of one parity, so {E_ij, {E_kl, E_st}} is the sum of c {E_ij, E_e}
-over table entries, and theta({E_ij, E_kl}) the sum of c theta(E_e), which
-for a single term with c = 1 is theta(E_e) itself.  Both sums are exact
-rational arithmetic; they equal the dense forms because the bracket is
-bilinear and theta linear on each parity, which tests/test_suites.py checks
+Nested brackets, theta of a bracket and gl_point(a b, .) of a bracket are
+all read from the tables by one linear step, _linear_image.  {E_ij, E_kl} is
+a sum c E_e over at most two elementary matrices of one parity, and a linear
+image f of it is the sum of c f(E_e) over the entries c the bracket stores,
+summed in the shared {column: {row: entry}} layout and compared as such; a
+single entry with c = 1 gives f(E_e)'s own map.  So {E_ij, {E_kl, E_st}} is
+the sum of c {E_ij, E_e}, theta({E_ij, E_kl}) the sum of c theta(E_e), and
+gl_point(a b, {E_ij, E_kl}) the sum of c gl_point(a b, E_e).  The sums are
+exact; they equal the dense forms because the bracket is bilinear and theta
+and gl_point(a b, .) linear on each parity, which tests/test_suites.py checks
 on random rational combinations.
 
 The loops over pairs and triples of elementary matrices are settled once per
@@ -56,10 +59,8 @@ A SuperMatrix keeps only its nonzero entries, so the bracket table, the
 nested brackets and the even-rules check cost the nonzeros they touch.  The
 even-rules check multiplies the Lambda_2 points gl_point(a, E_ij)
 themselves, so its left side is the ordinary commutator of the realized
-points.  Its right side gl_point(a b, {E_ij, E_kl}) is read by linearity in
-the matrix, as the sum of t gl_point(a b, E_e) over the terms t E_e of the
-bracket, from a table of gl_point(c, E_e) over the distinct coefficients
-c = a b; tests/test_suites.py checks that gl_point is linear in this way.
+points; its right side reads a table of gl_point(c, E_e) over the distinct
+coefficients c = a b.
 
 The bracket suite takes no r, and the cap bounds (m+n)^2, the dimension of
 gl(m|n), before any of its (m+n)^6 Jacobi triples is formed.
@@ -130,17 +131,38 @@ def _bracket_table(elems) -> dict:
     return _Brackets({(i, j): x for i, j, x, _ in elems})
 
 
-def _bilinear(*parts) -> dict:
-    """The sum of sign * c * images[e] over each part (sign, coeffs, images)
-    and each item (e, c) of coeffs, where each images[e] is a {key: entry}
-    map; returned as such a map with no zero entries."""
+def _linear_image(*parts) -> dict:
+    """The cols map of the sum of sign * c * image(a, b) over each part
+    (sign, x, image) and each entry c that the matrix x stores at (a, b),
+    1-based, image(a, b) being an operand: the image of x under the linear
+    map that sends E_ab to image(a, b), summed over the parts.  A single
+    entry with sign * c = 1 gives image(a, b).cols itself, not a copy."""
+    terms = [
+        (sign * c, image(a + 1, b + 1).cols)
+        for sign, x, image in parts
+        for b, col in x.cols.items()
+        for a, c in col.items()
+    ]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    # a product c * v of nonzeros is nonzero, so only a sum can leave a zero
     out = {}
-    for sign, coeffs, images in parts:
-        for e, c in coeffs.items():
-            c = sign * c
-            for f, v in images[e].items():
-                out[f] = out[f] + c * v if f in out else c * v
-    return {f: v for f, v in out.items() if v}
+    cancelled = False
+    for c, cols in terms:
+        for j, col in cols.items():
+            if j not in out:
+                out[j] = {i: c * v for i, v in col.items()}
+                continue
+            acc = out[j]
+            for i, v in col.items():
+                if i in acc:
+                    acc[i] = e = acc[i] + c * v
+                    cancelled = cancelled or not e
+                else:
+                    acc[i] = c * v
+    if not cancelled:
+        return out
+    return {j: kept for j, col in out.items() if (kept := {i: v for i, v in col.items() if v})}
 
 
 def _each_once(form):
@@ -266,38 +288,40 @@ def _point_coefficients(N: int) -> dict:
     return {0: [one, x1 * x2, one + x1 * x2], 1: [x1, x2, x1 + x2]}
 
 
-def _jacobi_holds(by_left, by_right, i, j, k, l, s, t, sign) -> bool:
+def _jacobi_holds(bracket, i, j, k, l, s, t, sign) -> bool:
     """Whether {E_ij, {E_kl, E_st}} = {{E_ij, E_kl}, E_st} + sign {E_kl,
     {E_ij, E_st}}, with sign = (-1)^{p(E_ij) p(E_kl)}, each nested bracket
-    read from the bracket table by bilinearity and compared as maps of
-    terms."""
-    of_x, of_y = by_left[i, j], by_left[k, l]
-    lhs = _bilinear((1, of_y[s, t], of_x))
-    return lhs == _bilinear((1, of_x[k, l], by_right[s, t]), (sign, of_x[s, t], of_y))
+    read from the bracket table by _linear_image."""
+    lhs = _linear_image((1, bracket[k, l, s, t], lambda a, b: bracket[i, j, a, b]))
+    return lhs == _linear_image(
+        (1, bracket[i, j, k, l], lambda a, b: bracket[a, b, s, t]),
+        (sign, bracket[i, j, s, t], lambda a, b: bracket[k, l, a, b]),
+    )
 
 
-def _jacobi_failures(elems, by_left, by_right) -> list:
+def _jacobi_failures(elems, bracket) -> list:
     """[i, j, k, l, s, t] at every triple of elementary matrices where the
     Jacobi identity fails, in loop order."""
     bad = []
     for (i, j, _, px), (k, l, _, py), (s, t, _, _) in itertools.product(elems, repeat=3):
-        if not _jacobi_holds(by_left, by_right, i, j, k, l, s, t, -1 if px & py else 1):
+        if not _jacobi_holds(bracket, i, j, k, l, s, t, -1 if px & py else 1):
             bad.append([i, j, k, l, s, t])
     return bad
 
 
-def _even_rules_misses(key, sign, vw, wv, coefficient_pairs, by_left) -> list:
+def _even_rules_misses(key, sign, vw, wv, coefficient_pairs, bracket) -> list:
     """[i, j, k, l, repr(a), repr(b)] for each coefficient pair (a, b) where
     the ordinary commutator of the points a (x) E_ij and b (x) E_kl differs
-    from gl_point(a b, {E_ij, E_kl}), read as the sum of t gl_point(a b, E_e)
-    over the terms t E_e of the bracket, sign being (-1)^{p(E_ij) p(E_kl)}.
-    vw[ia][ib] and wv[ib][ia] are the products of the ia-th point at E_ij
-    and the ib-th at E_kl, in the two orders."""
+    from gl_point(a b, {E_ij, E_kl}), read by _linear_image from the table
+    of gl_point(a b, E_e), sign being (-1)^{p(E_ij) p(E_kl)}.  vw[ia][ib] and
+    wv[ib][ia] are the products of the ia-th point at E_ij and the ib-th at
+    E_kl, in the two orders."""
     i, j, k, l = key
+    xy = bracket[key]
     bad = []
     for ia, ib, a, b, images in coefficient_pairs:
-        right = _bilinear((sign, by_left[i, j][k, l], images))
-        if (vw[ia][ib] - wv[ib][ia]).terms != right:
+        right = _linear_image((sign, xy, lambda e, f: images[e, f]))
+        if (vw[ia][ib] - wv[ib][ia]).cols != right:
             bad.append([i, j, k, l, repr(a), repr(b)])
     return bad
 
@@ -307,7 +331,7 @@ def _products(points, a, b) -> list:
     return [[v * w for w in points[b]] for v in points[a]]
 
 
-def _even_rules_failures(pairs, points, coefficient_pairs, by_left) -> list:
+def _even_rules_failures(pairs, points, coefficient_pairs, bracket) -> list:
     """_even_rules_misses at every ordered pair of elementary matrices, in
     loop order, each product of two points formed once."""
     products = _each_once(lambda a, b: _products(points, a, b))
@@ -315,25 +339,23 @@ def _even_rules_failures(pairs, points, coefficient_pairs, by_left) -> list:
     for (i, j, _, px), (k, l, _, py) in pairs:
         vw, wv = products((i, j), (k, l)), products((k, l), (i, j))
         sign = -1 if px & py else 1
-        bad += _even_rules_misses((i, j, k, l), sign, vw, wv, coefficient_pairs[px, py], by_left)
+        bad += _even_rules_misses((i, j, k, l), sign, vw, wv, coefficient_pairs[px, py], bracket)
     return bad
 
 
-def _jacobi_holds_by_orbit(dim, parity, by_left, by_right) -> bool:
+def _jacobi_holds_by_orbit(dim, parity, bracket) -> bool:
     """Whether the Jacobi identity holds at the representative of every
     S_m x S_n orbit of triples, parity[i, j] being the parity of E_ij.  With
     an equivariant bracket table this decides it at every triple: each side
     is a polynomial in table entries, so relabeling the triple relabels both
     sides."""
     return all(
-        _jacobi_holds(
-            by_left, by_right, *key, -1 if parity[key[:2]] & parity[key[2:4]] else 1
-        )
+        _jacobi_holds(bracket, *key, -1 if parity[key[:2]] & parity[key[2:4]] else 1)
         for key in _representatives(dim, 6)
     )
 
 
-def _even_rules_hold_by_orbit(dim, gens, parity, points, realized, coefficient_pairs, by_left):
+def _even_rules_hold_by_orbit(dim, gens, parity, points, realized, coefficient_pairs, bracket):
     """Whether every Lambda_2 point and every image gl_point(c, E_e) is
     equivariant under the generators gens, and the even-rules identity holds
     at one pair of each S_m x S_n orbit of unordered pairs {E_ij, E_kl}, in
@@ -350,9 +372,9 @@ def _even_rules_hold_by_orbit(dim, gens, parity, points, realized, coefficient_p
         sign = -1 if px & py else 1
         vw = _products(points, x, y)
         wv = vw if x == y else _products(points, y, x)
-        if _even_rules_misses((*x, *y), sign, vw, wv, coefficient_pairs[px, py], by_left):
+        if _even_rules_misses((*x, *y), sign, vw, wv, coefficient_pairs[px, py], bracket):
             return False
-        if _even_rules_misses((*y, *x), sign, wv, vw, coefficient_pairs[py, px], by_left):
+        if _even_rules_misses((*y, *x), sign, wv, vw, coefficient_pairs[py, px], bracket):
             return False
     return True
 
@@ -363,15 +385,13 @@ def suite_bracket(m: int, n: int, cap: int | None = None) -> list[dict]:
     Elementary matrices span each homogeneous component, so settling a
     multilinear identity at every elementary tuple settles it.  The
     antisymmetry and supertrace checks run over every pair.  The Jacobi
-    check reads its three nested brackets per triple from the table:
-    {E_ij, {E_kl, E_st}} is the sum of c {E_ij, E_e} over the terms c E_e of
-    {E_kl, E_st}, and likewise for the other two, compared as maps of
-    terms.  The even-rules check compares the ordinary commutator of the
-    Lambda_2 points a (x) E_ij and b (x) E_kl with gl_point(a b, {E_ij, E_kl})
-    read by linearity from gl_point(a b, E_e).  Both are decided once per
-    S_m x S_n orbit when the table, the points and the images are found
-    equivariant (see the module docstring); otherwise, or when one fails,
-    the loops over every tuple run and list the failures.
+    check reads its three nested brackets per triple from the table, and
+    the even-rules check compares the ordinary commutator of the Lambda_2
+    points a (x) E_ij and b (x) E_kl with gl_point(a b, {E_ij, E_kl}), read
+    from gl_point(a b, E_e); _linear_image makes both reads.  Both checks
+    are decided once per S_m x S_n orbit when the table, the points and the
+    images are found equivariant (see the module docstring); otherwise, or
+    when one fails, the loops over every tuple run and list the failures.
 
     The cap bounds (m+n)^2, the dimension of gl(m|n), before the (m+n)^6
     Jacobi triples are formed.
@@ -384,27 +404,24 @@ def suite_bracket(m: int, n: int, cap: int | None = None) -> list[dict]:
 
     # Lambda_2 points a (x) E_ij for coefficients a of the parity of E_ij;
     # their ordinary commutators are checked against the even-rules bracket
-    # gl_point(a b, {E_ij, E_kl}), read as the sum of t gl_point(a b, E_e)
-    # over the terms t E_e of the bracket
+    # gl_point(a b, {E_ij, E_kl})
     N = 2
     coeffs = _point_coefficients(N)
     points = {(i, j): [gl_point(a, x) for a in coeffs[p]] for i, j, x, p in elems}
     # coefficient_pairs[px, py] lists each pair (a, b) read at E_ij of parity
-    # px and E_kl of parity py, with the terms of gl_point(a b, E_e) for each
+    # px and E_kl of parity py, with the table of gl_point(a b, E_e) over the
     # E_e of parity px ^ py, realized once per distinct coefficient a b
     realized = {0: {}, 1: {}}
-    images = {0: {}, 1: {}}
     coefficient_pairs = {}
     for px, py in itertools.product((0, 1), repeat=2):
-        table, terms = realized[px ^ py], images[px ^ py]
+        table = realized[px ^ py]
         coefficient_pairs[px, py] = []
         for (ia, a), (ib, b) in itertools.product(enumerate(coeffs[px]), enumerate(coeffs[py])):
             c = a * b
             if c not in table:
                 table[c] = {(i, j): gl_point(c, x) for i, j, x, p in elems if p == px ^ py}
-                terms[c] = {e: point.terms for e, point in table[c].items()}
-            coefficient_pairs[px, py].append((ia, ib, a, b, terms[c]))
-    matrix = {(i, j): x for i, j, x, _ in elems}
+            coefficient_pairs[px, py].append((ia, ib, a, b, table[c]))
+    matrix = bracket.matrix
     trace = _each_once(lambda a, b: supertrace(matrix[a] * matrix[b]))
 
     bad_anti, bad_sym, bad_str = [], [], []
@@ -418,27 +435,21 @@ def suite_bracket(m: int, n: int, cap: int | None = None) -> list[dict]:
         if supertrace(xy) != 0:
             bad_str.append([i, j, k, l])
 
-    # by_left[i, j][k, l] and by_right[k, l][i, j] are the terms of {E_ij, E_kl}
-    by_left = {(i, j): {} for i, j, _, _ in elems}
-    by_right = {(i, j): {} for i, j, _, _ in elems}
-    for (i, j, k, l), xy in bracket.items():
-        by_left[i, j][k, l] = by_right[k, l][i, j] = xy.terms
-
     # with a trivial group, or a table that is not equivariant, the loops over
     # every tuple decide the two checks
     gens = _letter_generators(dim)
     symmetric = bool(gens) and all(_equivariant(bracket, s, s) for s in gens)
     parity = {(i, j): p for i, j, _, p in elems}
-    if symmetric and _jacobi_holds_by_orbit(dim, parity, by_left, by_right):
+    if symmetric and _jacobi_holds_by_orbit(dim, parity, bracket):
         bad_jacobi = []
     else:
-        bad_jacobi = _jacobi_failures(elems, by_left, by_right)
+        bad_jacobi = _jacobi_failures(elems, bracket)
     if symmetric and _even_rules_hold_by_orbit(
-        dim, gens, parity, points, realized, coefficient_pairs, by_left
+        dim, gens, parity, points, realized, coefficient_pairs, bracket
     ):
         bad_even = []
     else:
-        bad_even = _even_rules_failures(pairs, points, coefficient_pairs, by_left)
+        bad_even = _even_rules_failures(pairs, points, coefficient_pairs, bracket)
 
     return [
         _record("bracket_antisymmetry", not bad_anti, m=m, n=n, failures=bad_anti[:3]),
@@ -454,39 +465,30 @@ def suite_bracket(m: int, n: int, cap: int | None = None) -> list[dict]:
 # --- actions -----------------------------------------------------------------
 
 
-def _theta_holds(thetas, bracket, first, second, odd, zero) -> bool:
+def _theta_holds(thetas, bracket, first, second, odd) -> bool:
     """Whether theta({E_ij, E_kl}) = theta(E_ij) theta(E_kl) -+
     theta(E_kl) theta(E_ij), given the two products first and second and
-    odd = p(E_ij) p(E_kl).
-
-    bracket is {E_ij, E_kl}, and theta of it is read by linearity as the sum
-    of c theta(E_ab) over its terms c E_ab, each term with c = 1 being
-    theta(E_ab) itself, not a copy.
-    """
-    parts = [
-        thetas[a + 1, b + 1] if c == 1 else thetas[a + 1, b + 1].scale(c)
-        for b, col in bracket.cols.items()
-        for a, c in col.items()
-    ]
-    lhs = sum(parts[1:], parts[0]) if parts else zero
-    return lhs == (first + second if odd else first - second)
+    odd = p(E_ij) p(E_kl).  bracket is {E_ij, E_kl}, and theta of it is read
+    from the table thetas by _linear_image."""
+    lhs = _linear_image((1, bracket, lambda a, b: thetas[a, b]))
+    return lhs == (first + second if odd else first - second).cols
 
 
-def _theta_failures(elems, thetas, brackets, zero, first_only: bool) -> list:
+def _theta_failures(elems, thetas, brackets, first_only: bool) -> list:
     """The pairs [i, j, k, l], in loop order, where theta is not a bracket
     homomorphism: all of them, or the first."""
     times = _each_once(lambda a, b: thetas[a] * thetas[b])
     bad = []
     for (i, j, _, px), (k, l, _, py) in itertools.product(elems, repeat=2):
         first, second = times((i, j), (k, l)), times((k, l), (i, j))
-        if not _theta_holds(thetas, brackets[i, j, k, l], first, second, px & py, zero):
+        if not _theta_holds(thetas, brackets[i, j, k, l], first, second, px & py):
             bad.append([i, j, k, l])
             if first_only:
                 break
     return bad
 
 
-def _theta_holds_by_orbit(dim, r: int, elems, thetas, brackets, zero) -> bool:
+def _theta_holds_by_orbit(dim, r: int, elems, thetas, brackets) -> bool:
     """Whether theta is a bracket homomorphism, decided once per S_m x S_n
     orbit (see the module docstring): P_s theta(E_ij) P_s^-1 =
     theta(E_s(i)s(j)) at every (i, j) and generator s, and the identity at
@@ -504,8 +506,8 @@ def _theta_holds_by_orbit(dim, r: int, elems, thetas, brackets, zero) -> bool:
         first = thetas[x] * thetas[y]
         second = first if x == y else thetas[y] * thetas[x]
         if not (
-            _theta_holds(thetas, brackets[(*x, *y)], first, second, odd, zero)
-            and _theta_holds(thetas, brackets[(*y, *x)], second, first, odd, zero)
+            _theta_holds(thetas, brackets[(*x, *y)], first, second, odd)
+            and _theta_holds(thetas, brackets[(*y, *x)], second, first, odd)
         ):
             return False
     return True
@@ -576,10 +578,10 @@ def suite_actions(m: int, n: int, r: int, seed: int = 0, cap: int | None = None)
     of every sigma give that operator, and every pair composes, since
     adjacent_decomposition and cycle_decomposition compose to sigma (a fact
     about permutations alone, checked in tests/test_tensor.py), and the two
-    records pass.  From r = 5 tau_right_action still names the seed and the
-    100 pairs the loops would sample, though every pair is covered.  When a
-    relation fails, _tau_loops runs over all r! permutations and lists the
-    failures.
+    records pass, with no seed and no sample at any r: every pair is
+    covered.  When a relation fails, _tau_loops runs over all r!
+    permutations and lists the failures, sampling 100 seeded pairs for
+    tau_right_action from r = 5.
 
     theta_bracket_homomorphism is decided once per S_m x S_n orbit of pairs
     by _theta_holds_by_orbit, and only when that fails, or the group is
@@ -591,22 +593,20 @@ def suite_actions(m: int, n: int, r: int, seed: int = 0, cap: int | None = None)
     dim = SuperDim(m, n)
     taus = transposition_table(dim, r)
     if all(lhs == rhs for _, lhs, rhs in _coxeter_relations(dim, r, taus)):
-        sample = {"seed": seed, "sampled_pairs": 100} if r >= 5 else {}
         checks = [
             _record("tau_decomposition_independence", True, m=m, n=n, r=r, failures=[]),
-            _record("tau_right_action", True, m=m, n=n, r=r, failures=[], **sample),
+            _record("tau_right_action", True, m=m, n=n, r=r, failures=[]),
         ]
     else:
         checks = _tau_loops(dim, m, n, r, taus, seed)
 
     elems = list(_elementary_pairs(dim))
     brackets = _bracket_table(elems)
-    zero = TensorOperator.zero(dim, r)
     thetas = {(i, j): derivation_operator(x, r, odd_count="exclusive") for i, j, x, _ in elems}
-    if _theta_holds_by_orbit(dim, r, elems, thetas, brackets, zero):
+    if _theta_holds_by_orbit(dim, r, elems, thetas, brackets):
         bad = []
     else:
-        bad = _theta_failures(elems, thetas, brackets, zero, first_only=False)
+        bad = _theta_failures(elems, thetas, brackets, first_only=False)
     checks.append(
         _record("theta_bracket_homomorphism", not bad, m=m, n=n, r=r, failures=bad[:3])
     )
@@ -627,7 +627,7 @@ def suite_actions(m: int, n: int, r: int, seed: int = 0, cap: int | None = None)
         inclusive = {
             (i, j): derivation_operator(x, r, odd_count="inclusive") for i, j, x, _ in elems
         }
-        bad = _theta_failures(elems, inclusive, brackets, zero, first_only=True)
+        bad = _theta_failures(elems, inclusive, brackets, first_only=True)
         checks.append(
             _record(
                 "theta_inclusive_sign_fails",

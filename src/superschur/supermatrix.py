@@ -304,9 +304,9 @@ def _columns(rows, top: int = 0, left: int = 0) -> dict:
 
 class SuperMatrix(_Sparse):
     """A square matrix over Q (``grassmann_n is None``) or Lambda_N: the
-    operator of degree r = 1, stored in _Sparse's layout, so ``cols[b]``
-    holds column b + 1 of the matrix.  ``terms`` reads it keyed 1-based as
-    in E_ab, and ``entries`` as dense rows.
+    operator of degree r = 1, stored in _Sparse's layout, so ``cols[b][a]``
+    is the entry (a + 1, b + 1), the coefficient of E_{a+1,b+1}; ``entries``
+    reads it as dense rows.
     """
 
     __slots__ = ()
@@ -327,12 +327,6 @@ class SuperMatrix(_Sparse):
         if not (1 <= i <= size and 1 <= j <= size):
             raise DimensionError(f"position ({i},{j}) not in 1..{size}")
         return cls._from_cols(dim, 1, {j - 1: {i - 1: 1}})
-
-    @property
-    def terms(self) -> dict:
-        """A new {(a, b): entry} map of the nonzero entries, keyed 1-based:
-        the matrix is the sum of terms[a, b] * E_ab."""
-        return {(i + 1, j + 1): e for j, col in self.cols.items() for i, e in col.items()}
 
     def __repr__(self):
         # rational entries print as Fractions whatever their stored form

@@ -1,5 +1,6 @@
 """The named verification suites must pass and be reproducible."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -81,7 +82,12 @@ def test_coxeter_relations_give_the_records_of_the_loops(m, n, r):
     dim = SuperDim(m, n)
     taus = tensor.transposition_table(dim, r)
     assert failed_relations(dim, r, taus) == []
-    assert suite_actions(m, n, r, seed=7)[:2] == suites._tau_loops(dim, m, n, r, taus, 7)
+    loops = suites._tau_loops(dim, m, n, r, taus, 7)
+    if r >= 5:
+        # the loops sample pairs from r = 5 and name the sample; the relations
+        # cover every pair, so the passing record names none
+        assert loops[1].pop("seed") == 7 and loops[1].pop("sampled_pairs") == 100
+    assert suite_actions(m, n, r, seed=7)[:2] == loops
 
 
 @pytest.mark.parametrize("m,n,r", [(1, 1, 3), (2, 1, 3), (1, 2, 3), (1, 1, 4)])
@@ -221,6 +227,108 @@ def test_derivation_operator_is_linear_on_elementary_combinations(dim, parity, r
         theta = derivation_operator(SuperMatrix.elementary(dim, *e), r, odd_count=odd_count)
         want = want + theta.scale(ce)
     assert derivation_operator(matrix_of(dim, c), r, odd_count=odd_count) == want
+
+
+# _linear_image sums sign * c * image(a, b) over the entries c of a matrix in
+# the column layout.  The reference sums image(a, b).scale(sign * c) with the
+# operands' own +, for each linear map the suites read through it.
+
+
+@functools.lru_cache(maxsize=None)
+def image_maps(dim):
+    """(table, zero, parities) for each linear map the suites read through
+    _linear_image: table[a, b] is the operand E_ab goes to, zero is the zero
+    of its space, and parities are those of the E_ab it is read at.  The maps
+    are theta(E_ab) at r = 1..3 over Q, each row {E_ij, E_ab} of the bracket
+    table, and gl_point(c, E_ab) over Lambda_2 at each coefficient c = a b
+    that the even-rules check reads."""
+    elems = list(suites._elementary_pairs(dim))
+    maps = []
+    for r in (1, 2, 3):
+        thetas = {(a, b): derivation_operator(x, r) for a, b, x, _ in elems}
+        maps.append((thetas, TensorOperator.zero(dim, r), (0, 1)))
+    bracket = suites._bracket_table(elems)
+    zero_rows = [[0] * dim.size for _ in range(dim.size)]
+    for i, j, _, _ in elems:
+        row = {(a, b): bracket[i, j, a, b] for a, b, _, _ in elems}
+        maps.append((row, SuperMatrix(dim, zero_rows), (0, 1)))
+    coeffs = suites._point_coefficients(2)
+    realized = {}
+    for px, py in itertools.product((0, 1), repeat=2):
+        for a, b in itertools.product(coeffs[px], coeffs[py]):
+            if (a * b, px ^ py) not in realized:
+                points = {(i, j): gl_point(a * b, x) for i, j, x, p in elems if p == px ^ py}
+                realized[a * b, px ^ py] = points
+                maps.append((points, SuperMatrix(dim, zero_rows, 2), (px ^ py,)))
+    return maps
+
+
+def reader(table):
+    return lambda a, b: table[a, b]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(LINEARITY_DIMS), st.data())
+def test_linear_image_matches_sparse_arithmetic(dim, data):
+    table, zero, parities = data.draw(st.sampled_from(image_maps(dim)))
+    parts, want = [], zero
+    for _ in range(data.draw(st.integers(1, 2))):
+        sign = data.draw(st.sampled_from([1, -1]))
+        coeffs = data.draw(combinations(dim, data.draw(st.sampled_from(parities))))
+        parts.append((sign, matrix_of(dim, coeffs), reader(table)))
+        for e, c in coeffs.items():
+            want = want + table[e].scale(sign * c)
+    assert suites._linear_image(*parts) == want.cols
+
+
+@pytest.mark.parametrize("dim", LINEARITY_DIMS, ids=repr)
+def test_linear_image_shares_a_unit_entry_and_cancels_to_empty(dim):
+    for table, _, _ in image_maps(dim):
+        image = reader(table)
+        for (a, b), value in table.items():
+            unit = SuperMatrix.elementary(dim, a, b)
+            assert suites._linear_image((1, unit, image)) is value.cols
+            assert suites._linear_image((-1, unit, image), (1, unit, image)) == {}
+        x = matrix_of(dim, {e: Fraction(k + 2, 3) for k, e in enumerate(table)})
+        assert suites._linear_image((1, x, image), (-1, x, image)) == {}
+
+
+# Mutant controls: a _linear_image that ignores the coefficients c, or the
+# signs, must make the checks that read it fail.
+
+MUTANT_DIMS = [(1, 1), (2, 1), (1, 2), (2, 2)]
+LINEAR_IMAGE = suites._linear_image
+
+
+def ignoring_coefficients(*parts):
+    """_linear_image with every stored entry c read as 1."""
+    units = []
+    for sign, x, image in parts:
+        cols = {j: dict.fromkeys(col, 1) for j, col in x.cols.items()}
+        units.append((sign, SuperMatrix._from_cols(x.dim, 1, cols), image))
+    return LINEAR_IMAGE(*units)
+
+
+def ignoring_signs(*parts):
+    """_linear_image with every sign read as 1."""
+    return LINEAR_IMAGE(*((1, x, image) for _, x, image in parts))
+
+
+def failing(records):
+    return {c["check"] for c in records if not c["pass"]}
+
+
+@pytest.mark.parametrize("m,n", MUTANT_DIMS)
+def test_linear_image_ignoring_coefficients_fails_every_reader(m, n, monkeypatch):
+    monkeypatch.setattr(suites, "_linear_image", ignoring_coefficients)
+    assert {"bracket_jacobi", "even_rules_consistency"} <= failing(suite_bracket(m, n))
+    assert "theta_bracket_homomorphism" in failing(suite_actions(m, n, 2))
+
+
+@pytest.mark.parametrize("m,n", MUTANT_DIMS)
+def test_linear_image_ignoring_signs_fails_the_bracket_readers(m, n, monkeypatch):
+    monkeypatch.setattr(suites, "_linear_image", ignoring_signs)
+    assert {"bracket_jacobi", "even_rules_consistency"} <= failing(suite_bracket(m, n))
 
 
 # The bracket and actions suites settle their loops over pairs and triples

@@ -597,12 +597,13 @@ def test_product_matches_dense_reference(pair):
     ea, eb = a.entries, b.entries
     got = a * b
     assert_matches_dense(got, dense_matrix_product(ea, eb, zero))
+    stored = [e for col in got.cols.values() for e in col.values()]
     if a.grassmann_n is None:
-        assert all(type(e) in (int, Fraction) for e in got.terms.values())
-        if all(type(e) is int for m in pair for e in m.terms.values()):
-            assert all(type(e) is int for e in got.terms.values())
+        assert all(type(e) in (int, Fraction) for e in stored)
+        if all(type(e) is int for m in pair for col in m.cols.values() for e in col.values()):
+            assert all(type(e) is int for e in stored)
     else:
-        assert all(type(e) is GrassmannElement for e in got.terms.values())
+        assert all(type(e) is GrassmannElement for e in stored)
     assert_matches_dense(a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(ea, eb)])
     assert_matches_dense(a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(ea, eb)])
     assert_matches_dense(a - a, [[zero] * size for _ in range(size)])
