@@ -36,24 +36,29 @@ and each identity checked at s of a tuple is the one at the tuple,
 conjugated by P_s.  A check first confirms that its table of elementary
 objects is equivariant, the entry at s(key) being P_s (entry at key) P_s^-1,
 for one transposition and one long cycle of each parity class, which
-generate the group, so it holds for the whole group.  Then it evaluates its
-identity at one tuple per orbit, the tuple whose letters of each parity
-first appear in increasing order from the first of their class.  Relabeling
-a tuple relabels both sides of the identity at it, so when every
-representative holds, every tuple does.  The theta and even-rules checks
-take one pair per orbit of unordered pairs, in both orders, so the two
-products of a pair are formed once.  The Jacobi check needs nothing but
-the equivariant bracket table, each side being a polynomial in its entries;
-the even-rules check also confirms its Lambda_2 points and the images
-gl_point(c, E_e); the actions suite confirms theta(E_ij) and forms brackets
-only at the representatives, superbracket being under test in the bracket
-suite.  The proof assumes one property of the exact sparse kernel
-(supermatrix._Sparse): its product commutes with a simultaneous relabeling
-of rows and columns, that is with conjugation by an unsigned permutation
-matrix, as an exact product does.  When the group is trivial (m, n <= 1), or
-an equivariance check or a representative fails, the loops over every tuple
-run and list the failures in loop order.  The antisymmetry and supertrace
-checks run over every pair: there superbracket and supertrace are under test.
+generate the group, so it holds for the whole group.  The Jacobi check needs
+nothing but the equivariant bracket table, each side being a polynomial in
+its entries; the even-rules check also confirms its Lambda_2 points and the
+images gl_point(c, E_e); the actions suite confirms theta(E_ij) and forms
+brackets only at the tuples it searches, superbracket being under test in
+the bracket suite.  Relabeling a tuple relabels both sides of the identity
+at it, so when every orbit representative holds, every tuple does: the
+representatives are the tuples whose letters of each parity first appear in
+increasing order from the first of their class, and the theta and even-rules
+checks take one pair per orbit of unordered pairs, in both orders, so the
+two products of a pair are formed once.  The proof assumes one property of
+the exact sparse kernel (supermatrix._Sparse): its product commutes with a
+simultaneous relabeling of rows and columns, that is with conjugation by an
+unsigned permutation matrix, as an exact product does.
+
+Each of the three checks has one search, given the tuples to search and
+first_only, and _settled holds the policy: with equivariant tables it
+searches the representatives for a first failure, and when there is none the
+check passes.  When the group is trivial (m, n <= 1), a table is not
+equivariant or a representative fails, the same search runs over every
+tuple, drawn lazily in loop order, and lists every failure.  The antisymmetry
+and supertrace checks run over every pair: there superbracket and supertrace
+are under test.
 
 A SuperMatrix keeps only its nonzero entries, so the bracket table, the
 nested brackets and the even-rules check cost the nonzeros they touch.  The
@@ -238,16 +243,18 @@ def _least_relabeling(m: int, key: tuple) -> tuple:
     )
 
 
-def _pair_representatives(dim: SuperDim) -> list[tuple[tuple, tuple]]:
-    """One pair ((i, j), (k, l)) per S_m x S_n orbit of unordered pairs
-    {E_ij, E_kl}: each representative (i, j, k, l) not above that of the
-    swapped (k, l, i, j).  Such a pair in both orders meets every orbit of
-    ordered pairs."""
-    return [
-        (key[:2], key[2:])
-        for key in _representatives(dim, 4)
-        if key <= _least_relabeling(dim.m, (*key[2:], *key[:2]))
-    ]
+def _pair_representatives(dim: SuperDim) -> list[tuple[int, ...]]:
+    """Ordered pairs (i, j, k, l) of elementary matrices E_ij, E_kl that meet
+    every S_m x S_n orbit of ordered pairs: per orbit of unordered pairs the
+    representative (i, j, k, l) not above that of the swapped (k, l, i, j),
+    then that swap unless the two halves are equal, so the two products of
+    a pair are read at neighbouring pairs."""
+    pairs = []
+    for key in _representatives(dim, 4):
+        swapped = (*key[2:], *key[:2])
+        if key <= _least_relabeling(dim.m, swapped):
+            pairs += [key] if key == swapped else [key, swapped]
+    return pairs
 
 
 def _word_permutation(s, r: int) -> list[int]:
@@ -276,6 +283,15 @@ def _equivariant(table: dict, s, perm) -> bool:
     return True
 
 
+def _settled(equivariant: bool, representatives, every, search, *args) -> list:
+    """The failures search(tuples, *args, first_only=...) lists: [] when the
+    tables are equivariant and no orbit representative fails, otherwise
+    every failure among the tuples of every, in loop order."""
+    if equivariant and not search(representatives, *args, first_only=True):
+        return []
+    return search(every, *args, first_only=False)
+
+
 # --- bracket -----------------------------------------------------------------
 
 
@@ -288,95 +304,50 @@ def _point_coefficients(N: int) -> dict:
     return {0: [one, x1 * x2, one + x1 * x2], 1: [x1, x2, x1 + x2]}
 
 
-def _jacobi_holds(bracket, i, j, k, l, s, t, sign) -> bool:
-    """Whether {E_ij, {E_kl, E_st}} = {{E_ij, E_kl}, E_st} + sign {E_kl,
-    {E_ij, E_st}}, with sign = (-1)^{p(E_ij) p(E_kl)}, each nested bracket
-    read from the bracket table by _linear_image."""
-    lhs = _linear_image((1, bracket[k, l, s, t], lambda a, b: bracket[i, j, a, b]))
-    return lhs == _linear_image(
-        (1, bracket[i, j, k, l], lambda a, b: bracket[a, b, s, t]),
-        (sign, bracket[i, j, s, t], lambda a, b: bracket[k, l, a, b]),
-    )
-
-
-def _jacobi_failures(elems, bracket) -> list:
-    """[i, j, k, l, s, t] at every triple of elementary matrices where the
-    Jacobi identity fails, in loop order."""
+def _jacobi_failures(triples, bracket, parity, first_only: bool) -> list:
+    """[i, j, k, l, s, t] at the triples of triples where {E_ij, {E_kl,
+    E_st}} = {{E_ij, E_kl}, E_st} + sign {E_kl, {E_ij, E_st}} fails, with
+    sign = (-1)^{p(E_ij) p(E_kl)} and parity[i, j] = p(E_ij): all of them in
+    loop order, or the first.  Each nested bracket is read from the bracket
+    table by _linear_image."""
     bad = []
-    for (i, j, _, px), (k, l, _, py), (s, t, _, _) in itertools.product(elems, repeat=3):
-        if not _jacobi_holds(bracket, i, j, k, l, s, t, -1 if px & py else 1):
+    for i, j, k, l, s, t in triples:
+        sign = -1 if parity[i, j] & parity[k, l] else 1
+        lhs = _linear_image((1, bracket[k, l, s, t], lambda a, b: bracket[i, j, a, b]))
+        rhs = _linear_image(
+            (1, bracket[i, j, k, l], lambda a, b: bracket[a, b, s, t]),
+            (sign, bracket[i, j, s, t], lambda a, b: bracket[k, l, a, b]),
+        )
+        if lhs != rhs:
             bad.append([i, j, k, l, s, t])
+            if first_only:
+                break
     return bad
 
 
-def _even_rules_misses(key, sign, vw, wv, coefficient_pairs, bracket) -> list:
-    """[i, j, k, l, repr(a), repr(b)] for each coefficient pair (a, b) where
-    the ordinary commutator of the points a (x) E_ij and b (x) E_kl differs
-    from gl_point(a b, {E_ij, E_kl}), read by _linear_image from the table
-    of gl_point(a b, E_e), sign being (-1)^{p(E_ij) p(E_kl)}.  vw[ia][ib] and
-    wv[ib][ia] are the products of the ia-th point at E_ij and the ib-th at
-    E_kl, in the two orders."""
-    i, j, k, l = key
-    xy = bracket[key]
+def _even_rules_failures(pairs, points, coefficient_pairs, bracket, parity, first_only: bool):
+    """[i, j, k, l, repr(a), repr(b)] at the pairs of pairs and coefficient
+    pairs (a, b) where the ordinary commutator of the points a (x) E_ij and
+    b (x) E_kl differs from gl_point(a b, {E_ij, E_kl}), read by
+    _linear_image from the table of gl_point(a b, E_e): all of them in loop
+    order, or those at the first pair that has any.  coefficient_pairs[px,
+    py] lists (ia, ib, a, b, table) for E_ij of parity px and E_kl of parity
+    py, a being the ia-th coefficient of points[i, j] and b the ib-th of
+    points[k, l].  Each product of two points is formed once."""
+    products = _each_once(lambda x, y: [[v * w for w in points[y]] for v in points[x]])
     bad = []
-    for ia, ib, a, b, images in coefficient_pairs:
-        right = _linear_image((sign, xy, lambda e, f: images[e, f]))
-        if (vw[ia][ib] - wv[ib][ia]).cols != right:
-            bad.append([i, j, k, l, repr(a), repr(b)])
-    return bad
-
-
-def _products(points, a, b) -> list:
-    """[[v * w for each point w at b] for each point v at a]."""
-    return [[v * w for w in points[b]] for v in points[a]]
-
-
-def _even_rules_failures(pairs, points, coefficient_pairs, bracket) -> list:
-    """_even_rules_misses at every ordered pair of elementary matrices, in
-    loop order, each product of two points formed once."""
-    products = _each_once(lambda a, b: _products(points, a, b))
-    bad = []
-    for (i, j, _, px), (k, l, _, py) in pairs:
+    for i, j, k, l in pairs:
+        px, py = parity[i, j], parity[k, l]
+        sign = -1 if px & py else 1
         vw, wv = products((i, j), (k, l)), products((k, l), (i, j))
-        sign = -1 if px & py else 1
-        bad += _even_rules_misses((i, j, k, l), sign, vw, wv, coefficient_pairs[px, py], bracket)
+        xy = bracket[i, j, k, l]
+        for ia, ib, a, b, images in coefficient_pairs[px, py]:
+            right = _linear_image((sign, xy, lambda e, f: images[e, f]))
+            if (vw[ia][ib] - wv[ib][ia]).cols != right:
+                bad.append([i, j, k, l, repr(a), repr(b)])
+        if bad and first_only:
+            break
     return bad
-
-
-def _jacobi_holds_by_orbit(dim, parity, bracket) -> bool:
-    """Whether the Jacobi identity holds at the representative of every
-    S_m x S_n orbit of triples, parity[i, j] being the parity of E_ij.  With
-    an equivariant bracket table this decides it at every triple: each side
-    is a polynomial in table entries, so relabeling the triple relabels both
-    sides."""
-    return all(
-        _jacobi_holds(bracket, *key, -1 if parity[key[:2]] & parity[key[2:4]] else 1)
-        for key in _representatives(dim, 6)
-    )
-
-
-def _even_rules_hold_by_orbit(dim, gens, parity, points, realized, coefficient_pairs, bracket):
-    """Whether every Lambda_2 point and every image gl_point(c, E_e) is
-    equivariant under the generators gens, and the even-rules identity holds
-    at one pair of each S_m x S_n orbit of unordered pairs {E_ij, E_kl}, in
-    both orders, each product of two points formed once.  With an
-    equivariant bracket table this decides it at every pair: relabeling a
-    pair then relabels both sides of the identity at it."""
-    count = len(points[1, 1])  # points per E_ij, the same for either parity
-    tables = [{e: row[t] for e, row in points.items()} for t in range(count)]
-    tables += [table for part in realized.values() for table in part.values()]
-    if not all(_equivariant(table, s, s) for s in gens for table in tables):
-        return False
-    for x, y in _pair_representatives(dim):
-        px, py = parity[x], parity[y]
-        sign = -1 if px & py else 1
-        vw = _products(points, x, y)
-        wv = vw if x == y else _products(points, y, x)
-        if _even_rules_misses((*x, *y), sign, vw, wv, coefficient_pairs[px, py], bracket):
-            return False
-        if _even_rules_misses((*y, *x), sign, wv, vw, coefficient_pairs[py, px], bracket):
-            return False
-    return True
 
 
 def suite_bracket(m: int, n: int, cap: int | None = None) -> list[dict]:
@@ -388,10 +359,10 @@ def suite_bracket(m: int, n: int, cap: int | None = None) -> list[dict]:
     check reads its three nested brackets per triple from the table, and
     the even-rules check compares the ordinary commutator of the Lambda_2
     points a (x) E_ij and b (x) E_kl with gl_point(a b, {E_ij, E_kl}), read
-    from gl_point(a b, E_e); _linear_image makes both reads.  Both checks
-    are decided once per S_m x S_n orbit when the table, the points and the
-    images are found equivariant (see the module docstring); otherwise, or
-    when one fails, the loops over every tuple run and list the failures.
+    from gl_point(a b, E_e); _linear_image makes both reads.  _settled
+    decides each of the two once per S_m x S_n orbit when the table, and for
+    the even rules the points and the images, are equivariant (see the
+    module docstring).
 
     The cap bounds (m+n)^2, the dimension of gl(m|n), before the (m+n)^6
     Jacobi triples are formed.
@@ -399,7 +370,6 @@ def suite_bracket(m: int, n: int, cap: int | None = None) -> list[dict]:
     check_cap(m, n, 2, cap, what=f"gl({m}|{n})")
     dim = SuperDim(m, n)
     elems = list(_elementary_pairs(dim))
-    pairs = list(itertools.product(elems, repeat=2))
     bracket = _bracket_table(elems)
 
     # Lambda_2 points a (x) E_ij for coefficients a of the parity of E_ij;
@@ -425,7 +395,7 @@ def suite_bracket(m: int, n: int, cap: int | None = None) -> list[dict]:
     trace = _each_once(lambda a, b: supertrace(matrix[a] * matrix[b]))
 
     bad_anti, bad_sym, bad_str = [], [], []
-    for (i, j, _, px), (k, l, _, py) in pairs:
+    for (i, j, _, px), (k, l, _, py) in itertools.product(elems, repeat=2):
         odd = px & py
         xy = bracket[i, j, k, l]
         if xy != bracket[k, l, i, j].scale(1 if odd else -1):
@@ -435,21 +405,32 @@ def suite_bracket(m: int, n: int, cap: int | None = None) -> list[dict]:
         if supertrace(xy) != 0:
             bad_str.append([i, j, k, l])
 
-    # with a trivial group, or a table that is not equivariant, the loops over
-    # every tuple decide the two checks
     gens = _letter_generators(dim)
     symmetric = bool(gens) and all(_equivariant(bracket, s, s) for s in gens)
+    count = len(points[1, 1])  # points per E_ij, the same for either parity
+    tables = [{e: row[t] for e, row in points.items()} for t in range(count)]
+    tables += [table for part in realized.values() for table in part.values()]
+    points_symmetric = symmetric and all(_equivariant(t, s, s) for s in gens for t in tables)
     parity = {(i, j): p for i, j, _, p in elems}
-    if symmetric and _jacobi_holds_by_orbit(dim, parity, bracket):
-        bad_jacobi = []
-    else:
-        bad_jacobi = _jacobi_failures(elems, bracket)
-    if symmetric and _even_rules_hold_by_orbit(
-        dim, gens, parity, points, realized, coefficient_pairs, bracket
-    ):
-        bad_even = []
-    else:
-        bad_even = _even_rules_failures(pairs, points, coefficient_pairs, bracket)
+    letters = range(1, dim.size + 1)
+    bad_jacobi = _settled(
+        symmetric,
+        _representatives(dim, 6),
+        itertools.product(letters, repeat=6),
+        _jacobi_failures,
+        bracket,
+        parity,
+    )
+    bad_even = _settled(
+        points_symmetric,
+        _pair_representatives(dim),
+        itertools.product(letters, repeat=4),
+        _even_rules_failures,
+        points,
+        coefficient_pairs,
+        bracket,
+        parity,
+    )
 
     return [
         _record("bracket_antisymmetry", not bad_anti, m=m, n=n, failures=bad_anti[:3]),
@@ -465,52 +446,22 @@ def suite_bracket(m: int, n: int, cap: int | None = None) -> list[dict]:
 # --- actions -----------------------------------------------------------------
 
 
-def _theta_holds(thetas, bracket, first, second, odd) -> bool:
-    """Whether theta({E_ij, E_kl}) = theta(E_ij) theta(E_kl) -+
-    theta(E_kl) theta(E_ij), given the two products first and second and
-    odd = p(E_ij) p(E_kl).  bracket is {E_ij, E_kl}, and theta of it is read
-    from the table thetas by _linear_image."""
-    lhs = _linear_image((1, bracket, lambda a, b: thetas[a, b]))
-    return lhs == (first + second if odd else first - second).cols
-
-
-def _theta_failures(elems, thetas, brackets, first_only: bool) -> list:
-    """The pairs [i, j, k, l], in loop order, where theta is not a bracket
-    homomorphism: all of them, or the first."""
+def _theta_failures(pairs, thetas, brackets, parity, first_only: bool) -> list:
+    """[i, j, k, l] at the pairs of pairs where theta({E_ij, E_kl}) =
+    theta(E_ij) theta(E_kl) -+ theta(E_kl) theta(E_ij) fails, the sign + when
+    both are odd (parity[i, j] = p(E_ij)): all of them in loop order, or the
+    first.  theta of the bracket is read from the table thetas by
+    _linear_image, and each product of two thetas is formed once."""
     times = _each_once(lambda a, b: thetas[a] * thetas[b])
     bad = []
-    for (i, j, _, px), (k, l, _, py) in itertools.product(elems, repeat=2):
+    for i, j, k, l in pairs:
         first, second = times((i, j), (k, l)), times((k, l), (i, j))
-        if not _theta_holds(thetas, brackets[i, j, k, l], first, second, px & py):
+        rhs = first + second if parity[i, j] & parity[k, l] else first - second
+        if _linear_image((1, brackets[i, j, k, l], lambda a, b: thetas[a, b])) != rhs.cols:
             bad.append([i, j, k, l])
             if first_only:
                 break
     return bad
-
-
-def _theta_holds_by_orbit(dim, r: int, elems, thetas, brackets) -> bool:
-    """Whether theta is a bracket homomorphism, decided once per S_m x S_n
-    orbit (see the module docstring): P_s theta(E_ij) P_s^-1 =
-    theta(E_s(i)s(j)) at every (i, j) and generator s, and the identity at
-    one pair of each orbit of unordered pairs, in both orders, whose
-    brackets alone are formed.  False when the group is trivial or a check
-    fails."""
-    gens = _letter_generators(dim)
-    if not gens:
-        return False
-    if not all(_equivariant(thetas, s, _word_permutation(s, r)) for s in gens):
-        return False
-    parity = {(i, j): p for i, j, _, p in elems}
-    for x, y in _pair_representatives(dim):
-        odd = parity[x] & parity[y]
-        first = thetas[x] * thetas[y]
-        second = first if x == y else thetas[y] * thetas[x]
-        if not (
-            _theta_holds(thetas, brackets[(*x, *y)], first, second, odd)
-            and _theta_holds(thetas, brackets[(*y, *x)], second, first, odd)
-        ):
-            return False
-    return True
 
 
 def _coxeter_relations(dim, r: int, taus):
@@ -583,11 +534,10 @@ def suite_actions(m: int, n: int, r: int, seed: int = 0, cap: int | None = None)
     permutations and lists the failures, sampling 100 seeded pairs for
     tau_right_action from r = 5.
 
-    theta_bracket_homomorphism is decided once per S_m x S_n orbit of pairs
-    by _theta_holds_by_orbit, and only when that fails, or the group is
-    trivial, does _theta_failures run over all (m+n)^4 pairs and list the
-    failures.  The inclusive control searches the pairs in order for its
-    first failure, forming the brackets it reads as it goes.
+    _settled decides theta_bracket_homomorphism once per S_m x S_n orbit of
+    pairs when the table of theta(E_ij) is equivariant (see the module
+    docstring).  The inclusive control searches every pair in loop order for
+    its first failure, forming the brackets it reads as it goes.
     """
     check_cap(m, n, r, cap)
     dim = SuperDim(m, n)
@@ -602,11 +552,20 @@ def suite_actions(m: int, n: int, r: int, seed: int = 0, cap: int | None = None)
 
     elems = list(_elementary_pairs(dim))
     brackets = _bracket_table(elems)
+    parity = {(i, j): p for i, j, _, p in elems}
+    letters = range(1, dim.size + 1)
     thetas = {(i, j): derivation_operator(x, r, odd_count="exclusive") for i, j, x, _ in elems}
-    if _theta_holds_by_orbit(dim, r, elems, thetas, brackets):
-        bad = []
-    else:
-        bad = _theta_failures(elems, thetas, brackets, first_only=False)
+    gens = _letter_generators(dim)
+    symmetric = bool(gens) and all(_equivariant(thetas, s, _word_permutation(s, r)) for s in gens)
+    bad = _settled(
+        symmetric,
+        _pair_representatives(dim),
+        itertools.product(letters, repeat=4),
+        _theta_failures,
+        thetas,
+        brackets,
+        parity,
+    )
     checks.append(
         _record("theta_bracket_homomorphism", not bad, m=m, n=n, r=r, failures=bad[:3])
     )
@@ -627,7 +586,8 @@ def suite_actions(m: int, n: int, r: int, seed: int = 0, cap: int | None = None)
         inclusive = {
             (i, j): derivation_operator(x, r, odd_count="inclusive") for i, j, x, _ in elems
         }
-        bad = _theta_failures(elems, inclusive, brackets, first_only=True)
+        every = itertools.product(letters, repeat=4)
+        bad = _theta_failures(every, inclusive, brackets, parity, first_only=True)
         checks.append(
             _record(
                 "theta_inclusive_sign_fails",

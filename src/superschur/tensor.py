@@ -166,12 +166,6 @@ class TensorOperator(_Sparse):
     __hash__ = _Sparse.__hash__
     matrix = _Sparse.entries
 
-    @classmethod
-    def zero(
-        cls, dim: SuperDim, r: int, grassmann_n: int | None = None
-    ) -> "TensorOperator":
-        return cls._from_cols(dim, r, {}, grassmann_n)
-
     def __repr__(self):
         ring = "Q" if self.grassmann_n is None else f"Lambda_{self.grassmann_n}"
         return f"TensorOperator(({self.dim.m}|{self.dim.n})^r={self.r} over {ring})"

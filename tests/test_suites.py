@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from superschur import (
     CapExceeded,
     SuperDim,
     SuperMatrix,
-    TensorOperator,
     derivation_operator,
     gl_point,
     run_suite,
@@ -25,7 +25,8 @@ from superschur import (
     tensor,
 )
 
-from test_cli import swap_without_between
+from test_cli import swap_without_between, unsigned_point
+from test_tensor import zero_operator
 
 
 def names(checks):
@@ -222,7 +223,7 @@ def test_gl_point_is_linear_on_elementary_combinations(dim, parity, data):
 )
 def test_derivation_operator_is_linear_on_elementary_combinations(dim, parity, r, odd_count, data):
     c = data.draw(combinations(dim, parity))
-    want = TensorOperator.zero(dim, r)
+    want = zero_operator(dim, r)
     for e, ce in c.items():
         theta = derivation_operator(SuperMatrix.elementary(dim, *e), r, odd_count=odd_count)
         want = want + theta.scale(ce)
@@ -246,7 +247,7 @@ def image_maps(dim):
     maps = []
     for r in (1, 2, 3):
         thetas = {(a, b): derivation_operator(x, r) for a, b, x, _ in elems}
-        maps.append((thetas, TensorOperator.zero(dim, r), (0, 1)))
+        maps.append((thetas, zero_operator(dim, r), (0, 1)))
     bracket = suites._bracket_table(elems)
     zero_rows = [[0] * dim.size for _ in range(dim.size)]
     for i, j, _, _ in elems:
@@ -378,9 +379,14 @@ def test_representatives_meet_every_orbit_once(dim, k):
     reps = suites._representatives(dim, k)
     assert len(reps) == len(set(reps)) and set(reps) == least
     if k == 4:
+        # each pair is followed by its swap, unless its two halves are equal
         pairs = suites._pair_representatives(dim)
-        both = {(*x, *y) for x, y in pairs} | {(*y, *x) for x, y in pairs}
-        assert {min(tuple(g[a] for a in key) for g in group) for key in both} == least
+        following = iter(pairs)
+        for key in following:
+            swapped = (*key[2:], *key[:2])
+            assert key == swapped or next(following) == swapped
+        assert len(pairs) == len(set(pairs))
+        assert {min(tuple(g[a] for a in key) for g in group) for key in pairs} == least
 
 
 def test_trivial_group_has_no_generators():
@@ -388,55 +394,100 @@ def test_trivial_group_has_no_generators():
         assert suites._letter_generators(SuperDim(m, n)) == []
 
 
-ORBIT_DIMS = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 0), (0, 3), (3, 1)]
+RANKS = (1, 2, 3)
+ORBIT_DIMS = [(2, 1), (1, 2), (2, 2), (3, 1), (3, 0), (0, 3)]
 
 
+def inclusive_theta(x, r, odd_count="exclusive"):
+    return derivation_operator(x, r, odd_count="inclusive")
+
+
+# each mutant but "none" makes some check fail on most of ORBIT_DIMS, so the
+# orbit path falls back to the full search, whose failure lists must come
+# out as with no orbits at all
+MUTANTS = {
+    "none": {},
+    "ungraded_bracket": {"superbracket": lambda x, y: x * y - y * x},
+    "unsigned_point": {"gl_point": unsigned_point},
+    "inclusive_theta": {"derivation_operator": inclusive_theta},
+    "ignoring_coefficients": {"_linear_image": ignoring_coefficients},
+    "ignoring_signs": {"_linear_image": ignoring_signs},
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
 @pytest.mark.parametrize("m,n", ORBIT_DIMS)
-def test_orbit_records_equal_the_full_loops(m, n, monkeypatch):
-    by_orbit = [suite_bracket(m, n)] + [suite_actions(m, n, r) for r in (2, 3)]
-    # with no generators every check runs its loop over every tuple
+def test_orbit_records_equal_the_full_loops(m, n, mutant, monkeypatch):
+    for name, value in MUTANTS[mutant].items():
+        monkeypatch.setattr(suites, name, value)
+    # the records keep three failures; the lists _settled returns keep all
+    settled = []
+    original = suites._settled
+
+    def recorded(*args):
+        settled.append(original(*args))
+        return settled[-1]
+
+    monkeypatch.setattr(suites, "_settled", recorded)
+    by_orbit = [suite_bracket(m, n)] + [suite_actions(m, n, r) for r in RANKS]
+    orbit_lists = settled[:]
+    settled.clear()
+    # with no generators every check searches every tuple
     monkeypatch.setattr(suites, "_letter_generators", lambda dim: [])
-    full = [suite_bracket(m, n)] + [suite_actions(m, n, r) for r in (2, 3)]
+    full = [suite_bracket(m, n)] + [suite_actions(m, n, r) for r in RANKS]
     assert by_orbit == full
+    assert orbit_lists == settled
 
 
-def full_loops_raise(monkeypatch):
-    """Make every loop over all tuples raise, save the inclusive control's
-    search for its first failure."""
+SEARCHES = ("_jacobi_failures", "_even_rules_failures", "_theta_failures")
 
-    def never(name, allow_first_only=False):
-        original = getattr(suites, name)
 
-        def call(*args, **kwargs):
-            if allow_first_only and kwargs.get("first_only"):
-                return original(*args, **kwargs)
-            raise AssertionError(f"{name} ran its full loop")
+def recording(monkeypatch, *names):
+    """Wrap each search suites.<name> to record (name, the tuples it
+    searched, first_only) for every call."""
+    calls = []
+
+    def wrap(name, original):
+        def call(tuples, *args, first_only):
+            tuples = list(tuples)
+            calls.append((name, tuples, first_only))
+            return original(tuples, *args, first_only=first_only)
 
         return call
 
-    monkeypatch.setattr(suites, "_theta_failures", never("_theta_failures", True))
-    for name in ("_jacobi_failures", "_even_rules_failures"):
-        monkeypatch.setattr(suites, name, never(name))
-
-
-def test_passing_runs_take_no_full_loop(monkeypatch):
-    full_loops_raise(monkeypatch)
-    assert all(c["pass"] for c in suite_bracket(2, 2))
-    assert all(c["pass"] for c in suite_actions(2, 2, 2))
-
-
-def counting(monkeypatch, name):
-    """Wrap suites.<name> to record each call's first_only flag (False when
-    the helper takes none): a False entry is a loop over every tuple."""
-    calls = []
-    original = getattr(suites, name)
-
-    def call(*args, **kwargs):
-        calls.append(kwargs.get("first_only", False))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(suites, name, call)
+    for name in names:
+        monkeypatch.setattr(suites, name, wrap(name, getattr(suites, name)))
     return calls
+
+
+def test_passing_runs_search_only_the_representatives(monkeypatch):
+    dim = SuperDim(2, 2)
+    pairs = suites._pair_representatives(dim)
+    calls = recording(monkeypatch, *SEARCHES)
+    assert all(c["pass"] for c in suite_bracket(2, 2))
+    assert calls == [
+        ("_jacobi_failures", suites._representatives(dim, 6), True),
+        ("_even_rules_failures", pairs, True),
+    ]
+    calls.clear()
+    assert all(c["pass"] for c in suite_actions(2, 2, 2))
+    # the inclusive control searches every pair for its first failure
+    every = list(itertools.product(range(1, 5), repeat=4))
+    assert calls == [("_theta_failures", pairs, True), ("_theta_failures", every, True)]
+
+
+@pytest.mark.parametrize("m,n", [(64, 0), (0, 64)])
+def test_actions_on_64_letters_stays_small(m, n):
+    # the full search over (m+n)^4 pairs stays lazy: a list of them alone
+    # would take over a gigabyte here
+    tracemalloc.start()
+    try:
+        records = suite_actions(m, n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c["pass"] for c in records)
+    assert peak < 32 * 2**20
 
 
 def test_theta_scaled_at_one_index_fails_equivariance(monkeypatch):
@@ -454,10 +505,10 @@ def test_theta_scaled_at_one_index_fails_equivariance(monkeypatch):
     thetas = {(i, j): spoiled(x, 1) for i, j, x, _ in suites._elementary_pairs(dim)}
     gens = suites._letter_generators(dim)
     assert not all(suites._equivariant(thetas, s, s) for s in gens)
-    calls = counting(monkeypatch, "_theta_failures")
+    calls = recording(monkeypatch, "_theta_failures")
     record = next(c for c in suite_actions(3, 3, 1) if c["check"] == "theta_bracket_homomorphism")
     assert not record["pass"] and record["failures"]
-    assert False in calls
+    assert ("_theta_failures", list(itertools.product(range(1, 7), repeat=4)), False) in calls
 
 
 def test_gl_point_changed_at_one_index_fails_equivariance(monkeypatch):
@@ -472,7 +523,9 @@ def test_gl_point_changed_at_one_index_fails_equivariance(monkeypatch):
     x1 = suites._point_coefficients(2)[1][0]
     odd = {(i, j): spoiled(x1, x) for i, j, x, p in suites._elementary_pairs(dim) if p}
     assert not all(suites._equivariant(odd, s, s) for s in suites._letter_generators(dim))
-    calls = counting(monkeypatch, "_even_rules_failures")
+    calls = recording(monkeypatch, "_even_rules_failures")
     records = suite_bracket(2, 2)
     assert [c["check"] for c in records if not c["pass"]] == ["even_rules_consistency"]
-    assert calls == [False]
+    # the points fail equivariance, so every pair is searched at once
+    every = list(itertools.product(range(1, 5), repeat=4))
+    assert calls == [("_even_rules_failures", every, False)]
