@@ -192,14 +192,12 @@ def transposition_table(dim: SuperDim, r: int) -> dict:
     }
 
 
-def operator_from_transpositions(dim: SuperDim, r: int, pairs, taus=None) -> TensorOperator:
+def operator_from_transpositions(dim: SuperDim, r: int, pairs) -> TensorOperator:
     """The left-to-right product of the transposition operators of pairs,
-    from the identity.  Each link is read from taus, a {(i, j): operator}
-    table such as transposition_table returns, when one is given, and built
-    otherwise."""
+    from the identity."""
     acc = TensorOperator.identity(dim, r)
     for i, j in pairs:
-        acc = acc * (transposition_operator(dim, r, i, j) if taus is None else taus[i, j])
+        acc = acc * transposition_operator(dim, r, i, j)
     return acc
 
 

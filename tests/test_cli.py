@@ -178,13 +178,14 @@ def test_failing_records_are_pinned(key, monkeypatch):
 
 
 # sha256 of the actions records when swap_letters drops the sign for the odd
-# letters strictly between the swapped places, recorded before the suite read
-# every link of both decompositions from one table of transpositions.  An
-# adjacent swap crosses no letters, so only the cycle decompositions change.
+# letters strictly between the swapped places, recorded when the S_r records
+# came to list the Coxeter relations that fail.  An adjacent swap crosses no
+# letters, so only the relations tau(i j) = s_i tau(i+1 j) s_i fail:
+# ["conjugate", 1, 3] at r = 3, and (1, 3), (1, 4), (2, 4) on (1|1) r = 4.
 PINNED_SWAP_FAILURES = {
-    (2, 1, 3): "ea76a14d00e52e5ae15fc1b0f6e2b8412de2aa3573b6e83abc8e896508b0b487",
-    (1, 2, 3): "2a5500b129d5627ffb5987232f92c2961824409bb0b3d3c2052417f8a4638bc7",
-    (1, 1, 4): "7f3611a3a4d7d337b64c177f2b1b9e611771e30bce6ca2e0974ff6454f019cc5",
+    (2, 1, 3): "bc5ff370c8b9b2acbf8ddaa01c23e8dc65894b8de5ee82c7be52270cb20a7bf7",
+    (1, 2, 3): "c8adfa3a52fd0aa279c9a8cb9a591bd8fbd91b4df4b4643e546cde4e02828d93",
+    (1, 1, 4): "ebc2eb3dff99a8eec66dd70be4c0ffc8737be6dab7b4b959117256b9bc24d4a1",
 }
 
 

@@ -13,6 +13,7 @@ from superschur import (
     CapExceeded,
     SuperDim,
     SuperMatrix,
+    TensorOperator,
     derivation_operator,
     gl_point,
     run_suite,
@@ -74,21 +75,86 @@ def failed_relations(dim, r, taus):
     return [name for name, lhs, rhs in suites._coxeter_relations(dim, r, taus) if lhs != rhs]
 
 
+def loop_verdicts(dim, r, taus):
+    """The pass flags of tau_decomposition_independence and tau_right_action
+    by brute force over S_r: the operators along the adjacent and the cycle
+    word of every sigma, each link read from taus, and every pair."""
+
+    def along(word):
+        acc = TensorOperator.identity(dim, r)
+        for link in word:
+            acc = acc * taus[link]
+        return acc
+
+    perms = list(tensor.all_perms(r))
+    adjacent = {sigma: along(tensor.adjacent_decomposition(sigma)) for sigma in perms}
+    independent = all(
+        adjacent[sigma] == along(tensor.cycle_decomposition(sigma)) for sigma in perms
+    )
+    action = all(
+        adjacent[sigma] * adjacent[pi] == adjacent[tensor.compose(sigma, pi)]
+        for sigma, pi in itertools.product(perms, repeat=2)
+    )
+    return [independent, action]
+
+
+def swap_rule(pair_term=True, between=lambda i, j: range(i, j - 1)):
+    """swap_letters with its p(a)p(b) term kept or dropped, counting the odd
+    letters at the 0-based places between(i, j)."""
+
+    def swap(dim, word, i, j):
+        pi, pj = dim.parity(word[i - 1]), dim.parity(word[j - 1])
+        odd = sum(dim.parity(word[k]) for k in between(i, j))
+        swapped = list(word)
+        swapped[i - 1], swapped[j - 1] = swapped[j - 1], swapped[i - 1]
+        return (-1 if (pi * pj * pair_term + (pi + pj) * odd) & 1 else 1), tuple(swapped)
+
+    return swap
+
+
+SWAP_RULES = {
+    "signed": tensor.swap_letters,
+    "without between": swap_without_between,
+    "unsigned": lambda dim, word, i, j, swap=tensor.swap_letters: (1, swap(dim, word, i, j)[1]),
+    "without p(a)p(b)": swap_rule(pair_term=False),
+    "between inclusive": swap_rule(between=lambda i, j: range(i - 1, j)),
+}
+TABLE_EDITS = {
+    "as built": {},
+    "tau(1 2) negated": {(1, 2): -1},
+    "tau(2 3) negated": {(2, 3): -1},
+    "tau(1 3) doubled": {(1, 3): 2},
+}
+
+
+def edited_table(edits):
+    def table(dim, r):
+        taus = tensor.transposition_table(dim, r)
+        for key, c in edits.items():
+            taus[key] = taus[key].scale(c)
+        return taus
+
+    return table
+
+
 @pytest.mark.parametrize(
     "m,n,r",
-    [(1, 1, r) for r in range(1, 6)]
-    + [(2, 1, 3), (1, 2, 3), (2, 2, 3), (2, 0, 4), (0, 2, 4), (1, 0, 6)],
+    [(1, 1, 3), (1, 1, 4), (2, 1, 3), (1, 2, 3), (2, 2, 3), (2, 0, 3), (0, 2, 3), (0, 3, 3)]
+    + [(1, 0, 4), (0, 1, 4)],
 )
-def test_coxeter_relations_give_the_records_of_the_loops(m, n, r):
+def test_coxeter_relations_give_the_records_of_the_loops(m, n, r, monkeypatch):
     dim = SuperDim(m, n)
-    taus = tensor.transposition_table(dim, r)
-    assert failed_relations(dim, r, taus) == []
-    loops = suites._tau_loops(dim, m, n, r, taus, 7)
-    if r >= 5:
-        # the loops sample pairs from r = 5 and name the sample; the relations
-        # cover every pair, so the passing record names none
-        assert loops[1].pop("seed") == 7 and loops[1].pop("sampled_pairs") == 100
-    assert suite_actions(m, n, r, seed=7)[:2] == loops
+    verdicts = set()
+    for rule, edit in itertools.product(SWAP_RULES, TABLE_EDITS):
+        monkeypatch.setattr(tensor, "swap_letters", SWAP_RULES[rule])
+        table = edited_table(TABLE_EDITS[edit])
+        monkeypatch.setattr(suites, "transposition_table", table)
+        flags = [c["pass"] for c in suite_actions(m, n, r)[:2]]
+        assert flags == loop_verdicts(dim, r, table(dim, r)), (rule, edit)
+        verdicts.add(tuple(flags))
+    # the table edits alone give every verdict: both pass, only the right
+    # action passes, neither passes
+    assert verdicts == {(True, True), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("m,n,r", [(1, 1, 3), (2, 1, 3), (1, 2, 3), (1, 1, 4)])
@@ -107,24 +173,32 @@ def test_negated_adjacent_transposition_breaks_the_braid(m, n, r):
     assert failed_relations(dim, r, taus) == [("braid", 1)]
 
 
+@pytest.mark.parametrize("edits,failures", [({}, []), ({(1, 2): -1}, [["braid", 1]])])
 @pytest.mark.parametrize("m,n", [(1, 0), (0, 1)])
-def test_side_one_actions_build_no_permutation_operator(m, n, monkeypatch):
-    calls = []
+def test_side_one_actions_stay_small(m, n, edits, failures, monkeypatch):
+    # passing, or failing with tau(1 2) negated: a loop over S_20 would form
+    # 20! permutation operators
+    monkeypatch.setattr(suites, "transposition_table", edited_table(edits))
+    tracemalloc.start()
+    try:
+        checks = suite_actions(m, n, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(c["pass"], c["failures"]) for c in checks[:2]] == [(not failures, failures)] * 2
+    assert all(c["pass"] for c in checks[2:])
+    assert peak < 32 * 2**20
 
-    def counted(name):
-        # raise at the first call: the r! loops would list 20! permutations
-        # and form 2 * 20! products
-        def call(*args):
-            calls.append(name)
-            raise AssertionError(f"{name} called")
 
-        return call
-
-    for name in ("all_perms", "operator_from_transpositions"):
-        monkeypatch.setattr(suites, name, counted(name))
-    checks = suite_actions(m, n, 20)
-    assert all(c["pass"] for c in checks)
-    assert calls == []
+@pytest.mark.parametrize("m,n", [(1, 0), (0, 1), (1, 1)])
+def test_failure_lists_name_relations_in_order(m, n, monkeypatch):
+    # tau(2 3) negated breaks both braids and tau(1 3) = s_1 tau(2 3) s_1;
+    # the right action lists only the relations that present S_r
+    monkeypatch.setattr(suites, "transposition_table", edited_table({(2, 3): -1}))
+    independence, action = suite_actions(m, n, 4)[:2]
+    assert independence["failures"] == [["braid", 1], ["conjugate", 1, 3], ["braid", 2]]
+    assert action["failures"] == [["braid", 1], ["braid", 2]]
+    assert not independence["pass"] and not action["pass"]
 
 
 def test_schurweyl_suite_shape():
