@@ -50,10 +50,7 @@ _SOURCES = {
     "symbol_name": "tableaux",
     "TensorOperator": "tensor",
     "adjacent_decomposition": "tensor",
-    "all_perms": "tensor",
     "basis_words": "tensor",
-    "compose": "tensor",
-    "cycle_decomposition": "tensor",
     "derivation_operator": "tensor",
     "diagonal_operator": "tensor",
     "operator_from_transpositions": "tensor",

@@ -249,7 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"number of Grassmann generators for group checks (default 4, at most {MAX_GENERATORS})",
     )
     p_ver.add_argument(
-        "--seed", type=int, default=0, help="seed for sampled checks (default 0)"
+        "--seed",
+        type=int,
+        default=0,
+        help="seed for the group suite's sampled points (default 0); "
+        "the other suites sample nothing and ignore it",
     )
     p_ver.set_defaults(handler=cmd_verify)
 

@@ -488,9 +488,9 @@ def suite_actions(m: int, n: int, r: int, cap: int | None = None) -> list[dict]:
     conjugate relations make each directly built tau(i j) the value at
     (i j), so all the relations hold exactly when any two transposition
     decompositions of any sigma give one operator, adjacent_decomposition
-    and cycle_decomposition among them (both compose to sigma, checked in
-    tests/test_tensor.py): tau_decomposition_independence passes when no
-    relation fails.  Each record lists the first three failures it counts,
+    and a decomposition along the cycles among them (both compose to sigma,
+    checked in tests/test_tensor.py): tau_decomposition_independence passes
+    when no relation fails.  Each record lists the first three failures it counts,
     such as ["braid", 1] or ["conjugate", 1, 3].
 
     _settled decides theta_bracket_homomorphism once per S_m x S_n orbit of

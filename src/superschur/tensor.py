@@ -36,8 +36,8 @@ word strictly before k for a derivation and strictly after k for a point or
 group element.
 
 Permutations are tuples in one-line notation (1-based images).  Products
-compose left to right on places: ``compose(s, p)(k) = p(s(k))``, and
-``operator(s) @ operator(p) == operator(compose(s, p))``.
+compose left to right on places: the product of s then p sends k to
+p(s(k)), and its operator is ``operator(s) @ operator(p)``.
 """
 
 from __future__ import annotations
@@ -90,23 +90,12 @@ def swap_letters(dim: SuperDim, word: Word, i: int, j: int) -> tuple[int, Word]:
 # --- permutations (one-line notation, 1-based) -------------------------------
 
 
-def compose(first: Perm, then: Perm) -> Perm:
-    """Left-to-right composition on places: result(k) = then(first(k))."""
-    if len(first) != len(then):
-        raise DimensionError("permutations act on different numbers of places")
-    return tuple(then[f - 1] for f in first)
-
-
-def all_perms(r: int):
-    return (tuple(p) for p in itertools.permutations(range(1, r + 1)))
-
-
 def adjacent_decomposition(sigma: Perm) -> list[tuple[int, int]]:
     """Adjacent transpositions whose operators compose (left to right) to sigma.
 
     Bubble sort on the one-line form: each recorded swap (i, i+1) multiplies
-    the running permutation on the right, so the recorded sequence satisfies
-    compose(t_1, t_2, ..., t_k) == sigma.
+    the running permutation on the right, so the recorded sequence
+    t_1, t_2, ..., t_k composes, left to right, to sigma.
     """
     arr = list(sigma)
     swaps: list[tuple[int, int]] = []
@@ -119,30 +108,6 @@ def adjacent_decomposition(sigma: Perm) -> list[tuple[int, int]]:
                 swaps.append((i + 1, i + 2))
                 changed = True
     return swaps
-
-
-def cycle_decomposition(sigma: Perm) -> list[tuple[int, int]]:
-    """General transpositions composing (left to right) to sigma.
-
-    Each cycle (c1 c2 ... cl) contributes (c_{l-1}, c_l), ..., (c1, c2) in
-    that order.
-    """
-    r = len(sigma)
-    seen = [False] * r
-    out: list[tuple[int, int]] = []
-    for start in range(1, r + 1):
-        if seen[start - 1]:
-            continue
-        cycle = [start]
-        seen[start - 1] = True
-        nxt = sigma[start - 1]
-        while nxt != start:
-            cycle.append(nxt)
-            seen[nxt - 1] = True
-            nxt = sigma[nxt - 1]
-        for a, b in zip(cycle[-2::-1], cycle[:0:-1]):
-            out.append((min(a, b), max(a, b)))
-    return out
 
 
 # --- operators ---------------------------------------------------------------

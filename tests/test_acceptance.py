@@ -18,13 +18,11 @@ from superschur import (
     TensorOperator,
     adjacent_decomposition,
     algebra_generated,
-    all_perms,
     basis_words,
     berezinian,
     centralizer,
     count_ssyt,
     count_syt,
-    cycle_decomposition,
     derivation_operator,
     diagonal_operator,
     double_centralizer_report,
@@ -41,6 +39,7 @@ from superschur import (
     word_index,
 )
 
+from perm_oracles import all_perms, cycle_decomposition
 from tableau_oracles import enumerate_syt
 
 

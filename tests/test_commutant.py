@@ -1,6 +1,7 @@
 """Exact row spaces, algebra closure, centralizers, and the paired reports."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -125,9 +126,15 @@ def test_closure_within_the_centralizer_stops_at_it(m, n, r, monkeypatch):
     monkeypatch.setattr(RowSpace, "add", counted)
     full = algebra_generated(dim, r, thetas)
     unbounded = calls[0]
+    rows = {p: dict(row) for p, row in cent_tau._rows.items()}
     bounded = algebra_generated(dim, r, thetas, within=cent_tau)
     assert bounded.equals(full) and bounded.equals(cent_tau)
     assert calls[0] - unbounded < unbounded
+    # the filled closure has rows of its own: a unit vector at a column off
+    # the pivots that some row holds grows it and edits that row in place
+    column = next(c for row in rows.values() for c in row if c not in rows)
+    assert bounded.add({column: 1}) and bounded.dim == cent_tau.dim + 1
+    assert cent_tau._rows == rows
     with pytest.raises(DimensionError):
         algebra_generated(dim, r, thetas, within=RowSpace(cent_tau.width + 1))
 
@@ -312,6 +319,20 @@ def same_rows(space, dense):
     return space.dim == len(dense.rows) and space.pivots == dense.pivots and space.rows == dense.rows
 
 
+def is_reduced(space):
+    """Each row is keyed by its lowest column, where every other row is 0,
+    and is a primitive integer row with a positive pivot entry."""
+    rows = space._rows
+    return all(
+        min(row) == p
+        and row[p] > 0
+        and all(type(e) is int for e in row.values())
+        and gcd(*row.values()) == 1
+        and not any(p in other for q, other in rows.items() if q != p)
+        for p, row in rows.items()
+    )
+
+
 matrices = st.integers(1, 6).flatmap(
     lambda width: st.tuples(
         st.just(width),
@@ -353,9 +374,35 @@ SMALL_CONFIGS = [
 @pytest.mark.parametrize("m,n,r", SMALL_CONFIGS)
 def test_commutants_match_dense_oracle(m, n, r):
     dim = SuperDim(m, n)
-    for gens in (symmetric_group_generators(dim, r), derivation_generators(dim, r)):
-        assert same_rows(algebra_generated(dim, r, gens), dense_algebra(dim, r, gens))
-        assert same_rows(centralizer(dim, r, gens), dense_centralizer(dim, r, gens))
+    sets = [symmetric_group_generators(dim, r), derivation_generators(dim, r), []]
+    if r == 3:
+        sets.append([transposition_operator(dim, r, 1, 2)])
+    for gens in sets:
+        algebra, cent = algebra_generated(dim, r, gens), centralizer(dim, r, gens)
+        assert same_rows(algebra, dense_algebra(dim, r, gens)) and is_reduced(algebra)
+        assert same_rows(cent, dense_centralizer(dim, r, gens)) and is_reduced(cent)
+
+
+@pytest.mark.parametrize("m,n,r", SMALL_CONFIGS)
+def test_closure_below_its_bound_is_the_algebra(m, n, r):
+    # alg(tau(1 2)) and alg(theta(E_ii)) are commutative and commute with
+    # tau(1 2), so both lie in cent(tau(1 2)) and in End; past side 1 each
+    # is smaller than both bounds, and the closure ends below them
+    dim = SuperDim(m, n)
+    tau = [transposition_operator(dim, r, 1, 2)]
+    diagonal = [
+        derivation_operator(SuperMatrix.elementary(dim, i, i), r) for i in range(1, dim.size + 1)
+    ]
+    everything = centralizer(dim, r, [])
+    assert everything.dim == everything.width
+    below = 0
+    for gens in (tau, diagonal):
+        full, dense = algebra_generated(dim, r, gens), dense_algebra(dim, r, gens)
+        for within in (everything, centralizer(dim, r, tau)):
+            bounded = algebra_generated(dim, r, gens, within=within)
+            assert bounded.equals(full) and same_rows(bounded, dense) and is_reduced(bounded)
+            below += bounded.dim < within.dim
+    assert below == (4 if dim.size > 1 else 0)
 
 
 # --- the three centralizer paths -------------------------------------------------
@@ -403,7 +450,8 @@ PATH_CASES = {
 @pytest.mark.parametrize("name", list(PATH_CASES))
 def test_centralizer_paths_match_dense_oracle(name):
     gens = PATH_CASES[name]
-    assert same_rows(centralizer(D22, 1, gens), dense_centralizer(D22, 1, gens))
+    cent = centralizer(D22, 1, gens)
+    assert same_rows(cent, dense_centralizer(D22, 1, gens)) and is_reduced(cent)
 
 
 def test_centralizer_of_mixed_tau_and_theta_matches_dense_oracle():

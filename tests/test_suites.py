@@ -26,6 +26,7 @@ from superschur import (
     tensor,
 )
 
+from perm_oracles import all_perms, compose, cycle_decomposition
 from test_cli import swap_without_between, unsigned_point
 from test_tensor import zero_operator
 
@@ -86,13 +87,13 @@ def loop_verdicts(dim, r, taus):
             acc = acc * taus[link]
         return acc
 
-    perms = list(tensor.all_perms(r))
+    perms = list(all_perms(r))
     adjacent = {sigma: along(tensor.adjacent_decomposition(sigma)) for sigma in perms}
     independent = all(
-        adjacent[sigma] == along(tensor.cycle_decomposition(sigma)) for sigma in perms
+        adjacent[sigma] == along(cycle_decomposition(sigma)) for sigma in perms
     )
     action = all(
-        adjacent[sigma] * adjacent[pi] == adjacent[tensor.compose(sigma, pi)]
+        adjacent[sigma] * adjacent[pi] == adjacent[compose(sigma, pi)]
         for sigma, pi in itertools.product(perms, repeat=2)
     )
     return [independent, action]

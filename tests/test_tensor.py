@@ -15,11 +15,8 @@ from superschur import (
     SuperMatrix,
     TensorOperator,
     adjacent_decomposition,
-    all_perms,
     basis_words,
     block_parity,
-    compose,
-    cycle_decomposition,
     derivation_operator,
     diagonal_operator,
     operator_from_transpositions,
@@ -35,6 +32,7 @@ from superschur import (
 from superschur.grassmann import as_element
 
 from grassmann_oracles import ref_matrix_product
+from perm_oracles import all_perms, compose, cycle_decomposition
 
 D11 = SuperDim(1, 1)
 D21 = SuperDim(2, 1)
