@@ -31,6 +31,17 @@ that grew it, independent in those coordinates, span the algebra.  Nothing
 checks that the algebra lies in ``within``; a wrong bound can give a
 smaller, wrong answer.
 
+Given ``within``, the closure also never forms a candidate of a full weight
+class.  ``tensor.word_weights`` numbers each word's content, so entry
+(i, j) has class w[i] - w[j], and a product of homogeneous operators, all
+entries in one class, has the sum of their classes.  Every generator and
+every row of ``within`` must be homogeneous (``DimensionError``
+otherwise), so the algebra and ``within`` are the direct sums of their
+class parts, and the class-c part of ``within`` has as many rows as
+``within`` has rows of class c.  Once that many grown vectors, independent
+and in the algebra, have class c, they span the class-c part of
+``within``, and so every class-c candidate lies in their span.
+
 ``centralizer`` solves [g, X] = 0 for the unknowns X_kl in three steps, each
 exact for any generator set:
 
@@ -77,15 +88,16 @@ the end and report their full dimensions.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import itemgetter
 
 from .errors import DimensionError, check_cap
 from .grassmann import exact_rational
 from .supermatrix import SuperDim, SuperMatrix
 from .tableaux import dimension_table
-from .tensor import TensorOperator, transposition_operator, derivation_operator
+from .tensor import TensorOperator, derivation_operator, transposition_operator, word_weights
 
 # A sparse vector: {column: nonzero int or Fraction}.
 Vector = dict
@@ -276,22 +288,29 @@ def algebra_generated(
 
     Closure multiplies the current independent set by the original
     generators only: every product word grows one letter at a time on the
-    right, so this reaches the full algebra.
+    right, so this reaches the full algebra.  Given ``within``, a candidate
+    of a weight class whose part of ``within`` the grown vectors already
+    fill lies in the span and is not formed (see the module docstring).
 
     ``within``, when given, must be a space of flattened operators that the
     caller knows contains the whole algebra; closure stops as soon as the
     algebra's dimension reaches ``within.dim``, since the two are then
-    equal.  This is not checked: a space that does not contain the algebra
-    gives a wrong answer.  ``double_centralizer_report`` passes a
-    centralizer only after checking that the generators commute.
+    equal.  That containment is not checked: a space that does not contain
+    the algebra gives a wrong answer.  ``double_centralizer_report`` passes
+    a centralizer only after checking that the generators commute.  Every
+    generator and every row of ``within`` must be weight-homogeneous,
+    all its entries in one class; ``DimensionError`` is raised otherwise.
     """
     side = dim.size ** r
     width = side * side
     ops = [TensorOperator.identity(dim, r)] + list(generators)
     if any(op.dim != dim or op.r != r for op in ops):
         raise DimensionError("operator lives on a different space")
+    gen_vecs, gen_rows = list(map(flatten, ops[1:])), list(map(_rows, ops[1:]))
     if within is None:
         space, limit = RowSpace(width), None
+        # one class for every vector, with room for all of them
+        gen_class, room = [0] * len(gen_rows), {0: inf}
 
         def coords(vec: Vector) -> Vector:
             return vec
@@ -303,21 +322,41 @@ def algebra_generated(
         # entries at within's pivots: close in those, numbered 0..dim-1
         position = {p: i for i, p in enumerate(within.pivots)}
         space, limit = RowSpace(within.dim), within.dim
+        weight = word_weights(dim, r)
 
         def coords(vec: Vector) -> Vector:
             return {position[c]: e for c, e in vec.items() if c in position}
 
-    gen_rows = [_rows(g) for g in ops[1:]]
-    # the full vectors that grew the space, in the order they did; each is
-    # multiplied by every generator in turn, so words grow breadth first
-    grown = [vec for vec in map(flatten, ops) if space.add(coords(vec))]
-    for left in grown:
+        def klass(vec: Vector) -> int:
+            found = {weight[c // side] - weight[c % side] for c in vec}
+            if len(found) > 1:
+                raise DimensionError("operator is not weight-homogeneous")
+            return found.pop() if found else 0
+
+        gen_class = list(map(klass, gen_vecs))
+        # room[c]: the rows of within's class-c part that the grown vectors
+        # do not fill yet; homogeneous rows make within the sum of these parts
+        room = Counter(map(klass, within._rows.values()))
+
+    # (full vector, class) for each vector that grew the space, in the order
+    # it did; each is multiplied by every generator in turn, so words grow
+    # breadth first
+    grown = []
+    identity = flatten(ops[0])
+    if space.add(coords(identity)):
+        grown.append((identity, 0))
+        room[0] -= 1
+    for left, cls in grown:
         if space.dim == limit:
             break
-        for rows in gen_rows:
+        for rows, g_cls in zip(gen_rows, gen_class):
+            c = cls + g_cls
+            if not room.get(c):
+                continue
             candidate = _product(left, rows, side)
             if space.add(coords(candidate)):
-                grown.append(candidate)
+                grown.append((candidate, c))
+                room[c] -= 1
                 if space.dim == limit:
                     break
     if within is None:
@@ -328,7 +367,7 @@ def algebra_generated(
         out._rows = {p: dict(row) for p, row in within._rows.items()}
     else:
         # their pivot coordinates are independent, so these are a basis
-        for vec in grown:
+        for vec, _ in grown:
             out.add(vec)
     return out
 

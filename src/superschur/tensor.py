@@ -63,6 +63,23 @@ def basis_words(dim: SuperDim, r: int) -> list[Word]:
     return list(itertools.product(range(1, dim.size + 1), repeat=r))
 
 
+def word_weights(dim: SuperDim, r: int) -> list[int]:
+    """One integer per basis word, in ``basis_words`` order: its content
+    (the count c_a of each letter a) encoded as sum_a c_a (2r + 1)^(a - 1).
+
+    Each count difference lies in -r..r, so a difference of two contents,
+    such as the class content(w) - content(w') of entry (w, w') of an
+    operator, has exactly one encoding: the difference of the two weights.
+    """
+    if r < 1:
+        raise DimensionError("tensor degree must be at least 1")
+    steps = [(2 * r + 1) ** a for a in range(dim.size)]
+    weights = [0]
+    for _ in range(r):
+        weights = [w + s for w in weights for s in steps]
+    return weights
+
+
 def word_index(dim: SuperDim, word: Word) -> int:
     size = dim.size
     idx = 0

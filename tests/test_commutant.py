@@ -18,10 +18,13 @@ from superschur import (
     centralizer,
     check_cap,
     derivation_operator,
+    diagonal_operator,
     double_centralizer_report,
     rho_theta_equality_report,
     transposition_operator,
+    transvection,
 )
+from superschur import commutant
 from superschur.commutant import (
     derivation_generators,
     flatten,
@@ -56,6 +59,10 @@ def test_sparse_vectors_are_checked_and_scaled():
     assert all(type(e) is int for e in space._rows[1].values())
     assert space.add({0: Fraction(2, 3), 2: 0})
     assert space._rows[0] == {0: 1}
+    # an all-int map is reduced as a copy: the caller's map is left alone
+    vec = {0: 2, 2: 5}
+    assert space.add(vec) and vec == {0: 2, 2: 5}
+    assert space.contains(vec) and not space.add(vec) and vec == {0: 2, 2: 5}
 
 
 def test_row_space_equality_ignores_basis_choice():
@@ -137,6 +144,64 @@ def test_closure_within_the_centralizer_stops_at_it(m, n, r, monkeypatch):
     assert cent_tau._rows == rows
     with pytest.raises(DimensionError):
         algebra_generated(dim, r, thetas, within=RowSpace(cent_tau.width + 1))
+
+
+REPLAY_CONFIGS = [(3, 0, 2), (2, 1, 2), (1, 2, 2), (1, 1, 3), (2, 0, 3), (1, 1, 4)]
+
+
+@pytest.mark.parametrize("m, n, r", REPLAY_CONFIGS)
+def test_every_skipped_candidate_already_lies_in_the_span(m, n, r, monkeypatch):
+    # record the products the closure forms, then replay its breadth-first
+    # loop over every grown vector and generator: each product it did not
+    # form must lie in the span of the vectors grown before it
+    dim = SuperDim(m, n)
+    side = dim.size ** r
+    tau, theta = symmetric_group_generators(dim, r), derivation_generators(dim, r)
+    product = commutant._product
+    cases = [(tau, None), (theta, None)]
+    cases += [(tau, centralizer(dim, r, theta)), (theta, centralizer(dim, r, tau))]
+    for gens, within in cases:
+        formed = []
+
+        def recording(a, b_rows, side):
+            out = product(a, b_rows, side)
+            formed.append((frozenset(a.items()), frozenset(out.items())))
+            return out
+
+        monkeypatch.setattr(commutant, "_product", recording)
+        result = algebra_generated(dim, r, gens, within=within)
+        monkeypatch.undo()
+        pairs = set(formed)
+        gen_rows = [commutant._rows(g) for g in gens]
+        span = RowSpace(side * side)
+        grown = [v for v in map(flatten, [TensorOperator.identity(dim, r), *gens]) if span.add(v)]
+        for left in grown:
+            for rows in gen_rows:
+                candidate = product(left, rows, side)
+                if (frozenset(left.items()), frozenset(candidate.items())) not in pairs:
+                    assert span.contains(candidate) and result.contains(candidate)
+                if span.add(candidate):
+                    grown.append(candidate)
+        assert span.equals(result)
+        if (m, n, r) == (3, 0, 2) and gens is theta and within is not None:
+            # a closure that skips no candidate forms 290 products here
+            assert len(formed) <= 145
+
+
+def test_bounded_closure_needs_homogeneous_operators():
+    dim, r = SuperDim(2, 1), 2
+    side = dim.size ** r
+    everything = centralizer(dim, r, [])
+    # rho(I + E_12) is the identity plus entries of class eps_1 - eps_2
+    rho = diagonal_operator(transvection(dim, 1, 2, 1), r)
+    with pytest.raises(DimensionError):
+        algebra_generated(dim, r, [rho], within=everything)
+    assert algebra_generated(dim, r, [rho]).dim > 1
+    # entry (0, 0) has class 0, entry (0, 1) that of word (1, 1) less word (1, 2)
+    mixed = RowSpace(side * side)
+    mixed.add({0: 1, 1: 1})
+    with pytest.raises(DimensionError):
+        algebra_generated(dim, r, symmetric_group_generators(dim, r), within=mixed)
 
 
 def test_centralizer_of_everything_is_scalars():

@@ -30,6 +30,7 @@ from superschur import (
     word_index,
 )
 from superschur.grassmann import as_element
+from superschur.tensor import word_weights
 
 from grassmann_oracles import ref_matrix_product
 from perm_oracles import all_perms, compose, cycle_decomposition
@@ -93,6 +94,39 @@ def test_basis_words_are_lexicographic():
     assert words == [(1, 1), (1, 2), (2, 1), (2, 2)]
     for idx, w in enumerate(words):
         assert word_index(D11, w) == idx
+
+
+WEIGHT_CONFIGS = [(1, 0, 3), (0, 1, 2), (1, 1, 3), (2, 1, 2), (1, 2, 3), (3, 0, 2), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("m, n, r", WEIGHT_CONFIGS)
+def test_word_weights_encode_contents_and_their_differences(m, n, r):
+    dim = SuperDim(m, n)
+    words = basis_words(dim, r)
+    contents = [tuple(word.count(a) for a in range(1, dim.size + 1)) for word in words]
+    weights = word_weights(dim, r)
+    assert weights == [sum(c * (2 * r + 1) ** a for a, c in enumerate(cs)) for cs in contents]
+    # one weight difference per content difference, and the converse
+    by_weight, by_content = {}, {}
+    for (wi, ci), (wj, cj) in itertools.product(zip(weights, contents), repeat=2):
+        diff = tuple(x - y for x, y in zip(ci, cj))
+        assert by_weight.setdefault(wi - wj, diff) == diff
+        assert by_content.setdefault(diff, wi - wj) == wi - wj
+
+
+@pytest.mark.parametrize("m, n, r", WEIGHT_CONFIGS)
+def test_operator_entries_sit_in_their_weight_class(m, n, r):
+    dim = SuperDim(m, n)
+    weights = word_weights(dim, r)
+    step = [(2 * r + 1) ** a for a in range(dim.size)]
+    for i, j in itertools.product(range(1, dim.size + 1), repeat=2):
+        op = derivation_operator(SuperMatrix.elementary(dim, i, j), r)
+        assert op.cols
+        classes = {weights[row] - weights[col] for col, c in op.cols.items() for row in c}
+        assert classes == {step[i - 1] - step[j - 1]}
+    for k in range(1, r):
+        op = transposition_operator(dim, r, k, k + 1)
+        assert {weights[row] - weights[col] for col, c in op.cols.items() for row in c} == {0}
 
 
 def test_swap_sign_on_odd_odd_pair():
