@@ -20,27 +20,28 @@ exactly when their rows are.
 ``algebra_generated`` and ``centralizer`` return the ``RowSpace`` of their
 flattened operators.  ``algebra_generated`` multiplies the current
 independent set by the generators, as sparse products, until the row space
-stops growing.  Given ``within``, a space the caller knows holds the whole
-algebra, it also stops once its dimension reaches ``within.dim``: the two
-spaces are then equal, and no later product can add to it.  Since row p of
-``within`` is its only row nonzero at pivot p, a vector of ``within`` is
-fixed by its entries at the pivots, so the bounded closure is reduced in
-those ``within.dim`` coordinates instead of side^2.  When it fills
-``within`` the answer is a copy of ``within``; otherwise the full vectors
-that grew it, independent in those coordinates, span the algebra.  Nothing
-checks that the algebra lies in ``within``; a wrong bound can give a
-smaller, wrong answer.
+stops growing, always inside a bound: ``within``, a space the caller knows
+holds the whole algebra, by default End(V), the centralizer of no
+operators.  It also stops once its dimension reaches ``within.dim``: the
+two spaces are then equal, and no later product can add to it.  Since row
+p of ``within`` is its only row nonzero at pivot p, a vector of ``within``
+is fixed by its entries at the pivots, so the closure is reduced in those
+``within.dim`` coordinates, fewer than side^2 unless ``within`` is End(V).
+When it fills ``within`` the answer is a copy of ``within``; otherwise the
+full vectors that grew it, independent in those coordinates, span the
+algebra.  Nothing checks that the algebra lies in ``within``; a wrong bound
+can give a smaller, wrong answer.
 
-Given ``within``, the closure also never forms a candidate of a full weight
-class.  ``tensor.word_weights`` numbers each word's content, so entry
-(i, j) has class w[i] - w[j], and a product of homogeneous operators, all
-entries in one class, has the sum of their classes.  Every generator and
-every row of ``within`` must be homogeneous (``DimensionError``
-otherwise), so the algebra and ``within`` are the direct sums of their
-class parts, and the class-c part of ``within`` has as many rows as
-``within`` has rows of class c.  Once that many grown vectors, independent
-and in the algebra, have class c, they span the class-c part of
-``within``, and so every class-c candidate lies in their span.
+The closure also never forms a candidate of a full weight class.
+``tensor.word_weights`` numbers each word's content, so entry (i, j) has
+class w[i] - w[j], and a product of homogeneous operators, all entries in
+one class, has the sum of their classes.  Every generator and every row of
+``within`` must be homogeneous (``DimensionError`` otherwise), so the
+algebra and ``within`` are the direct sums of their class parts, and the
+class-c part of ``within`` has as many rows as ``within`` has rows of class
+c.  Once that many grown vectors, independent and in the algebra, have
+class c, they span the class-c part of ``within``, and so every class-c
+candidate lies in their span.
 
 ``centralizer`` solves [g, X] = 0 for the unknowns X_kl in three steps, each
 exact for any generator set:
@@ -82,15 +83,15 @@ generator commutes with every theta generator, alg(theta) lies in cent(tau)
 and alg(tau) in cent(theta); equal dimensions then make both inclusions
 equalities.  So it computes both centralizers and the commute check first,
 and only when the generators commute does it close each algebra
-``within`` the other's centralizer.  When they do not, both closures run to
-the end and report their full dimensions.
+``within`` the other's centralizer.  When they do not, both closures are
+bounded by End(V) only and report the algebras' exact dimensions.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, lcm
 from operator import itemgetter
 
 from .errors import DimensionError, check_cap
@@ -288,17 +289,18 @@ def algebra_generated(
 
     Closure multiplies the current independent set by the original
     generators only: every product word grows one letter at a time on the
-    right, so this reaches the full algebra.  Given ``within``, a candidate
-    of a weight class whose part of ``within`` the grown vectors already
-    fill lies in the span and is not formed (see the module docstring).
+    right, so this reaches the full algebra.  A candidate of a weight class
+    whose part of ``within`` the grown vectors already fill lies in the
+    span and is not formed (see the module docstring).
 
-    ``within``, when given, must be a space of flattened operators that the
-    caller knows contains the whole algebra; closure stops as soon as the
-    algebra's dimension reaches ``within.dim``, since the two are then
-    equal.  That containment is not checked: a space that does not contain
-    the algebra gives a wrong answer.  ``double_centralizer_report`` passes
-    a centralizer only after checking that the generators commute.  Every
-    generator and every row of ``within`` must be weight-homogeneous,
+    ``within`` must be a space of flattened operators that the caller knows
+    contains the whole algebra; closure stops as soon as the algebra's
+    dimension reaches ``within.dim``, since the two are then equal.  That
+    containment is not checked: a space that does not contain the algebra
+    gives a wrong answer.  Left out, ``within`` is End(V), the centralizer
+    of no operators, which holds every algebra.  ``double_centralizer_report``
+    passes a centralizer only after checking that the generators commute.
+    Every generator and every row of ``within`` must be weight-homogeneous,
     all its entries in one class; ``DimensionError`` is raised otherwise.
     """
     side = dim.size ** r
@@ -306,63 +308,47 @@ def algebra_generated(
     ops = [TensorOperator.identity(dim, r)] + list(generators)
     if any(op.dim != dim or op.r != r for op in ops):
         raise DimensionError("operator lives on a different space")
-    gen_vecs, gen_rows = list(map(flatten, ops[1:])), list(map(_rows, ops[1:]))
+    gen_rows = list(map(_rows, ops[1:]))
     if within is None:
-        space, limit = RowSpace(width), None
-        # one class for every vector, with room for all of them
-        gen_class, room = [0] * len(gen_rows), {0: inf}
+        within = centralizer(dim, r, [])
+    if within.width != width:
+        raise DimensionError("bounding space lives on a different space")
+    weight = word_weights(dim, r)
 
-        def coords(vec: Vector) -> Vector:
-            return vec
+    def klass(vec: Vector) -> int:
+        found = {weight[c // side] - weight[c % side] for c in vec}
+        if len(found) > 1:
+            raise DimensionError("operator is not weight-homogeneous")
+        return found.pop() if found else 0
 
-    else:
-        if within.width != width:
-            raise DimensionError("bounding space lives on a different space")
-        # within's rows are reduced, so each vector of it is fixed by its
-        # entries at within's pivots: close in those, numbered 0..dim-1
-        position = {p: i for i, p in enumerate(within.pivots)}
-        space, limit = RowSpace(within.dim), within.dim
-        weight = word_weights(dim, r)
-
-        def coords(vec: Vector) -> Vector:
-            return {position[c]: e for c, e in vec.items() if c in position}
-
-        def klass(vec: Vector) -> int:
-            found = {weight[c // side] - weight[c % side] for c in vec}
-            if len(found) > 1:
-                raise DimensionError("operator is not weight-homogeneous")
-            return found.pop() if found else 0
-
-        gen_class = list(map(klass, gen_vecs))
-        # room[c]: the rows of within's class-c part that the grown vectors
-        # do not fill yet; homogeneous rows make within the sum of these parts
-        room = Counter(map(klass, within._rows.values()))
-
+    gen_class = [klass(flatten(op)) for op in ops[1:]]
+    # room[c]: the rows of within's class-c part that the grown vectors do
+    # not fill yet; homogeneous rows make within the sum of these parts
+    room = Counter(map(klass, within._rows.values()))
+    # within's rows are reduced, so each vector of it is fixed by its
+    # entries at within's pivots: close in those, numbered 0..dim-1
+    position = {p: i for i, p in enumerate(within.pivots)}
+    space = RowSpace(within.dim)
     # (full vector, class) for each vector that grew the space, in the order
     # it did; each is multiplied by every generator in turn, so words grow
     # breadth first
     grown = []
-    identity = flatten(ops[0])
-    if space.add(coords(identity)):
-        grown.append((identity, 0))
-        room[0] -= 1
+
+    def add(vec: Vector, cls: int) -> None:
+        if space.add({position[c]: e for c, e in vec.items() if c in position}):
+            grown.append((vec, cls))
+            room[cls] -= 1
+
+    add(flatten(ops[0]), 0)
     for left, cls in grown:
-        if space.dim == limit:
+        if space.dim == within.dim:
             break
         for rows, g_cls in zip(gen_rows, gen_class):
             c = cls + g_cls
-            if not room.get(c):
-                continue
-            candidate = _product(left, rows, side)
-            if space.add(coords(candidate)):
-                grown.append((candidate, c))
-                room[c] -= 1
-                if space.dim == limit:
-                    break
-    if within is None:
-        return space
+            if room[c]:
+                add(_product(left, rows, side), c)
     out = RowSpace(width)
-    if space.dim == limit:
+    if space.dim == within.dim:
         # the algebra is within; copy its rows, as RowSpace.add edits rows in place
         out._rows = {p: dict(row) for p, row in within._rows.items()}
     else:

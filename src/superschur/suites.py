@@ -77,7 +77,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .commutant import algebra_generated, double_centralizer_report
+from .commutant import double_centralizer_report
 from .errors import SUITE_NAMES, DimensionError, check_cap
 from .grassmann import GrassmannElement
 from .supermatrix import (
@@ -593,19 +593,31 @@ def suite_schurweyl(m: int, n: int, r: int, cap: int | None = None) -> list[dict
 
 
 def _classical_even_part_ok(m: int, n: int, r: int) -> bool:
-    """The diagonal-block group points and diagonal-block derivations
-    generate the same rational algebra (the classical unsigned statement)."""
+    """rho(I + E_ij) = P_0 + ... + P_r and P_{r+1} = 0 for every even E_ij,
+    where P_0 = I and P_k = P_{k-1} (theta(E_ij) - (k-1) delta_ij I) / k.
+
+    For i != j the sum is exp theta(E_ij); for i = j, P_{r+1} = 0 makes
+    theta(E_ii) diagonalizable with eigenvalues in 0..r, and the sum is the
+    binomial series 2^theta(E_ii).  Each side is a polynomial in the other,
+    by log or by Lagrange, so the group points and the derivations generate
+    one rational algebra (the classical unsigned statement), and a rescaled
+    rho or theta breaks the identity.
+    """
     dim = SuperDim(m, n)
-    group_ops = []
-    der_ops = []
+    one = TensorOperator.identity(dim, r)
     for i, j, elem, parity in _elementary_pairs(dim):
-        if parity == 0:
-            point = dilation(dim, i, 2) if i == j else transvection(dim, i, j, 1)
-            group_ops.append(diagonal_operator(point, r))
-            der_ops.append(derivation_operator(elem, r))
-    lhs = algebra_generated(dim, r, group_ops)
-    rhs = algebra_generated(dim, r, der_ops)
-    return lhs.equals(rhs)
+        if parity:
+            continue
+        theta = derivation_operator(elem, r)
+        term = total = one
+        for k in range(1, r + 2):
+            step = theta - one.scale(k - 1) if i == j else theta
+            term = (term * step).scale(Fraction(1, k))
+            if k <= r:
+                total = total + term
+        if term.cols or diagonal_operator(SuperMatrix.identity(dim) + elem, r) != total:
+            return False
+    return True
 
 
 def rho_theta_equality_report(
@@ -616,8 +628,9 @@ def rho_theta_equality_report(
 
     Odd generators: diagonal(I + alpha e_ij) = identity + point-derivation
     for alpha in {x1, x2}.  Even off-diagonal generators: same identity for
-    the nilpotent alpha = x1 x2.  The even part proper is covered by the
-    classical algebra equality on rational points.
+    the nilpotent alpha = x1 x2.  The even part proper is the identity
+    rho(I + E_ij) = sum_k P_k on the rational points of every even
+    one-parameter subgroup (see _classical_even_part_ok).
     """
     check_cap(m, n, r, cap)
     if grassmann_n < 2:

@@ -131,12 +131,13 @@ def test_closure_within_the_centralizer_stops_at_it(m, n, r, monkeypatch):
         return add(self, vec)
 
     monkeypatch.setattr(RowSpace, "add", counted)
+    # bounded by End(V), the default
     full = algebra_generated(dim, r, thetas)
-    unbounded = calls[0]
+    in_end = calls[0]
     rows = {p: dict(row) for p, row in cent_tau._rows.items()}
     bounded = algebra_generated(dim, r, thetas, within=cent_tau)
     assert bounded.equals(full) and bounded.equals(cent_tau)
-    assert calls[0] - unbounded < unbounded
+    assert calls[0] - in_end < in_end
     # the filled closure has rows of its own: a unit vector at a column off
     # the pivots that some row holds grows it and edits that row in place
     column = next(c for row in rows.values() for c in row if c not in rows)
@@ -196,7 +197,9 @@ def test_bounded_closure_needs_homogeneous_operators():
     rho = diagonal_operator(transvection(dim, 1, 2, 1), r)
     with pytest.raises(DimensionError):
         algebra_generated(dim, r, [rho], within=everything)
-    assert algebra_generated(dim, r, [rho]).dim > 1
+    # the default bound is End(V), the same space
+    with pytest.raises(DimensionError):
+        algebra_generated(dim, r, [rho])
     # entry (0, 0) has class 0, entry (0, 1) that of word (1, 1) less word (1, 2)
     mixed = RowSpace(side * side)
     mixed.add({0: 1, 1: 1})

@@ -14,7 +14,9 @@ from superschur import (
     SuperDim,
     SuperMatrix,
     TensorOperator,
+    commutant,
     derivation_operator,
+    diagonal_operator,
     gl_point,
     run_suite,
     suite_actions,
@@ -28,6 +30,7 @@ from superschur import (
 
 from perm_oracles import all_perms, compose, cycle_decomposition
 from test_cli import swap_without_between, unsigned_point
+from test_commutant import dense_algebra
 from test_tensor import zero_operator
 
 
@@ -218,6 +221,52 @@ def test_group_suite_passes_and_is_deterministic():
     assert "rho_homomorphism" in names(first)
     assert "berezinian_multiplicative" in names(first)
     assert "ldu_reconstruction" in names(first)
+
+
+# --- the group suite's even part ---------------------------------------------
+
+
+EVEN_PART_CONFIGS = [(1, 1, 2), (2, 1, 2), (1, 2, 2), (2, 0, 2), (1, 1, 3), (2, 2, 1)]
+
+
+@pytest.mark.parametrize("m,n,r", EVEN_PART_CONFIGS)
+def test_even_points_and_derivations_generate_one_algebra(m, n, r):
+    # the statement the identity decides, by two dense closures: the rational
+    # points rho(I + E_ij) and the theta(E_ij) of every even E_ij
+    dim = SuperDim(m, n)
+    even = [elem for _, _, elem, parity in suites._elementary_pairs(dim) if not parity]
+    ident = SuperMatrix.identity(dim)
+    points = dense_algebra(dim, r, [diagonal_operator(ident + e, r) for e in even])
+    thetas = dense_algebra(dim, r, [derivation_operator(e, r) for e in even])
+    assert points.pivots == thetas.pivots and points.rows == thetas.rows
+    assert suites._classical_even_part_ok(m, n, r)
+
+
+RESCALED = {
+    "2rho": ("diagonal_operator", 2),
+    "minus_rho": ("diagonal_operator", -1),
+    "2theta": ("derivation_operator", 2),
+}
+
+
+@pytest.mark.parametrize("m,n,r", [(1, 1, 2), (2, 1, 2), (2, 2, 1), (3, 0, 2)])
+@pytest.mark.parametrize("case", sorted(RESCALED))
+def test_rescaled_rho_or_theta_breaks_the_even_part(m, n, r, case, monkeypatch):
+    # a rescaled generator generates the same algebra; the identity sees it
+    name, factor = RESCALED[case]
+    build = getattr(suites, name)
+    monkeypatch.setattr(suites, name, lambda *args: build(*args).scale(factor))
+    assert suites._classical_even_part_ok(m, n, r) is False
+
+
+def test_group_suite_forms_no_closure(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the group suite closed an algebra")
+
+    # every closure grows a RowSpace, under whatever name it was imported
+    monkeypatch.setattr(commutant, "algebra_generated", refuse)
+    monkeypatch.setattr(commutant.RowSpace, "add", refuse)
+    assert all(record["pass"] for record in suite_group(2, 1, 2))
 
 
 def test_run_suite_dispatch():
