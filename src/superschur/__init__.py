@@ -62,8 +62,6 @@ _SOURCES = {
     "RowSpace": "commutant",
     "algebra_generated": "commutant",
     "centralizer": "commutant",
-    "double_centralizer_report": "commutant",
-    "rho_theta_equality_report": "suites",
     "run_suite": "suites",
     "suite_actions": "suites",
     "suite_bracket": "suites",

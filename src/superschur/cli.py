@@ -86,9 +86,8 @@ def cmd_tableaux(args) -> int:
     from .tableaux import dimension_table, enumerate_ssyt, render_filling, symbol_name
 
     cap = resolve_cap(args.cap)
-    check_cap(args.m, args.n, args.r, cap)
+    total = check_cap(args.m, args.n, args.r, cap)
     table = dimension_table(args.m, args.n, args.r)
-    total = (args.m + args.n) ** args.r
     weighted = sum(row["syt"] * row["ssyt"] for row in table)
 
     if args.format == "json":

@@ -2,8 +2,7 @@
 
 An operator on a word space of side D is flattened row-major into a sparse
 vector ``{i * D + j: entry}`` of width D^2 that holds only its nonzero
-entries.  Entries come in the form ``exact_rational`` gives: an int when
-integral, else a Fraction, never a float.
+entries, each read as the operator stores it, an int or a Fraction.
 
 ``RowSpace`` keeps a subspace in reduced row-echelon form, one sparse
 integer row per pivot: the row's lowest nonzero column, where every other
@@ -69,22 +68,6 @@ Each is scaled to its primitive integer row and stored under that pivot.
 The signed place permutations tau are monomial, so cent(tau) needs no
 elimination.  The derivations theta(E_ii) are diagonal, so cent(theta)
 solves for sum over weights of (block size)^2 unknowns, not side^2.
-
-``derivation_generators`` returns theta of the Chevalley generators E_ii,
-E_i,i+1 and E_i+1,i only.  Every other E_ij is an iterated supercommutator
-of them (E_ij = [E_i,i+1, E_i+1,j] for j > i + 1, and likewise below the
-diagonal), and theta preserves the superbracket, so each theta(E_ij) is a
-polynomial in the Chevalley images: both sets generate the same associative
-algebra and have the same centralizer.
-
-``double_centralizer_report`` decides cent(tau) = alg(theta) and
-cent(theta) = alg(tau) without comparing the spaces.  Once every tau
-generator commutes with every theta generator, alg(theta) lies in cent(tau)
-and alg(tau) in cent(theta); equal dimensions then make both inclusions
-equalities.  So it computes both centralizers and the commute check first,
-and only when the generators commute does it close each algebra
-``within`` the other's centralizer.  When they do not, both closures are
-bounded by End(V) only and report the algebras' exact dimensions.
 """
 
 from __future__ import annotations
@@ -94,11 +77,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 
-from .errors import DimensionError, check_cap
+from .errors import DimensionError
 from .grassmann import exact_rational
-from .supermatrix import SuperDim, SuperMatrix
-from .tableaux import dimension_table
-from .tensor import TensorOperator, derivation_operator, transposition_operator, word_weights
+from .supermatrix import SuperDim
+from .tensor import TensorOperator, word_weights
 
 # A sparse vector: {column: nonzero int or Fraction}.
 Vector = dict
@@ -158,7 +140,7 @@ def flatten(op: TensorOperator) -> Vector:
     if op.grassmann_n is not None:
         raise DimensionError("row spaces hold rational operators only")
     side = op.side
-    return {i * side + j: exact_rational(e) for j, col in op.cols.items() for i, e in col.items()}
+    return {i * side + j: e for j, col in op.cols.items() for i, e in col.items()}
 
 
 def _rows(op: TensorOperator) -> list[Vector]:
@@ -166,7 +148,7 @@ def _rows(op: TensorOperator) -> list[Vector]:
     rows: list[Vector] = [{} for _ in range(op.side)]
     for j, col in op.cols.items():
         for i, e in col.items():
-            rows[i][j] = exact_rational(e)
+            rows[i][j] = e
     return rows
 
 
@@ -298,8 +280,8 @@ def algebra_generated(
     dimension reaches ``within.dim``, since the two are then equal.  That
     containment is not checked: a space that does not contain the algebra
     gives a wrong answer.  Left out, ``within`` is End(V), the centralizer
-    of no operators, which holds every algebra.  ``double_centralizer_report``
-    passes a centralizer only after checking that the generators commute.
+    of no operators, which holds every algebra.  The schurweyl suite passes
+    a centralizer only after checking that the generators commute.
     Every generator and every row of ``within`` must be weight-homogeneous,
     all its entries in one class; ``DimensionError`` is raised otherwise.
     """
@@ -381,7 +363,7 @@ def centralizer(dim: SuperDim, r: int, generators) -> RowSpace:
     for g in generators:
         if g.dim != dim or g.r != r:
             raise DimensionError("operator lives on a different space")
-        cols = {j: {i: exact_rational(e) for i, e in col.items()} for j, col in g.cols.items()}
+        cols = g.cols
         if all(col.keys() == {j} for j, col in cols.items()):
             diagonal.append([cols[j][j] if j in cols else 0 for j in range(side)])
         elif (
@@ -461,65 +443,3 @@ def centralizer(dim: SuperDim, r: int, generators) -> RowSpace:
         pivot = min(row)
         out._rows[pivot] = _primitive(row, pivot)
     return out
-
-
-# --- reports -----------------------------------------------------------------
-
-
-def symmetric_group_generators(dim: SuperDim, r: int) -> list[TensorOperator]:
-    return [transposition_operator(dim, r, i, i + 1) for i in range(1, r)]
-
-
-def derivation_generators(dim: SuperDim, r: int) -> list[TensorOperator]:
-    """theta of the Chevalley generators E_ii, E_i,i+1 and E_i+1,i: 3(m+n) - 2
-    operators generating the same algebra as all (m+n)^2 theta(E_ij), hence
-    with the same centralizer (see the module docstring)."""
-    size = dim.size
-    return [
-        derivation_operator(SuperMatrix.elementary(dim, i, j), r)
-        for i in range(1, size + 1)
-        for j in range(1, size + 1)
-        if abs(i - j) <= 1
-    ]
-
-
-def double_centralizer_report(m: int, n: int, r: int, cap: int | None = None) -> dict:
-    """Check that the signed symmetric-group algebra and the derivation
-    algebra centralize each other, and that the tableaux counts match the
-    two dimensions and the total word count."""
-    side = check_cap(m, n, r, cap)
-    dim = SuperDim(m, n)
-    perm_gens = symmetric_group_generators(dim, r)
-    der_gens = derivation_generators(dim, r)
-    cent_perm = centralizer(dim, r, perm_gens)
-    cent_der = centralizer(dim, r, der_gens)
-    # commuting generators give alg(theta) <= cent(tau) and alg(tau) <= cent(theta),
-    # so each closure may stop once it fills that centralizer
-    commute = all(t * th == th * t for t in perm_gens for th in der_gens)
-    perm_algebra = algebra_generated(dim, r, perm_gens, within=cent_der if commute else None)
-    der_algebra = algebra_generated(dim, r, der_gens, within=cent_perm if commute else None)
-    double_ok = (
-        commute
-        and cent_perm.dim == der_algebra.dim
-        and cent_der.dim == perm_algebra.dim
-    )
-
-    table = dimension_table(m, n, r)
-    sum_syt_sq = sum(row["syt"] ** 2 for row in table if row["admissible"])
-    sum_ssyt_sq = sum(row["ssyt"] ** 2 for row in table)
-    mult_sum = sum(row["syt"] * row["ssyt"] for row in table)
-    dims_ok = perm_algebra.dim == sum_syt_sq and der_algebra.dim == sum_ssyt_sq
-
-    return {
-        "m": m,
-        "n": n,
-        "r": r,
-        "dim_tau": perm_algebra.dim,
-        "dim_theta": der_algebra.dim,
-        "double_centralizer": bool(double_ok and dims_ok),
-        "multiplicity_identity": mult_sum == side,
-        "per_shape": [
-            {"shape": row["shape"], "syt": row["syt"], "ssyt": row["ssyt"]}
-            for row in table
-        ],
-    }

@@ -7,6 +7,8 @@ parser needs them and every command imports this module: reading them does
 not load the suites.
 """
 
+import sys
+
 DEFAULT_CAP = 64
 
 SUITE_NAMES = ("bracket", "actions", "schurweyl", "group")
@@ -34,9 +36,22 @@ class CapExceeded(RuntimeError):
 
 def check_cap(m: int, n: int, r: int, cap: int | None, what: str = "word space") -> int:
     """(m+n)^r, the dimension of ``what``, once it is known to be at most
-    the cap."""
-    side = (m + n) ** r
+    the cap.
+
+    The power is multiplied out only until it passes the cap and, in a
+    refusal, until it has more digits than an int converts to text, so the
+    work does not grow with r; a refusal names such a dimension <m+n>^<r>.
+    """
     limit = DEFAULT_CAP if cap is None else cap
-    if side > limit:
-        raise CapExceeded(f"{what} has dimension {side} > cap {limit}; raise the cap to proceed")
-    return side
+    base = m + n
+    side, done = (base**r, r) if base in (0, 1) else (1, 0)
+    while done < r and side <= limit:
+        side, done = side * base, done + 1
+    if side <= limit:
+        return side
+    # 0 is no limit; interpreters older than the limit have no getter
+    printable = 10 ** (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300)
+    while done < r and side < printable:
+        side, done = side * base, done + 1
+    shown = side if side < printable else f"{base if base < printable else '(m+n)'}^{r}"
+    raise CapExceeded(f"{what} has dimension {shown} > cap {limit}; raise the cap to proceed")

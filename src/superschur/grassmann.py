@@ -39,6 +39,7 @@ DimensionError rather than embedding one algebra in the other.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -365,7 +366,7 @@ class GrassmannElement:
         for mask in sorted(num, key=lambda m: (m.bit_count(), m)):
             g = gcd(num[mask], den)
             p, q = num[mask] // g, den // g
-            coeff = str(p) if q == 1 else f"{p}/{q}"
+            coeff = rational_text(p, q)
             terms.append({"gens": list(_mask_indices(mask)), "coeff": coeff})
         return {"n": self.num_generators, "terms": terms}
 
@@ -500,6 +501,18 @@ def rational_parts(value, what: str) -> tuple[int, int]:
         raise FormatError(f"rational {what} {_shown(value)} has a zero denominator")
     g = gcd(p, q)
     return p // g, q // g
+
+
+def rational_text(p: int, q: int) -> str:
+    """p/q as str(Fraction) writes it, refused with CapExceeded when p or q
+    has more digits than an int converts to text (PYTHONINTMAXSTRDIGITS)."""
+    try:
+        return str(p) if q == 1 else f"{p}/{q}"
+    except ValueError as exc:
+        raise CapExceeded(
+            f"a result has more than {sys.get_int_max_str_digits()} digits, the most an int "
+            "converts to text; set PYTHONINTMAXSTRDIGITS to raise the limit"
+        ) from exc
 
 
 def exact_rational(value):

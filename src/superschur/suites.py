@@ -77,7 +77,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .commutant import double_centralizer_report
+from .commutant import algebra_generated, centralizer
 from .errors import SUITE_NAMES, DimensionError, check_cap
 from .grassmann import GrassmannElement
 from .supermatrix import (
@@ -94,11 +94,13 @@ from .supermatrix import (
     supertrace,
     transvection,
 )
+from .tableaux import dimension_table
 from .tensor import (
     TensorOperator,
     derivation_operator,
     diagonal_operator,
     point_derivation_operator,
+    transposition_operator,
     transposition_table,
 )
 
@@ -573,20 +575,79 @@ def suite_actions(m: int, n: int, r: int, cap: int | None = None) -> list[dict]:
 # --- schurweyl ---------------------------------------------------------------
 
 
+def symmetric_group_generators(dim: SuperDim, r: int) -> list[TensorOperator]:
+    return [transposition_operator(dim, r, i, i + 1) for i in range(1, r)]
+
+
+def derivation_generators(dim: SuperDim, r: int) -> list[TensorOperator]:
+    """theta of the Chevalley generators E_ii, E_i,i+1 and E_i+1,i: 3(m+n) - 2
+    operators generating the same algebra as all (m+n)^2 theta(E_ij), hence
+    with the same centralizer.
+
+    Every other E_ij is an iterated supercommutator of them (E_ij =
+    [E_i,i+1, E_i+1,j] for j > i + 1, and likewise below the diagonal), and
+    theta preserves the superbracket, so each theta(E_ij) is a polynomial in
+    the Chevalley images.
+    """
+    size = dim.size
+    return [
+        derivation_operator(SuperMatrix.elementary(dim, i, j), r)
+        for i in range(1, size + 1)
+        for j in range(1, size + 1)
+        if abs(i - j) <= 1
+    ]
+
+
 def suite_schurweyl(m: int, n: int, r: int, cap: int | None = None) -> list[dict]:
-    """Mutual centralizers and the tableaux dimension bookkeeping."""
-    report = double_centralizer_report(m, n, r, cap=cap)
-    first = {"check": "double_centralizer", "pass": report["double_centralizer"]}
-    first.update(report)
-    second = _record(
-        "multiplicity_identity",
-        report["multiplicity_identity"],
-        m=m,
-        n=n,
-        r=r,
-        total=(m + n) ** r,
+    """Mutual centralizers and the tableaux dimension bookkeeping: the signed
+    symmetric-group algebra alg(tau) and the derivation algebra alg(theta)
+    centralize each other, the tableaux counts match their two dimensions,
+    and sum syt * ssyt is the word count (m+n)^r.
+
+    cent(tau) = alg(theta) and cent(theta) = alg(tau) are decided without
+    comparing the spaces.  Once every tau generator commutes with every
+    theta generator, alg(theta) lies in cent(tau) and alg(tau) in
+    cent(theta); equal dimensions then make both inclusions equalities.  So
+    the suite computes both centralizers and the commute check first, and
+    only when the generators commute does it close each algebra ``within``
+    the other's centralizer.  When they do not, both closures are bounded by
+    End(V) only and report the algebras' exact dimensions.
+    """
+    side = check_cap(m, n, r, cap)
+    dim = SuperDim(m, n)
+    perm_gens = symmetric_group_generators(dim, r)
+    der_gens = derivation_generators(dim, r)
+    cent_perm = centralizer(dim, r, perm_gens)
+    cent_der = centralizer(dim, r, der_gens)
+    commute = all(t * th == th * t for t in perm_gens for th in der_gens)
+    perm_algebra = algebra_generated(dim, r, perm_gens, within=cent_der if commute else None)
+    der_algebra = algebra_generated(dim, r, der_gens, within=cent_perm if commute else None)
+    dim_tau, dim_theta = perm_algebra.dim, der_algebra.dim
+
+    table = dimension_table(m, n, r)
+    ok = (
+        commute
+        and (cent_perm.dim, cent_der.dim) == (dim_theta, dim_tau)
+        and dim_tau == sum(row["syt"] ** 2 for row in table if row["admissible"])
+        and dim_theta == sum(row["ssyt"] ** 2 for row in table)
     )
-    return [first, second]
+    multiplicity_ok = sum(row["syt"] * row["ssyt"] for row in table) == side
+    per_shape = [{"shape": row["shape"], "syt": row["syt"], "ssyt": row["ssyt"]} for row in table]
+    return [
+        _record(
+            "double_centralizer",
+            ok,
+            m=m,
+            n=n,
+            r=r,
+            dim_tau=dim_tau,
+            dim_theta=dim_theta,
+            double_centralizer=ok,
+            multiplicity_identity=multiplicity_ok,
+            per_shape=per_shape,
+        ),
+        _record("multiplicity_identity", multiplicity_ok, m=m, n=n, r=r, total=side),
+    ]
 
 
 # --- group -------------------------------------------------------------------
@@ -620,51 +681,6 @@ def _classical_even_part_ok(m: int, n: int, r: int) -> bool:
     return True
 
 
-def rho_theta_equality_report(
-    m: int, n: int, r: int, grassmann_n: int = 4, cap: int | None = None
-) -> dict:
-    """Check the linkage between the diagonal group action and the
-    derivation action on one-parameter generators.
-
-    Odd generators: diagonal(I + alpha e_ij) = identity + point-derivation
-    for alpha in {x1, x2}.  Even off-diagonal generators: same identity for
-    the nilpotent alpha = x1 x2.  The even part proper is the identity
-    rho(I + E_ij) = sum_k P_k on the rational points of every even
-    one-parameter subgroup (see _classical_even_part_ok).
-    """
-    check_cap(m, n, r, cap)
-    if grassmann_n < 2:
-        raise DimensionError("need at least two Grassmann generators")
-    dim = SuperDim(m, n)
-    N = grassmann_n
-    ident = TensorOperator.identity(dim, r, N)
-    alphas = {
-        1: [GrassmannElement.generator(N, 1), GrassmannElement.generator(N, 2)],
-        0: [GrassmannElement.monomial(N, (1, 2))],
-    }
-
-    ok = {0: True, 1: True}
-    for i, j, elem, parity in _elementary_pairs(dim):
-        if i == j:
-            continue
-        for alpha in alphas[parity]:
-            lhs = diagonal_operator(transvection(dim, i, j, alpha, N), r)
-            if lhs != ident + point_derivation_operator(elem, alpha, r):
-                ok[parity] = False
-
-    classical_ok = _classical_even_part_ok(m, n, r)
-    return {
-        "m": m,
-        "n": n,
-        "r": r,
-        "grassmann_n": N,
-        "odd_generator_identity": ok[1],
-        "even_nilpotent_identity": ok[0],
-        "classical_even_part": classical_ok,
-        "pass": ok[1] and ok[0] and classical_ok,
-    }
-
-
 TRIALS = 5  # seeded pairs (g, h) drawn by the group suite
 
 
@@ -691,12 +707,37 @@ def suite_group(
 ) -> list[dict]:
     """Group-level checks: Berezinian, factorizations, and the diagonal action.
 
+    The one-parameter linkage ties the diagonal group action to the
+    derivation action on one-parameter generators.  Odd generators:
+    rho(I + alpha E_ij) = identity + point-derivation for alpha in {x1, x2}.
+    Even off-diagonal generators: the same identity for the nilpotent
+    alpha = x1 x2.  The even part proper is the identity rho(I + E_ij) =
+    sum_k P_k on the rational points of every even one-parameter subgroup
+    (see _classical_even_part_ok).
+
     The TRIALS seeded pairs (g, h) are drawn once and one pass over them
     feeds every sampled check; each product g * h is formed once.
     """
-    report = rho_theta_equality_report(m, n, r, grassmann_n=grassmann_n, cap=cap)
+    check_cap(m, n, r, cap)
+    if grassmann_n < 2:
+        raise DimensionError("need at least two Grassmann generators")
     dim = SuperDim(m, n)
     N = grassmann_n
+    alphas = {
+        1: [GrassmannElement.generator(N, 1), GrassmannElement.generator(N, 2)],
+        0: [GrassmannElement.monomial(N, (1, 2))],
+    }
+    rho_one = TensorOperator.identity(dim, r, N)
+    linked = {0: True, 1: True}
+    for i, j, elem, parity in _elementary_pairs(dim):
+        if i == j:
+            continue
+        for alpha in alphas[parity]:
+            lhs = diagonal_operator(transvection(dim, i, j, alpha, N), r)
+            if lhs != rho_one + point_derivation_operator(elem, alpha, r):
+                linked[parity] = False
+    classical_ok = _classical_even_part_ok(m, n, r)
+
     ident = SuperMatrix.identity(dim, N)
     one = GrassmannElement.scalar(N, 1)
 
@@ -736,10 +777,20 @@ def suite_group(
     def sampled(name, bad, **where):
         return _record(name, not bad, **where, seed=seed, trials=TRIALS, failures=bad[:3])
 
-    rho_identity = diagonal_operator(ident, r) == TensorOperator.identity(dim, r, N)
+    rho_identity = diagonal_operator(ident, r) == rho_one
     ber_identity = berezinian(ident) == one and berezinian(SuperMatrix.identity(dim)) == 1
     return [
-        {"check": "one_parameter_linkage", **report},
+        _record(
+            "one_parameter_linkage",
+            linked[1] and linked[0] and classical_ok,
+            m=m,
+            n=n,
+            r=r,
+            grassmann_n=N,
+            odd_generator_identity=linked[1],
+            even_nilpotent_identity=linked[0],
+            classical_even_part=classical_ok,
+        ),
         _record("rho_identity", rho_identity, m=m, n=n, r=r, grassmann_n=N),
         sampled("rho_homomorphism", bad_rho, m=m, n=n, r=r, grassmann_n=N),
         _record("berezinian_identity", ber_identity, m=m, n=n, grassmann_n=N),

@@ -43,6 +43,7 @@ from .grassmann import (
     exact_rational,
     is_json_int,
     rational_parts,
+    rational_text,
 )
 
 _EMPTY: dict = {}  # the column an operator does not store
@@ -370,7 +371,9 @@ class SuperMatrix(_Sparse):
         out = {"m": self.dim.m, "n": self.dim.n}
         if self.grassmann_n is None:
             out["ring"] = "Q"
-            out["entries"] = [[str(e) for e in row] for row in self.entries]
+            out["entries"] = [
+                [rational_text(e.numerator, e.denominator) for e in row] for row in self.entries
+            ]
         else:
             out["ring"] = "grassmann"
             out["grassmann_n"] = self.grassmann_n

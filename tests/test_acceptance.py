@@ -25,13 +25,13 @@ from superschur import (
     count_syt,
     derivation_operator,
     diagonal_operator,
-    double_centralizer_report,
     enumerate_ssyt,
     ldu_factor,
     operator_from_transpositions,
     partitions,
     point_derivation_operator,
     random_gl_point,
+    suite_schurweyl,
     superbracket,
     supertrace,
     transposition_operator,
@@ -95,7 +95,7 @@ def test_criterion_3_double_centralizer():
         (2, 2, 3): (6, 688),
     }
     for (m, n, r), (dim_tau, dim_theta) in expected.items():
-        report = double_centralizer_report(m, n, r)
+        report = suite_schurweyl(m, n, r)[0]
         assert report["double_centralizer"] is True, (m, n, r, report)
         assert report["multiplicity_identity"] is True, (m, n, r)
         assert report["dim_tau"] == dim_tau, (m, n, r, report["dim_tau"])

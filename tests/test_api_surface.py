@@ -75,3 +75,17 @@ def test_names_the_benchmark_reads_exist(monkeypatch):
     if not isinstance(tensor.TensorOperator.__dict__.get("matrix"), property):
         missing.append("tensor.TensorOperator.matrix")
     assert missing == []
+
+
+def test_commutant_is_linear_algebra_only():
+    # row spaces, closures and centralizers: the suites build their own
+    # generators and records, and check their own cap
+    tree = ast.parse((PACKAGE / "commutant.py").read_text())
+    sources = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            sources.add(node.module.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Import):
+            sources.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    names = imported_names(tree) | sources
+    assert names.isdisjoint({"tableaux", "suites", "cli", "check_cap"}), sorted(names)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superschur.suites
-from superschur import CapExceeded, FormatError, GrassmannElement, SuperDim, SuperMatrix
+from superschur import CapExceeded, FormatError, GrassmannElement, SuperDim, SuperMatrix, check_cap
 from superschur.cli import main
 
 
@@ -262,9 +262,9 @@ def unsigned(build):
 
 @pytest.mark.parametrize("key", sorted(PINNED_SCHURWEYL_FAILURES))
 def test_failing_schurweyl_records_are_pinned(key, monkeypatch):
-    commutant = superschur.commutant
-    monkeypatch.setattr(commutant, "transposition_operator", unsigned(commutant.transposition_operator))
-    records = superschur.suites.suite_schurweyl(*key)
+    suites = superschur.suites
+    monkeypatch.setattr(suites, "transposition_operator", unsigned(suites.transposition_operator))
+    records = suites.suite_schurweyl(*key)
     assert records[0]["double_centralizer"] is False
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
     assert digest == PINNED_SCHURWEYL_FAILURES[key]
@@ -284,12 +284,12 @@ PINNED_SCHURWEYL_THETA_FAILURES = {
 
 @pytest.mark.parametrize("key", sorted(PINNED_SCHURWEYL_THETA_FAILURES))
 def test_failing_schurweyl_records_with_unsigned_theta_are_pinned(key, monkeypatch):
-    commutant = superschur.commutant
-    monkeypatch.setattr(commutant, "derivation_operator", unsigned(commutant.derivation_operator))
-    records = superschur.suites.suite_schurweyl(*key)
+    suites = superschur.suites
+    monkeypatch.setattr(suites, "derivation_operator", unsigned(suites.derivation_operator))
+    records = suites.suite_schurweyl(*key)
     assert records[0]["double_centralizer"] is False
     dim, r = superschur.SuperDim(*key[:2]), key[2]
-    cent_tau = commutant.centralizer(dim, r, commutant.symmetric_group_generators(dim, r))
+    cent_tau = suites.centralizer(dim, r, suites.symmetric_group_generators(dim, r))
     assert records[0]["dim_theta"] > cent_tau.dim
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
     assert digest == PINNED_SCHURWEYL_THETA_FAILURES[key]
@@ -624,6 +624,66 @@ def test_bracket_cap_exit_three(monkeypatch, capsys):
         assert code == 3 and out == "" and "> cap 8" in err
     code, _, _ = run_cli(["verify", "bracket", "-m", "2", "-n", "1", "--cap", "9"], capsys)
     assert code == 0
+
+
+def test_check_cap_work_does_not_grow_with_r():
+    # the power is multiplied out only until it passes the cap
+    assert check_cap(1, 0, 10**8, None) == 1 and check_cap(0, 1, 10**8, 1) == 1
+    for m, r, named in (
+        (3, 10**8, "3^100000000 > cap 64"),
+        (3, 2000, f"{3 ** 2000} > cap 64"),
+        (7 * 10**2499, 2, f"{7 * 10**2499}^2 > cap 64"),
+        (10**4300, 2, "(m+n)^2 > cap 64"),
+    ):
+        with pytest.raises(CapExceeded) as refusal:
+            check_cap(m, 0, r, None)
+        assert named in str(refusal.value)
+
+
+def test_results_past_the_digit_limit_exit_three(tmp_path, monkeypatch):
+    # a side or a result of more digits than an int converts to text is
+    # refused with exit 3 and a message, in a fresh interpreter at the
+    # default limit; with the limit lifted the result prints in full
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "4300")
+    big = "7" + "3" * 2999
+    scalar = {"m": 2, "n": 0, "ring": "Q", "entries": [[big, 0], [0, big]]}
+    element = lambda gens, coeff: {"n": 2, "terms": [{"gens": gens, "coeff": coeff}]}
+    point = {
+        "m": 1,
+        "n": 1,
+        "ring": "grassmann",
+        "grassmann_n": 2,
+        "entries": [[element([], big), element([1], big)], [element([2], big), element([], "1")]],
+    }
+    files = {}
+    for name, data in (("scalar", scalar), ("point", point)):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(data))
+    refused = [
+        (["verify", "actions", "-m", "3", "-n", "0", "-r", "10000"], "3^10000 > cap 64"),
+        (["verify", "actions", "-m", "3", "-n", "0", "-r", "100000000"], "3^100000000"),
+        (["tableaux", "-m", "2", "-n", "0", "-r", "20000"], "2^20000 > cap 64"),
+        (["verify", "bracket", "-m", big, "-n", "0"], f"gl({big}|0) has dimension {big}^2"),
+        (["berezinian", str(files["scalar"])], "PYTHONINTMAXSTRDIGITS"),
+        (["factor", str(files["point"])], "PYTHONINTMAXSTRDIGITS"),
+    ]
+    for argv, named in refused:
+        proc = fresh_interpreter(argv)
+        assert (proc.returncode, proc.stdout) == (3, ""), argv[:2]
+        assert "Traceback" not in proc.stderr and named in proc.stderr, argv[:2]
+        assert len(proc.stderr.splitlines()) == 1
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "0")
+    proc = fresh_interpreter(["berezinian", str(files["scalar"])])
+    assert proc.returncode == 0
+    (coeff,) = json.loads(proc.stdout)["berezinian"]["terms"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert coeff["coeff"] == str(int(big) ** 2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    proc = fresh_interpreter(["factor", str(files["point"])])
+    assert proc.returncode == 0 and json.loads(proc.stdout)["verified"] is True
 
 
 def test_cap_env_override(monkeypatch, capsys):

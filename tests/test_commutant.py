@@ -1,4 +1,5 @@
-"""Exact row spaces, algebra closure, centralizers, and the paired reports."""
+"""Exact row spaces, algebra closure, centralizers, and the suite records
+that pair them."""
 
 from fractions import Fraction
 from math import gcd
@@ -19,18 +20,14 @@ from superschur import (
     check_cap,
     derivation_operator,
     diagonal_operator,
-    double_centralizer_report,
-    rho_theta_equality_report,
+    suite_group,
+    suite_schurweyl,
     transposition_operator,
     transvection,
 )
 from superschur import commutant
-from superschur.commutant import (
-    derivation_generators,
-    flatten,
-    kernel_basis,
-    symmetric_group_generators,
-)
+from superschur.commutant import flatten, kernel_basis
+from superschur.suites import derivation_generators, symmetric_group_generators
 
 D11 = SuperDim(1, 1)
 
@@ -236,7 +233,8 @@ def test_centralizer_of_generators_equals_centralizer_of_algebra():
 
 
 def test_double_centralizer_smallest_case():
-    report = double_centralizer_report(1, 1, 2)
+    report = suite_schurweyl(1, 1, 2)[0]
+    assert report["check"] == "double_centralizer" and report["pass"] is True
     assert report["m"] == 1 and report["n"] == 1 and report["r"] == 2
     assert report["dim_tau"] == 2
     assert report["dim_theta"] == 8
@@ -249,7 +247,7 @@ def test_double_centralizer_smallest_case():
 
 
 def test_double_centralizer_purely_even_case():
-    report = double_centralizer_report(2, 0, 2)
+    report = suite_schurweyl(2, 0, 2)[0]
     assert (report["dim_tau"], report["dim_theta"]) == (2, 10)
     assert report["double_centralizer"] and report["multiplicity_identity"]
 
@@ -259,12 +257,13 @@ def test_cap_guard():
     with pytest.raises(CapExceeded):
         check_cap(2, 2, 4, None)
     with pytest.raises(CapExceeded):
-        double_centralizer_report(2, 2, 4)
+        suite_schurweyl(2, 2, 4)
     assert check_cap(2, 2, 2, 16) == 16
 
 
 def test_one_parameter_report_passes():
-    report = rho_theta_equality_report(1, 1, 2, grassmann_n=2)
+    report = suite_group(1, 1, 2, grassmann_n=2)[0]
+    assert report["check"] == "one_parameter_linkage" and report["grassmann_n"] == 2
     assert report["odd_generator_identity"]
     assert report["even_nilpotent_identity"]
     assert report["classical_even_part"]
@@ -273,7 +272,7 @@ def test_one_parameter_report_passes():
 
 def test_one_parameter_report_needs_two_generators():
     with pytest.raises(DimensionError):
-        rho_theta_equality_report(1, 1, 2, grassmann_n=1)
+        suite_group(1, 1, 2, grassmann_n=1)
 
 
 def test_operator_builders_reject_wrong_degree():

@@ -264,7 +264,7 @@ def test_group_suite_forms_no_closure(monkeypatch):
         raise AssertionError("the group suite closed an algebra")
 
     # every closure grows a RowSpace, under whatever name it was imported
-    monkeypatch.setattr(commutant, "algebra_generated", refuse)
+    monkeypatch.setattr(suites, "algebra_generated", refuse)
     monkeypatch.setattr(commutant.RowSpace, "add", refuse)
     assert all(record["pass"] for record in suite_group(2, 1, 2))
 
